@@ -5,9 +5,13 @@ tail control, together with their closed forms and comparison checks.
 All three share one summation convention: an integral over the unipotent
 quotient of GL_m of a right-lattice-invariant function equals the lattice
 volume times the sum over diagonal exponent tuples of the integrand
-weighted by the inverse modular character.  Sums run over weakly
-decreasing exponent tuples only; the integrands vanish identically off
-them by the torus-value support conditions.
+weighted by the inverse modular character.  Sums run over the support of
+the integrand only: weakly decreasing tuples f_1 >= ... >= f_head >= 0
+padded with zeros, where head is the unramified-part rank r for integrands
+with a newform-line (essential) factor and the full torus rank for purely
+spherical ones.  Off that support the integrands vanish identically by the
+torus-value support conditions, so a sum at depth d has exactly
+C(d + head, head) terms.
 """
 
 from __future__ import annotations
@@ -18,15 +22,15 @@ from typing import Callable, NamedTuple
 from .lfactors import asai_lfactor, pair_dual_lfactor, rs_lfactor
 from .report import VerificationReport, hard_check, soft_check
 from .reps import GenericRep, SatakeSet
-from .symfunc import delta_weight, weakly_decreasing_tuples
+from .symfunc import delta_weight, partitions_in_box
 from .volumes import vol_gl
-from .whittaker import essential_value, spherical_value
+from .whittaker import _essential_on_torus, spherical_value
+from .whittaker import essential_value  # noqa: F401  (bench/tests probe it in this namespace)
 
 
 @dataclass(frozen=True)
 class TruncationCfg:
     depth: int = 40
-    tail_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.depth < 1:
@@ -42,20 +46,27 @@ class TruncResult(NamedTuple):
 
 
 def _torus_sum(
-    rank: int, trunc: TruncationCfg, q: int, term: Callable[[tuple[int, ...]], complex]
+    rank: int,
+    head: int,
+    trunc: TruncationCfg,
+    q: int,
+    term: Callable[[tuple[int, ...]], complex],
 ) -> TruncResult:
-    """Sum `term` over weakly decreasing exponent tuples with entries bounded
-    by the truncation depth.  The tail estimate is the outermost shell's
-    total magnitude amplified by a geometric factor."""
+    """Sum `term` over the rank-length tuples whose first `head` entries are
+    weakly decreasing in [0, depth] and whose other entries are zero, in
+    descending lexicographic order.  The tail estimate is the outermost
+    shell's (f_1 = depth) total magnitude amplified by a geometric factor."""
     total: complex = 0.0
     shell = 0.0
     depth = trunc.depth
-    for f in weakly_decreasing_tuples(rank, -depth, depth):
+    zeros = (0,) * (rank - head)
+    for lam in partitions_in_box(head, depth):
+        f = lam + zeros
         t = term(f)
         if t == 0:
             continue
         total += t
-        if f and max(abs(v) for v in f) == depth:
+        if f and f[0] == depth:
             shell += abs(t)
     geo = 1.0 / (1.0 - float(q) ** -0.5)
     return TruncResult(total, shell * geo)
@@ -74,14 +85,15 @@ def beta_truncated(rep: GenericRep, q_f: int, trunc: TruncationCfg = DEFAULT_TRU
     q_e = q_f**2
     n = rep.rank - 1
     sign = -1 if n % 2 else 1
+    r, newform = _essential_on_torus(rep, q_e)
 
     def term(f: tuple[int, ...]) -> complex:
-        w = essential_value(rep, f, q_e)
+        w = newform(f)
         if w == 0:
             return 0.0
         return w * _delta_inv(f, q_f) * sign ** (sum(f) % 2)
 
-    res = _torus_sum(n, trunc, q_f, term)
+    res = _torus_sum(n, r, trunc, q_f, term)
     vol = float(vol_gl(n, q_f))
     return TruncResult(vol * res.value, vol * res.tail_estimate)
 
@@ -113,7 +125,7 @@ def beta_spherical_truncated(
             return 0.0
         return w * _delta_inv(f, q_f) * sign ** (sum(f) % 2)
 
-    res = _torus_sum(n - 1, trunc, q_f, term)
+    res = _torus_sum(n - 1, n - 1, trunc, q_f, term)
     vol = float(vol_gl(n - 1, q_f))
     return TruncResult(vol * res.value, vol * res.tail_estimate)
 
@@ -143,7 +155,7 @@ def theta_truncated(
             return 0.0
         return abs(w) ** 2 * _delta_inv(f, q_e)
 
-    res = _torus_sum(k - 1, trunc, q_e, term)
+    res = _torus_sum(k - 1, k - 1, trunc, q_e, term)
     vol = float(vol_gl(k - 1, q_e))
     return TruncResult(vol * res.value, vol * res.tail_estimate)
 
@@ -171,9 +183,9 @@ def lambda_truncated(
     q_e = sigma_n.base
 
     if rep.is_ramified():
-        def w_big(f: tuple[int, ...]) -> complex:
-            return essential_value(rep, f, q_e)
+        head, w_big = _essential_on_torus(rep, q_e)
     else:
+        head = n
         gamma = rep.unramified_part(q_e)[1]
 
         def w_big(f: tuple[int, ...]) -> complex:
@@ -189,7 +201,7 @@ def lambda_truncated(
         extra = float(q_e) ** (-s * sum(f)) if s else 1.0
         return w1 * w2 * _delta_inv(f, q_e) * extra
 
-    res = _torus_sum(n, trunc, q_e, term)
+    res = _torus_sum(n, head, trunc, q_e, term)
     vol = float(vol_gl(n, q_e))
     return TruncResult(vol * res.value, vol * res.tail_estimate)
 

@@ -167,16 +167,7 @@ def delta_weight(parts: Sequence[int], q: RatLike, half: bool = False) -> Fracti
 def partitions_in_box(length: int, max_part: int) -> Iterator[tuple[int, ...]]:
     """All weakly decreasing nonnegative tuples of the given length with
     parts bounded by max_part (includes the zero tuple)."""
-    if length == 0:
-        yield ()
-        return
-    def rec(prefix: tuple[int, ...], bound: int, left: int) -> Iterator[tuple[int, ...]]:
-        if left == 0:
-            yield prefix
-            return
-        for part in range(bound, -1, -1):
-            yield from rec(prefix + (part,), part, left - 1)
-    yield from rec((), max_part, length)
+    return weakly_decreasing_tuples(length, 0, max_part)
 
 
 def weakly_decreasing_tuples(length: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:

@@ -1,12 +1,15 @@
 import cmath
+import math
 import random
 
 import pytest
 
-from helpers import h_pair_series, ramified_rep, satake, unit_circle
+from helpers import conj_selfdual_unit, h_pair_series, ramified_rep, satake, unit_circle
+from localperiods import periods
 from localperiods.lfactors import pair_dual_lfactor, rs_lfactor
 from localperiods.periods import (
     TruncationCfg,
+    TruncResult,
     beta_closed,
     beta_spherical_closed,
     beta_spherical_truncated,
@@ -23,6 +26,7 @@ from localperiods.periods import (
 )
 from localperiods.report import STATUS_PASS, STATUS_SOFT
 from localperiods.reps import GenericRep, RamCusp, Segment, UnramChar
+from localperiods.symfunc import weakly_decreasing_tuples
 from localperiods.volumes import vol_gl
 
 TR = TruncationCfg(depth=40)
@@ -246,3 +250,76 @@ class TestTails:
         assert ratio_spread([]) == 0.0
         assert ratio_spread([1.0, 1.0]) == 0.0
         assert ratio_spread([1.0, 2.0]) > 0.3
+
+
+def full_box_torus_sum(rank, head, trunc, q, term):
+    """Reference summer: every weakly decreasing tuple in [-depth, depth]^rank,
+    ignoring the support head, with the shell taken by largest |f_i|."""
+    total = 0.0
+    shell = 0.0
+    depth = trunc.depth
+    for f in weakly_decreasing_tuples(rank, -depth, depth):
+        t = term(f)
+        if t == 0:
+            continue
+        total += t
+        if f and max(abs(v) for v in f) == depth:
+            shell += abs(t)
+    geo = 1.0 / (1.0 - float(q) ** -0.5)
+    return TruncResult(total, shell * geo)
+
+
+def newform_reps(rng, n):
+    """Rank-(n+1) representations covering every unramified-part rank:
+    a ramified cuspidal part with r = 0..n, a Steinberg-type segment with
+    r = n, and a fully unramified one."""
+    reps = [ramified_rep(rng, n + 1, r, rng.randint(1, 2)) for r in range(n + 1)]
+    alphas = conj_selfdual_unit(rng, n)
+    reps.append(GenericRep((Segment(UnramChar(alphas[0]), 2),)
+                           + tuple(Segment(UnramChar(a)) for a in alphas[1:])))
+    reps.append(GenericRep(tuple(Segment(UnramChar(a)) for a in unit_circle(rng, n + 1))))
+    return reps
+
+
+class TestSupportSummation:
+    def test_equals_full_box_enumeration_exactly(self, monkeypatch):
+        rng = random.Random(83)
+        cases = []
+        for n in (1, 2, 3):
+            for depth in (1, 3, 8):
+                trunc = TruncationCfg(depth=depth)
+                q_f = rng.choice([3, 5])
+                q_e = q_f**2
+                sigma_n = satake(unit_circle(rng, n), q_e)
+                sigma_up = satake(unit_circle(rng, n + 1), q_e)
+                cases.append((theta_truncated, (sigma_up, trunc)))
+                cases.append((beta_spherical_truncated, (sigma_up, q_f, trunc)))
+                for rep in newform_reps(rng, n):
+                    cases.append((lambda_truncated, (sigma_n, rep, trunc)))
+                    if rep.is_ramified():
+                        cases.append((beta_truncated, (rep, q_f, trunc)))
+        got = [fn(*args) for fn, args in cases]
+        monkeypatch.setattr(periods, "_torus_sum", full_box_torus_sum)
+        want = [fn(*args) for fn, args in cases]
+        for (fn, args), g, w in zip(cases, got, want):
+            assert g.value == w.value, (fn.__name__, args)
+            assert g.tail_estimate == w.tail_estimate, (fn.__name__, args)
+
+    def test_ramified_lambda_evaluates_only_the_head(self, monkeypatch):
+        calls = [0]
+        spherical = periods.spherical_value
+
+        def counted(*args):
+            calls[0] += 1
+            return spherical(*args)
+
+        monkeypatch.setattr(periods, "spherical_value", counted)
+        rng = random.Random(89)
+        for n in (1, 2, 3):
+            sigma = satake(unit_circle(rng, n), 9)
+            for r in range(n + 1):
+                rep = ramified_rep(rng, n + 1, r, 1)
+                for depth in (1, 4, 9):
+                    calls[0] = 0
+                    lambda_truncated(sigma, rep, TruncationCfg(depth=depth))
+                    assert calls[0] == math.comb(depth + r, r), (n, r, depth)
