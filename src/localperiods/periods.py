@@ -12,6 +12,12 @@ with a newform-line (essential) factor and the full torus rank for purely
 spherical ones.  Off that support the integrands vanish identically by the
 torus-value support conditions, so a sum at depth d has exactly
 C(d + head, head) terms.
+
+Each sum builds its Whittaker evaluators (_spherical_on_torus,
+_essential_on_torus) and its inverse-modular-weight table once, so the
+Schur powers, the Vandermonde and each modular weight are computed once
+per sum rather than once per term; the values are bit-identical to the
+per-call spherical_value and delta_weight.
 """
 
 from __future__ import annotations
@@ -22,9 +28,9 @@ from typing import Callable, NamedTuple
 from .lfactors import asai_lfactor, pair_dual_lfactor, rs_lfactor
 from .report import VerificationReport, hard_check, soft_check
 from .reps import GenericRep, SatakeSet
-from .symfunc import delta_weight, partitions_in_box
+from .symfunc import _per_modular_exponent, delta_weight, partitions_in_box
 from .volumes import vol_gl
-from .whittaker import _essential_on_torus, spherical_value
+from .whittaker import _essential_on_torus, _spherical_on_torus
 from .whittaker import essential_value  # noqa: F401  (bench/tests probe it in this namespace)
 
 
@@ -72,8 +78,10 @@ def _torus_sum(
     return TruncResult(total, shell * geo)
 
 
-def _delta_inv(f: tuple[int, ...], q: int) -> float:
-    return float(1 / delta_weight(f, q))
+def _delta_inv_table(q: int) -> Callable[[tuple[int, ...]], float]:
+    """The inverse modular weight 1/delta(f) at fixed q as a float,
+    computed once per distinct modular exponent."""
+    return _per_modular_exponent(lambda f: float(1 / delta_weight(f, q)))
 
 
 def beta_truncated(rep: GenericRep, q_f: int, trunc: TruncationCfg = DEFAULT_TRUNC) -> TruncResult:
@@ -85,13 +93,14 @@ def beta_truncated(rep: GenericRep, q_f: int, trunc: TruncationCfg = DEFAULT_TRU
     q_e = q_f**2
     n = rep.rank - 1
     sign = -1 if n % 2 else 1
-    r, newform = _essential_on_torus(rep, q_e)
+    r, newform = _essential_on_torus(rep, q_e, trunc.depth)
+    delta_inv = _delta_inv_table(q_f)
 
     def term(f: tuple[int, ...]) -> complex:
         w = newform(f)
         if w == 0:
             return 0.0
-        return w * _delta_inv(f, q_f) * sign ** (sum(f) % 2)
+        return w * delta_inv(f) * sign ** (sum(f) % 2)
 
     res = _torus_sum(n, r, trunc, q_f, term)
     vol = float(vol_gl(n, q_f))
@@ -118,12 +127,14 @@ def beta_spherical_truncated(
     unramified rank-n representation, summed over the GL_{n-1} torus."""
     n = len(sigma_n)
     sign = -1 if (n - 1) % 2 else 1
+    spherical = _spherical_on_torus(sigma_n.params, sigma_n.base, trunc.depth)
+    delta_inv = _delta_inv_table(q_f)
 
     def term(f: tuple[int, ...]) -> complex:
-        w = spherical_value(sigma_n.params, f + (0,), sigma_n.base)
+        w = spherical(f + (0,))
         if w == 0:
             return 0.0
-        return w * _delta_inv(f, q_f) * sign ** (sum(f) % 2)
+        return w * delta_inv(f) * sign ** (sum(f) % 2)
 
     res = _torus_sum(n - 1, n - 1, trunc, q_f, term)
     vol = float(vol_gl(n - 1, q_f))
@@ -148,12 +159,14 @@ def theta_truncated(
     representation under the GL_{k-1} inner-product integral."""
     k = len(sigma)
     q_e = sigma.base
+    spherical = _spherical_on_torus(sigma.params, q_e, trunc.depth)
+    delta_inv = _delta_inv_table(q_e)
 
     def term(f: tuple[int, ...]) -> complex:
-        w = spherical_value(sigma.params, f + (0,), q_e)
+        w = spherical(f + (0,))
         if w == 0:
             return 0.0
-        return abs(w) ** 2 * _delta_inv(f, q_e)
+        return abs(w) ** 2 * delta_inv(f)
 
     res = _torus_sum(k - 1, k - 1, trunc, q_e, term)
     vol = float(vol_gl(k - 1, q_e))
@@ -181,25 +194,29 @@ def lambda_truncated(
     if rep.rank != n + 1:
         raise ValueError("rank mismatch: need rank(rep) = len(sigma_n) + 1")
     q_e = sigma_n.base
+    depth = trunc.depth
 
     if rep.is_ramified():
-        head, w_big = _essential_on_torus(rep, q_e)
+        head, w_big = _essential_on_torus(rep, q_e, depth)
     else:
         head = n
-        gamma = rep.unramified_part(q_e)[1]
+        gamma = _spherical_on_torus(rep.unramified_part(q_e)[1].params, q_e, depth)
 
         def w_big(f: tuple[int, ...]) -> complex:
-            return spherical_value(gamma.params, f + (0,), q_e)
+            return gamma(f + (0,))
+
+    spherical = _spherical_on_torus(sigma_n.params, q_e, depth)
+    delta_inv = _delta_inv_table(q_e)
 
     def term(f: tuple[int, ...]) -> complex:
-        w1 = spherical_value(sigma_n.params, f, q_e)
+        w1 = spherical(f)
         if w1 == 0:
             return 0.0
         w2 = w_big(f)
         if w2 == 0:
             return 0.0
         extra = float(q_e) ** (-s * sum(f)) if s else 1.0
-        return w1 * w2 * _delta_inv(f, q_e) * extra
+        return w1 * w2 * delta_inv(f) * extra
 
     res = _torus_sum(n, head, trunc, q_e, term)
     vol = float(vol_gl(n, q_e))

@@ -6,12 +6,18 @@ determinant in complete homogeneous polynomials (valid always, used when
 arguments nearly collide).  A truncated product-free summation of Schur
 values over partitions serves as the series side of the closed product
 identity checked by the verification suites.
+
+Torus sums evaluate many weights at the same arguments, so _schur_table
+computes the powers, product and Vandermonde of the arguments once and
+returns schur's values bit for bit; 2x2 and 3x3 determinants take
+unrolled copies of the elimination loop with the same operations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from operator import ge, itemgetter, mul
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .numerics import RatLike, fraction_sqrt
 
@@ -24,13 +30,22 @@ class DivergenceError(ValueError):
 
 
 def is_weakly_decreasing(parts: Sequence[int]) -> bool:
-    return all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
+    return all(map(ge, parts, parts[1:]))
 
 
-def _det(rows: list[list[complex]]) -> complex:
-    """Determinant by Gaussian elimination with partial pivoting."""
+def _det(rows: Sequence[Sequence[complex]]) -> complex:
+    """Determinant by Gaussian elimination with partial pivoting.
+
+    Sizes 2 and 3 take unrolled copies of the loop that perform the same
+    floating-point operations in the same order, so every size gives the
+    loop's value bit for bit.
+    """
     m = len(rows)
-    a = [row[:] for row in rows]
+    if m == 2:
+        return _det2(*rows)
+    if m == 3:
+        return _det3(*rows)
+    a = [list(row) for row in rows]
     det: complex = 1.0
     for col in range(m):
         piv = max(range(col, m), key=lambda r: abs(a[r][col]))
@@ -50,6 +65,70 @@ def _det(rows: list[list[complex]]) -> complex:
     return det
 
 
+def _det2(row0: Sequence[complex], row1: Sequence[complex]) -> complex:
+    """_det of a 2x2 matrix, unrolled.  Entries left of the pivot column
+    are not updated since the loop never reads them again."""
+    a00, a01 = row0
+    a10, a11 = row1
+    det: complex = 1.0
+    if abs(a10) > abs(a00):  # max() keeps the first maximum
+        a00, a01, a10, a11 = a10, a11, a00, a01
+        det = -det
+    if a00 == 0:
+        return 0.0
+    det *= a00
+    f = a10 * (1.0 / a00)
+    if f != 0:
+        a11 -= f * a01
+    if a11 == 0:
+        return 0.0
+    return det * a11
+
+
+def _det3(
+    row0: Sequence[complex], row1: Sequence[complex], row2: Sequence[complex]
+) -> complex:
+    """_det of a 3x3 matrix, unrolled like _det2."""
+    a00, a01, a02 = row0
+    a10, a11, a12 = row1
+    a20, a21, a22 = row2
+    det: complex = 1.0
+    m0, m1, m2 = abs(a00), abs(a10), abs(a20)
+    if m1 > m0:
+        if m2 > m1:
+            a00, a01, a02, a20, a21, a22 = a20, a21, a22, a00, a01, a02
+        else:
+            a00, a01, a02, a10, a11, a12 = a10, a11, a12, a00, a01, a02
+        det = -det
+    elif m2 > m0:
+        a00, a01, a02, a20, a21, a22 = a20, a21, a22, a00, a01, a02
+        det = -det
+    if a00 == 0:
+        return 0.0
+    det *= a00
+    inv = 1.0 / a00
+    f = a10 * inv
+    if f != 0:
+        a11 -= f * a01
+        a12 -= f * a02
+    f = a20 * inv
+    if f != 0:
+        a21 -= f * a01
+        a22 -= f * a02
+    if abs(a21) > abs(a11):
+        a11, a12, a21, a22 = a21, a22, a11, a12
+        det = -det
+    if a11 == 0:
+        return 0.0
+    det *= a11
+    f = a21 * (1.0 / a11)
+    if f != 0:
+        a22 -= f * a12
+    if a22 == 0:
+        return 0.0
+    return det * a22
+
+
 def complete_homogeneous(max_degree: int, xs: Sequence[complex]) -> list[complex]:
     """[h_0, ..., h_max_degree] evaluated at xs."""
     h: list[complex] = [1.0] + [0.0] * max_degree
@@ -59,16 +138,40 @@ def complete_homogeneous(max_degree: int, xs: Sequence[complex]) -> list[complex
     return h
 
 
+def _product(xs: Sequence[complex]) -> complex:
+    prod: complex = 1.0
+    for x in xs:
+        prod *= x
+    return prod
+
+
+def _vandermonde(xs: Sequence[complex]) -> complex:
+    """prod_{i<j} (x_i - x_j), in row order."""
+    m = len(xs)
+    den: complex = 1.0
+    for i in range(m):
+        for j in range(i + 1, m):
+            den *= xs[i] - xs[j]
+    return den
+
+
+def _coincident(xs: Sequence[complex]) -> bool:
+    """Whether two arguments lie within COINCIDENCE_SPREAD of each other."""
+    m = len(xs)
+    spread = min(
+        (abs(xs[i] - xs[j]) for i in range(m) for j in range(i + 1, m)),
+        default=float("inf"),
+    )
+    return spread < COINCIDENCE_SPREAD
+
+
 def schur_bialternant(parts: Sequence[int], xs: Sequence[complex]) -> complex:
     """det(x_i^(lambda_j + m - j)) / Vandermonde(x).  Arguments must be distinct."""
     m = len(xs)
     if len(parts) != m:
         raise ValueError("weight length must match number of arguments")
     num = _det([[xs[i] ** (parts[j] + m - 1 - j) for j in range(m)] for i in range(m)])
-    den: complex = 1.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            den *= xs[i] - xs[j]
+    den = _vandermonde(xs)
     if den == 0:
         raise ZeroDivisionError("coincident arguments in bialternant")
     return num / den
@@ -118,27 +221,87 @@ def schur(parts: Sequence[int], xs: Sequence[complex]) -> complex:
             return 1.0
         if any(x == 0 for x in xs):
             return 0.0 if parts[0] > 0 else _raise_zero_laurent()
-        prod: complex = 1.0
-        for x in xs:
-            prod *= x
-        return prod ** parts[0]
+        return _product(xs) ** parts[0]
     shift = parts[-1] if parts[-1] < 0 else 0
     lam = [p - shift for p in parts]
     central: complex = 1.0
     if shift:
         if any(x == 0 for x in xs):
             raise ValueError("negative weights need nonzero arguments")
-        prod: complex = 1.0
-        for x in xs:
-            prod *= x
-        central = prod**shift
-    spread = min(
-        (abs(xs[i] - xs[j]) for i in range(m) for j in range(i + 1, m)),
-        default=float("inf"),
-    )
-    if spread < COINCIDENCE_SPREAD:
+        central = _product(xs) ** shift
+    if _coincident(xs):
         return central * schur_jacobi_trudi(lam, xs)
     return central * schur_bialternant(lam, xs)
+
+
+def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int]], complex]:
+    """schur(parts, xs) as a function of a weakly decreasing weight alone.
+
+    The powers x_i^k for k < max_part + len(xs), the product of the
+    arguments, the Vandermonde and the coincidence test are computed once
+    here, with the operations schur performs per call, so every value is
+    bit-identical to schur's.  Weights with a part outside [0, max_part],
+    and all weights at nearly coincident arguments, go to schur itself.
+    The weight must be weakly decreasing; schur's check of that is not
+    repeated here.
+    """
+    xs = tuple(xs)
+    m = len(xs)
+
+    def per_call(parts: Sequence[int]) -> complex:
+        return schur(parts, xs)
+
+    if m == 0:
+        return per_call
+    try:
+        if _coincident(xs):
+            return per_call
+        den = _vandermonde(xs)
+        if den == 0:
+            return per_call
+        powers = [[x**k for k in range(max_part + m)] for x in xs]
+    except OverflowError:
+        return per_call
+    prod = _product(xs)
+    has_zero = any(x == 0 for x in xs)
+    offsets = range(m - 1, -1, -1)
+
+    def value(parts: Sequence[int]) -> complex:
+        if len(parts) != m or parts[-1] < 0 or parts[0] > max_part:
+            return per_call(parts)
+        if parts[0] == parts[-1]:
+            if parts[0] == 0:
+                return 1.0
+            return 0.0 if has_zero else prod ** parts[0]
+        row_at = itemgetter(*[p + o for p, o in zip(parts, offsets)])
+        # schur's central factor 1.0 stays: it can change the sign of a zero
+        return 1.0 * (_det(list(map(row_at, powers))) / den)
+
+    return value
+
+
+def _modular_exponent(parts: Sequence[int]) -> int:
+    """The exponent e with delta(diag(pi^parts)) = q^e."""
+    m = len(parts)
+    # the coefficient of lambda_i is m + 1 - 2i, for i = 1..m
+    return -sum(map(mul, parts, range(m - 1, -m, -2)))
+
+
+def _per_modular_exponent(
+    weight: Callable[[Sequence[int]], float]
+) -> Callable[[Sequence[int]], float]:
+    """`weight`, a function of a weight tuple through its modular exponent
+    only (such as a float of delta_weight), evaluated once per exponent."""
+    values: dict[int, float] = {}
+
+    def cached(parts: Sequence[int]) -> float:
+        e = _modular_exponent(parts)
+        w = values.get(e)
+        if w is None:
+            w = values[e] = weight(parts)
+        return w
+
+    return cached
 
 
 def delta_weight(parts: Sequence[int], q: RatLike, half: bool = False) -> Fraction:
@@ -152,8 +315,7 @@ def delta_weight(parts: Sequence[int], q: RatLike, half: bool = False) -> Fracti
     q = Fraction(q)
     if q <= 1:
         raise ValueError("q must exceed 1")
-    m = len(parts)
-    e = -sum(lam * (m + 1 - 2 * i) for i, lam in enumerate(parts, start=1))
+    e = _modular_exponent(parts)
     if not half:
         return q**e
     if e % 2 == 0:

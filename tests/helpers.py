@@ -6,6 +6,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import struct
 from fractions import Fraction
 
 from localperiods.hermitian import EMat, herm_form_j, in_group_u, in_kprime
@@ -49,6 +50,46 @@ def ssyt_schur(lam, xs):
 
     fill_row(0, None, 1.0)
     return total
+
+
+def loop_det(rows):
+    """Determinant by the generic pivoted elimination loop of
+    symfunc._det, kept here as the reference its unrolled sizes must match
+    bit for bit."""
+    m = len(rows)
+    a = [list(row) for row in rows]
+    det = 1.0
+    for col in range(m):
+        piv = max(range(col, m), key=lambda r: abs(a[r][col]))
+        if a[piv][col] == 0:
+            return 0.0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1.0 / a[col][col]
+        for r in range(col + 1, m):
+            f = a[r][col] * inv
+            if f == 0:
+                continue
+            for c in range(col, m):
+                a[r][c] -= f * a[col][c]
+    return det
+
+
+def bits(value):
+    """A float or complex value down to its type and IEEE bit pattern, so
+    that signed zeros and NaNs compare exactly."""
+    z = complex(value)
+    return type(value), struct.pack("<dd", z.real, z.imag)
+
+
+def outcome(fn, *args):
+    """bits() of fn(*args), or the type of the exception it raises."""
+    try:
+        return bits(fn(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
 
 
 def geometric_sq_sum(t: float, terms: int = 2000) -> float:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from helpers import conj_selfdual_unit, h_pair_series, ramified_rep, satake, unit_circle
-from localperiods import periods
+from localperiods import periods, whittaker
 from localperiods.lfactors import pair_dual_lfactor, rs_lfactor
 from localperiods.periods import (
     TruncationCfg,
@@ -306,20 +306,39 @@ class TestSupportSummation:
             assert g.tail_estimate == w.tail_estimate, (fn.__name__, args)
 
     def test_ramified_lambda_evaluates_only_the_head(self, monkeypatch):
-        calls = [0]
-        spherical = periods.spherical_value
+        """A ramified lambda sum evaluates the spherical factor once per
+        support tuple, C(d + r, r) times, and builds one evaluator per
+        parameter set: sigma_n's in periods, the unramified part's in
+        whittaker."""
+        built, calls = [], [0]
 
-        def counted(*args):
-            calls[0] += 1
-            return spherical(*args)
+        def counting(module):
+            make = module._spherical_on_torus
 
-        monkeypatch.setattr(periods, "spherical_value", counted)
+            def build(params, q_e, max_part):
+                built.append(tuple(params))
+                value = make(params, q_e, max_part)
+
+                def counted(exponents):
+                    calls[0] += module is periods
+                    return value(exponents)
+
+                return counted
+
+            monkeypatch.setattr(module, "_spherical_on_torus", build)
+
+        counting(periods)
+        counting(whittaker)
         rng = random.Random(89)
         for n in (1, 2, 3):
             sigma = satake(unit_circle(rng, n), 9)
             for r in range(n + 1):
                 rep = ramified_rep(rng, n + 1, r, 1)
+                sigma_u = rep.unramified_part(9)[1]
                 for depth in (1, 4, 9):
+                    built.clear()
                     calls[0] = 0
                     lambda_truncated(sigma, rep, TruncationCfg(depth=depth))
                     assert calls[0] == math.comb(depth + r, r), (n, r, depth)
+                    assert len(built) == 2
+                    assert set(built) == {tuple(sigma_u.params), tuple(sigma.params)}

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ssyt_schur
+from helpers import bits, loop_det, outcome, ssyt_schur
 from localperiods.symfunc import (
+    COINCIDENCE_SPREAD,
     DivergenceError,
+    _det,
+    _schur_table,
     delta_weight,
     macdonald_closed,
     macdonald_sum,
@@ -89,6 +92,105 @@ class TestSchur:
     def test_rejects_non_dominant(self):
         with pytest.raises(ValueError):
             schur((0, 1), (1.0, 2.0))
+
+
+#: entries that tie in pivot magnitude (1, -1, 1j, ...), signed zeros,
+#: infinities, and floats next to complex numbers, as the Jacobi-Trudi
+#: matrices mix them
+ENTRIES = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 0j, 1.0, -1.0, 2.0, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, 0.5, math.inf, -math.inf]
+    ),
+    st.floats(-1e6, 1e6),
+    st.complex_numbers(max_magnitude=1e6),
+    st.complex_numbers(),
+)
+
+
+@st.composite
+def square_matrices(draw, m):
+    """An m x m matrix of ENTRIES, with one column zeroed now and then."""
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=m, max_size=m), min_size=m, max_size=m))
+    zero_col = draw(st.integers(-m, m - 1))
+    if zero_col >= 0:
+        for row in rows:
+            row[zero_col] = 0.0
+    return rows
+
+
+class TestUnrolledDet:
+    @pytest.mark.parametrize("m", [2, 3])
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_bit_identical_to_the_loop(self, m, data):
+        rows = data.draw(square_matrices(m))
+        copy = [row[:] for row in rows]
+        assert bits(_det(rows)) == bits(loop_det(rows))
+        assert rows == copy
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1.0, 2.0], [-1.0, 3j]],  # tie: the first maximum stays the pivot
+            [[0.0, 1.0], [0.0, 2.0]],  # zero column
+            [[0.0, 1.0], [1j, 0.0]],  # zero pivot swapped away
+            [[1j, 2.0, 3.0], [-1.0, 1.0, 0.0], [1.0, -0.0, 5j]],
+            [[0.0, 1.0, 2.0], [0.0, 3.0, 1j], [2.0, 0.0, 0.0]],
+            [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 1.0]],  # singular after a step
+            [[1.0, 2.0, 3.0], [2.0, 4.0, 6.5], [3.0, 6.0, 9.0]],
+        ],
+    )
+    def test_edge_cases(self, rows):
+        assert bits(_det(rows)) == bits(loop_det(rows))
+
+
+#: arguments for _schur_table: generic, with a zero, constant (coincident
+#: and therefore Jacobi-Trudi), nearly coincident, and real
+TABLE_ARGS = [
+    (),
+    (0.4 + 0.3j,),
+    (0.0,),
+    (0.7 - 0.2j, -0.3 + 0.9j),
+    (0.0, 1.3j),
+    (0.5, 0.5),
+    (0.5, 0.5 + 1e-14),
+    (cmath.exp(0.3j), cmath.exp(-0.3j), -1.0),
+    (0.0, 0.6, -0.8j),
+    (0.9j, 0.9j, 0.9j),
+    (1.2, 0.3 - 0.4j, 0.3 - 0.4j + 1e-13),
+    (0.2, -0.5, 0.7, 1.1),
+    (0.4j, 0.0, -0.6 + 0.1j, 0.9 - 0.9j),
+    (0.3 + 0.3j,) * 4,
+]
+
+
+class TestSchurTable:
+    @pytest.mark.parametrize("xs", TABLE_ARGS)
+    @pytest.mark.parametrize("max_part", [-1, 0, 3])
+    def test_bit_identical_to_schur(self, xs, max_part):
+        value = _schur_table(xs, max_part)
+        for lam in weakly_decreasing_tuples(len(xs), -2, max_part + 2):
+            assert outcome(value, lam) == outcome(schur, lam, xs), lam
+
+    @given(
+        st.lists(st.complex_numbers(max_magnitude=3.0), min_size=1, max_size=4),
+        st.integers(0, 5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_on_random_arguments(self, xs, max_part):
+        value = _schur_table(xs, max_part)
+        for lam in weakly_decreasing_tuples(len(xs), -1, max_part + 1):
+            assert outcome(value, lam) == outcome(schur, lam, xs), lam
+
+    def test_overflowing_powers_go_to_schur(self):
+        xs = (1e200, 2e200)
+        value = _schur_table(xs, 3)
+        for lam in weakly_decreasing_tuples(2, 0, 3):
+            assert outcome(value, lam) == outcome(schur, lam, xs), lam
+
+    def test_nearly_coincident_arguments_take_jacobi_trudi(self):
+        xs = (0.5, 0.5 + COINCIDENCE_SPREAD / 2)
+        assert bits(_schur_table(xs, 4)((3, 1))) == bits(schur_jacobi_trudi((3, 1), xs))
 
 
 class TestDeltaWeight:

@@ -3,9 +3,16 @@ import random
 
 import pytest
 
-from helpers import ramified_rep, ssyt_schur, unit_circle
+import itertools
+
+from helpers import outcome, ramified_rep, ssyt_schur, unit_circle
 from localperiods.reps import GenericRep, RamCusp, Segment, UnramChar
-from localperiods.whittaker import essential_value, spherical_value
+from localperiods.whittaker import (
+    _essential_on_torus,
+    _spherical_on_torus,
+    essential_value,
+    spherical_value,
+)
 
 
 class TestSphericalValue:
@@ -38,6 +45,40 @@ class TestSphericalValue:
             lhs = spherical_value(alphas, tuple(x + k for x in f), 9)
             rhs = prod**k * spherical_value(alphas, f, 9)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+class TestTorusEvaluators:
+    @pytest.mark.parametrize("q_e", [9, 25, 3])
+    def test_spherical_on_torus_is_bit_identical(self, q_e):
+        # every tuple in a box, non-decreasing ones included; q_e = 3 has
+        # no exact half weight at odd exponents, so both must raise there
+        rng = random.Random(5)
+        for m in range(5):
+            for params in (unit_circle(rng, m), (0.0,) * m, (0.5,) * m):
+                for max_part in (0, 3):
+                    value = _spherical_on_torus(params, q_e, max_part)
+                    for f in itertools.product(range(-1, max_part + 2), repeat=m):
+                        assert outcome(value, f) == outcome(spherical_value, params, f, q_e), f
+                    with pytest.raises(ValueError):
+                        value((0,) * (m + 1))
+
+    def test_essential_on_torus_matches_its_spherical_formula(self):
+        rng = random.Random(6)
+        for m in (2, 3, 4):
+            for r in range(m):
+                rep = ramified_rep(rng, m, r, cond=1)
+                _, sigma_u = rep.unramified_part(9)
+                got_r, value = _essential_on_torus(rep, 9, 4)
+                assert got_r == r
+                for f in itertools.product(range(-1, 6), repeat=m - 1):
+                    head, tail = f[:r], f[r:]
+                    if any(tail) or (head and head[-1] < 0):
+                        want = 0.0
+                    else:
+                        want = spherical_value(sigma_u.params, head, 9)
+                        want *= 9.0 ** (-(m - r) * sum(head) / 2)
+                    assert outcome(value, f) == outcome(lambda: want), f
+                    assert outcome(essential_value, rep, f, 9) == outcome(lambda: want), f
 
 
 class TestEssentialValue:
