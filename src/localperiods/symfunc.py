@@ -45,9 +45,11 @@ def _det(rows: Sequence[Sequence[complex]]) -> complex:
         return _det2(*rows)
     if m == 3:
         return _det3(*rows)
+    if m == 0:
+        return 1.0
     a = [list(row) for row in rows]
     det: complex = 1.0
-    for col in range(m):
+    for col in range(m - 1):
         piv = max(range(col, m), key=lambda r: abs(a[r][col]))
         if a[piv][col] == 0:
             return 0.0
@@ -62,7 +64,11 @@ def _det(rows: Sequence[Sequence[complex]]) -> complex:
                 continue
             for c in range(col, m):
                 a[r][c] -= f * a[col][c]
-    return det
+    # The last column has a single candidate pivot: no abs() is taken, so an
+    # entry whose modulus overflows does not raise.
+    if a[m - 1][m - 1] == 0:
+        return 0.0
+    return det * a[m - 1][m - 1]
 
 
 def _det2(row0: Sequence[complex], row1: Sequence[complex]) -> complex:

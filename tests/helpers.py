@@ -57,9 +57,11 @@ def loop_det(rows):
     symfunc._det, kept here as the reference its unrolled sizes must match
     bit for bit."""
     m = len(rows)
+    if m == 0:
+        return 1.0
     a = [list(row) for row in rows]
     det = 1.0
-    for col in range(m):
+    for col in range(m - 1):
         piv = max(range(col, m), key=lambda r: abs(a[r][col]))
         if a[piv][col] == 0:
             return 0.0
@@ -74,7 +76,9 @@ def loop_det(rows):
                 continue
             for c in range(col, m):
                 a[r][c] -= f * a[col][c]
-    return det
+    if a[m - 1][m - 1] == 0:
+        return 0.0
+    return det * a[m - 1][m - 1]
 
 
 def bits(value):

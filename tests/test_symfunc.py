@@ -138,6 +138,9 @@ class TestUnrolledDet:
             [[0.0, 1.0, 2.0], [0.0, 3.0, 1j], [2.0, 0.0, 0.0]],
             [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 1.0]],  # singular after a step
             [[1.0, 2.0, 3.0], [2.0, 4.0, 6.5], [3.0, 6.0, 9.0]],
+            # the last pivot's modulus overflows: no abs() of it, no OverflowError
+            [[0.0, 1.3e308 + 1.3e308j], [1.0, 0.0]],
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.3e308 + 1.3e308j]],
         ],
     )
     def test_edge_cases(self, rows):
