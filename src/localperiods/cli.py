@@ -87,8 +87,6 @@ class RunConfig:
     satake2: list[complex] = field(default_factory=list)
     segments_file: str | None = None
     depth: int = 40
-    tol_rel: float = 1e-10
-    tol_abs: float = 1e-12
     seed: int = 0
     vmax: int = 4
     s: float | None = None
@@ -99,10 +97,6 @@ class RunConfig:
     @property
     def q_e(self) -> int:
         return self.q_f**2
-
-    @property
-    def tol(self) -> ToleranceCfg:
-        return ToleranceCfg(self.tol_rel, self.tol_abs)
 
     @property
     def trunc(self) -> TruncationCfg:
@@ -729,8 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--satake2", type=str)
         p.add_argument("--segments-file", dest="segments_file")
         p.add_argument("--depth", type=int)
-        p.add_argument("--tol-rel", type=float, dest="tol_rel")
-        p.add_argument("--tol-abs", type=float, dest="tol_abs")
         p.add_argument("--seed", type=int)
         p.add_argument("--vmax", type=int)
         p.add_argument("--s", type=float)
@@ -761,7 +753,7 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     converters = {
         "q_f": int, "p": int, "u": int, "n": int, "c": int, "eps": int,
         "depth": int, "seed": int, "vmax": int,
-        "tol_rel": float, "tol_abs": float, "s": float,
+        "s": float,
         "satake": parse_complex_list, "satake2": parse_complex_list,
         "segments_file": str, "json_path": str,
     }

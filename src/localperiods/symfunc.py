@@ -7,15 +7,19 @@ arguments nearly collide).  A truncated product-free summation of Schur
 values over partitions serves as the series side of the closed product
 identity checked by the verification suites.
 
-Torus sums evaluate many weights at the same arguments, so _schur_table
-computes the powers, product and Vandermonde of the arguments once and
-returns schur's values bit for bit; 2x2 and 3x3 determinants take
-unrolled copies of the elimination loop with the same operations.
+Torus sums and the Macdonald series evaluate many weights at the same
+arguments, so _schur_table computes the powers, product and Vandermonde
+of the arguments once per sum and returns schur's values bit for bit;
+2x2 and 3x3 determinants take unrolled copies of the elimination loop
+with the same operations.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from operator import ge, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -33,12 +37,25 @@ def is_weakly_decreasing(parts: Sequence[int]) -> bool:
     return all(map(ge, parts, parts[1:]))
 
 
+def _modulus(z: complex) -> float:
+    """abs(z), or inf where the modulus of a finite z lies above the float
+    range and abs() raises OverflowError.  CPython's abs() of a complex
+    with a NaN part also raises when the abs() before it overflowed; its
+    modulus is NaN, as abs() returns at other times."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf if cmath.isfinite(z) else math.nan
+
+
 def _det(rows: Sequence[Sequence[complex]]) -> complex:
     """Determinant by Gaussian elimination with partial pivoting.
 
     Sizes 2 and 3 take unrolled copies of the loop that perform the same
     floating-point operations in the same order, so every size gives the
-    loop's value bit for bit.
+    loop's value bit for bit.  A pivot search whose abs() overflows is
+    redone with _modulus, which ranks such an entry as infinite; only
+    matrices on which abs() raises take that route.
     """
     m = len(rows)
     if m == 2:
@@ -50,7 +67,10 @@ def _det(rows: Sequence[Sequence[complex]]) -> complex:
     a = [list(row) for row in rows]
     det: complex = 1.0
     for col in range(m - 1):
-        piv = max(range(col, m), key=lambda r: abs(a[r][col]))
+        try:
+            piv = max(range(col, m), key=lambda r: abs(a[r][col]))
+        except OverflowError:
+            piv = max(range(col, m), key=lambda r: _modulus(a[r][col]))
         if a[piv][col] == 0:
             return 0.0
         if piv != col:
@@ -77,7 +97,11 @@ def _det2(row0: Sequence[complex], row1: Sequence[complex]) -> complex:
     a00, a01 = row0
     a10, a11 = row1
     det: complex = 1.0
-    if abs(a10) > abs(a00):  # max() keeps the first maximum
+    try:
+        swap = abs(a10) > abs(a00)  # max() keeps the first maximum
+    except OverflowError:
+        swap = _modulus(a10) > _modulus(a00)
+    if swap:
         a00, a01, a10, a11 = a10, a11, a00, a01
         det = -det
     if a00 == 0:
@@ -99,7 +123,10 @@ def _det3(
     a10, a11, a12 = row1
     a20, a21, a22 = row2
     det: complex = 1.0
-    m0, m1, m2 = abs(a00), abs(a10), abs(a20)
+    try:
+        m0, m1, m2 = abs(a00), abs(a10), abs(a20)
+    except OverflowError:
+        m0, m1, m2 = _modulus(a00), _modulus(a10), _modulus(a20)
     if m1 > m0:
         if m2 > m1:
             a00, a01, a02, a20, a21, a22 = a20, a21, a22, a00, a01, a02
@@ -121,7 +148,11 @@ def _det3(
     if f != 0:
         a21 -= f * a01
         a22 -= f * a02
-    if abs(a21) > abs(a11):
+    try:
+        swap = abs(a21) > abs(a11)
+    except OverflowError:
+        swap = _modulus(a21) > _modulus(a11)
+    if swap:
         a11, a12, a21, a22 = a21, a22, a11, a12
         det = -det
     if a11 == 0:
@@ -339,17 +370,9 @@ def partitions_in_box(length: int, max_part: int) -> Iterator[tuple[int, ...]]:
 
 
 def weakly_decreasing_tuples(length: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    """All weakly decreasing integer tuples with entries in [lo, hi]."""
-    if length == 0:
-        yield ()
-        return
-    def rec(prefix: tuple[int, ...], bound: int, left: int) -> Iterator[tuple[int, ...]]:
-        if left == 0:
-            yield prefix
-            return
-        for part in range(bound, lo - 1, -1):
-            yield from rec(prefix + (part,), part, left - 1)
-    yield from rec((), hi, length)
+    """All weakly decreasing integer tuples with entries in [lo, hi], in
+    descending lexicographic order (sums over them add in this order)."""
+    return combinations_with_replacement(range(hi, lo - 1, -1), length)
 
 
 def _check_in_disk(xs: Iterable[complex]) -> tuple[complex, ...]:
@@ -360,13 +383,18 @@ def _check_in_disk(xs: Iterable[complex]) -> tuple[complex, ...]:
 
 
 def macdonald_sum(xs: Sequence[complex], depth: int) -> complex:
-    """Truncated sum of s_lambda(xs) over all partitions with lambda_1 <= depth."""
+    """Truncated sum of s_lambda(xs) over all partitions with lambda_1 <= depth.
+
+    The values come from one _schur_table per call, so they are schur's
+    bit for bit, added in the order of partitions_in_box.
+    """
     xs = _check_in_disk(xs)
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    value = _schur_table(xs, depth)
     total: complex = 0.0
     for lam in partitions_in_box(len(xs), depth):
-        total += schur(lam, xs)
+        total += value(lam)
     return total
 
 

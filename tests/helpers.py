@@ -12,6 +12,7 @@ from fractions import Fraction
 from localperiods.hermitian import EMat, herm_form_j, in_group_u, in_kprime
 from localperiods.numerics import QuadExt
 from localperiods.reps import GenericRep, RamCusp, SatakeSet, Segment, UnramChar
+from localperiods.symfunc import _modulus, schur
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +63,10 @@ def loop_det(rows):
     a = [list(row) for row in rows]
     det = 1.0
     for col in range(m - 1):
-        piv = max(range(col, m), key=lambda r: abs(a[r][col]))
+        try:
+            piv = max(range(col, m), key=lambda r: abs(a[r][col]))
+        except OverflowError:
+            piv = max(range(col, m), key=lambda r: _modulus(a[r][col]))
         if a[piv][col] == 0:
             return 0.0
         if piv != col:
@@ -79,6 +83,35 @@ def loop_det(rows):
     if a[m - 1][m - 1] == 0:
         return 0.0
     return det * a[m - 1][m - 1]
+
+
+def recursive_weakly_decreasing(length, lo, hi):
+    """Weakly decreasing tuples with entries in [lo, hi] by the recursive
+    generator symfunc.weakly_decreasing_tuples replaced, kept here as the
+    reference for its order: sums over the tuples add in that order, so it
+    sets their float bits."""
+    if length == 0:
+        yield ()
+        return
+
+    def rec(prefix, bound, left):
+        if left == 0:
+            yield prefix
+            return
+        for part in range(bound, lo - 1, -1):
+            yield from rec(prefix + (part,), part, left - 1)
+
+    yield from rec((), hi, length)
+
+
+def per_call_macdonald_sum(xs, depth):
+    """symfunc.macdonald_sum as a sum of per-call schur values over the
+    recursive enumeration, the reference its per-sum table must match bit
+    for bit."""
+    total = 0.0
+    for lam in recursive_weakly_decreasing(len(xs), 0, depth):
+        total += schur(lam, xs)
+    return total
 
 
 def bits(value):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from localperiods.cli import main, parse_complex_list
 
 
@@ -181,3 +183,18 @@ class TestConfigFile:
         cfg.write_text("mystery = 1\n")
         code, _, err = run(capsys, "volumes", "--config", str(cfg), "--n", "1", "--c", "1")
         assert code == 2
+
+    def test_removed_tolerance_key_is_unknown(self, capsys, tmp_path):
+        # the suites pin their tolerances, so tol_rel and tol_abs had no effect
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol_rel = 1e-3\n")
+        code, _, err = run(capsys, "verify", "volumes", "--config", str(cfg))
+        assert code == 2 and "tol_rel" in err
+
+
+@pytest.mark.parametrize("flag", ["--tol-rel", "--tol-abs"])
+def test_removed_tolerance_flags_exit_2(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "volumes", flag, "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -21,7 +21,12 @@ REPORTS = {
         f"{suite}-qf5-seed7-depth25.json": [suite, "--qf", "5", "--seed", "7", "--depth", "25"]
         for suite in ("lambda", "beta", "theta", "main-theorem")
     },
+    # these five cover every suite that bench/run.py's series workload runs
     "macdonald-seed7.json": ["macdonald", "--seed", "7"],
+    "main-theorem-qf3-seed7.json": ["main-theorem", "--qf", "3", "--seed", "7"],
+    "asai-cancel-qf3-seed7.json": ["asai-cancel", "--qf", "3", "--seed", "7"],
+    "volumes-seed7.json": ["volumes", "--seed", "7"],
+    "c1-seed7.json": ["c1", "--seed", "7"],
 }
 
 

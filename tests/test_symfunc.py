@@ -7,11 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bits, loop_det, outcome, ssyt_schur
+from helpers import (
+    bits,
+    loop_det,
+    outcome,
+    per_call_macdonald_sum,
+    recursive_weakly_decreasing,
+    ssyt_schur,
+)
 from localperiods.symfunc import (
     COINCIDENCE_SPREAD,
     DivergenceError,
     _det,
+    _modulus,
     _schur_table,
     delta_weight,
     macdonald_closed,
@@ -141,10 +149,35 @@ class TestUnrolledDet:
             # the last pivot's modulus overflows: no abs() of it, no OverflowError
             [[0.0, 1.3e308 + 1.3e308j], [1.0, 0.0]],
             [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.3e308 + 1.3e308j]],
+            # an earlier pivot candidate's modulus overflows: ranked infinite
+            [[0.0, 0.0], [1.3e308 + 1.3e308j, 0.0]],
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.3e308 + 1.3e308j, 1.0]],
+            [[1.0, 1.0, 1.0], [1.3e308 + 1.3e308j, 0.0, 1.0], [1.0, 0.0, 0.0]],
+            # the generic loop; 1.0 / pivot underflows, so the pivot sets the value
+            [[1.0, 0.0, 0.0, 0.0], [1.3e308 + 1.3e308j, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
         ],
     )
     def test_edge_cases(self, rows):
         assert bits(_det(rows)) == bits(loop_det(rows))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_overflowing_pivot_candidate(self, m):
+        # abs() of the big entry raises OverflowError in the pivot search
+        big = 1.3e308 + 1.3e308j
+        rows = [[1.0 if r == c else 0.0 for c in range(m)] for r in range(m)]
+        rows[1][:2] = [big, 0.0]
+        rows[0][1] = 0.0
+        assert _det(rows) == 0  # a zero column
+        rows[0][1] = 1.0
+        assert _det(rows) == -big
+
+    def test_modulus(self):
+        big = 1.3e308 + 1.3e308j
+        assert _modulus(big) == math.inf
+        assert _modulus(3 + 4j) == 5.0
+        # CPython's abs() of a NaN complex raises after an overflowing abs()
+        assert _modulus(big) == math.inf
+        assert math.isnan(_modulus(complex(math.nan, 1.0)))
 
 
 #: arguments for _schur_table: generic, with a zero, constant (coincident
@@ -229,6 +262,25 @@ class TestDeltaWeight:
         assert delta_weight(f, q) == want
 
 
+#: arguments in the open unit disk for macdonald_sum, each with the
+#: largest depth it is summed to: ranks 1-4 (rank 4 takes the generic _det
+#: loop), a zero argument, and nearly coincident arguments (which the
+#: table sends to schur, and schur to Jacobi-Trudi).  Depth 60 is the
+#: macdonald suite's; the rank-4 and rank-3 Jacobi-Trudi sums stop earlier
+#: because the per-call reference takes seconds there.
+MACDONALD_CASES = [
+    ((0.4 + 0.3j,), 60),
+    ((0.0,), 60),
+    ((0.7 - 0.2j, -0.3 + 0.6j), 60),
+    ((0.0, 0.5j), 60),
+    ((0.5, 0.5 + COINCIDENCE_SPREAD / 2), 60),
+    ((0.6j, -0.5, 0.3 - 0.7j), 60),
+    ((0.0, 0.6, -0.8j), 60),
+    ((0.3 - 0.4j, 0.3 - 0.4j + 1e-13, 0.2), 20),
+    ((0.2, -0.5, 0.7j, 0.4 - 0.4j), 12),
+]
+
+
 class TestMacdonald:
     def test_rank_one_geometric(self):
         assert abs(macdonald_sum((0.5,), 60) - 2.0) < 1e-12
@@ -257,6 +309,11 @@ class TestMacdonald:
         errs = [abs(macdonald_sum(xs, d) - closed) for d in (10, 20, 30)]
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < errs[0] * 0.6**18
+
+    @pytest.mark.parametrize("xs, max_depth", MACDONALD_CASES)
+    def test_bit_identical_to_per_call_schur(self, xs, max_depth):
+        for depth in (1, max_depth):
+            assert bits(macdonald_sum(xs, depth)) == bits(per_call_macdonald_sum(xs, depth))
 
     def test_cauchy_pairing_oracle(self):
         # truncated sum of s_lam(x) s_lam(y) against the closed two-family product
@@ -287,3 +344,15 @@ class TestIterators:
 
     def test_zero_length(self):
         assert list(weakly_decreasing_tuples(0, -3, 3)) == [()]
+
+    @pytest.mark.parametrize("length", range(5))
+    def test_order_matches_the_recursive_generator(self, length):
+        # sums add in this order, so it sets their float bits; lo > hi included
+        for lo in range(-3, 5):
+            for hi in range(-3, 5):
+                want = list(recursive_weakly_decreasing(length, lo, hi))
+                assert list(weakly_decreasing_tuples(length, lo, hi)) == want, (lo, hi)
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError):
+            weakly_decreasing_tuples(-1, 0, 3)
