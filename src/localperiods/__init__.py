@@ -4,18 +4,16 @@ values, local L-factor products, congruence-subgroup volumes, transfer
 factors, rank-one orbital integrals, and the closed-form assembly of the
 two local characters they tie together."""
 
-from .assembly import PairData, ParityError, alpha_newform, i_assembled, i_closed, j_main, j_via_bridge
+from .assembly import PairData, ParityError, i_assembled, i_closed, j_main, j_via_bridge
 from .hermitian import (
     EMat,
     NonRegularError,
     cayley,
     cayley_inv,
-    choose_xi,
     det_stack_identity_check,
     herm_form_j,
     iota_c,
     is_regular_semisimple,
-    matches,
     matching_invariants,
     membership,
     r_map,
@@ -33,7 +31,6 @@ from .numerics import (
     QuadExt,
     Rat,
     ToleranceCfg,
-    approx_eq,
     padic_valuation,
     qe_valuation,
     validate_field_context,
@@ -54,14 +51,11 @@ from .report import VerificationReport
 from .reps import GenericRep, RamCusp, SatakeSet, Segment, UnramChar, is_conjugate_selfdual
 from .symfunc import delta_weight, macdonald_closed, macdonald_sum, schur
 from .volumes import (
-    VolumeCtx,
     c1,
     constant_c_main,
-    vol_bmk_glf,
     vol_gl,
     vol_gl_formula,
     vol_k0,
-    vol_k0_group,
     vol_kprime_c,
     vol_u_lie,
     vol_unitary_v,
@@ -88,9 +82,6 @@ __all__ = [
     "TruncationCfg",
     "UnramChar",
     "VerificationReport",
-    "VolumeCtx",
-    "alpha_newform",
-    "approx_eq",
     "asai_cancellation_check",
     "asai_lfactor",
     "beta_closed",
@@ -100,7 +91,6 @@ __all__ = [
     "c1",
     "cayley",
     "cayley_inv",
-    "choose_xi",
     "constant_c_main",
     "delta_weight",
     "det_stack_identity_check",
@@ -119,7 +109,6 @@ __all__ = [
     "macdonald_closed",
     "macdonald_sum",
     "match_rank1",
-    "matches",
     "matching_invariants",
     "membership",
     "orb_s2",
@@ -136,11 +125,9 @@ __all__ = [
     "theta_truncated",
     "transfer_factor",
     "validate_field_context",
-    "vol_bmk_glf",
     "vol_gl",
     "vol_gl_formula",
     "vol_k0",
-    "vol_k0_group",
     "vol_kprime_c",
     "vol_u_lie",
     "vol_unitary_v",

@@ -10,10 +10,17 @@ closed-form algebra telescopes with, and the bridge identity pins it down.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .lfactors import asai_lfactor, pair_dual_lfactor, rs_lfactor
 from .numerics import ensure_finite
-from .periods import TruncationCfg, beta_truncated, lambda_truncated
+from .periods import (
+    TruncationCfg,
+    beta_closed,
+    beta_truncated,
+    lambda_closed,
+    lambda_truncated,
+)
 from .reps import GenericRep, SatakeSet
 from .volumes import c1, constant_c_main, l_eta, vol_gl, vol_gl_formula, vol_kprime_c
 
@@ -118,13 +125,8 @@ def i_assembled(d: PairData, trunc: TruncationCfg | None = None) -> complex:
         lam = lambda_truncated(d.sigma_n, d.rep, trunc).value
         beta_big = beta_truncated(d.rep, d.q_f, trunc).value
     else:
-        lam = float(vol_gl(d.n, d.q_e))
-        if len(sigma_u):
-            lam *= rs_lfactor(d.sigma_n, sigma_u).value(0.5)
-        beta_big = float(vol_gl(d.n, d.q_f))
-        if len(sigma_u):
-            eps_u = -1 if d.n % 2 else 1
-            beta_big *= asai_lfactor(sigma_u, eps_u).value(1)
+        lam = lambda_closed(d.sigma_n, d.rep)
+        beta_big = beta_closed(d.rep, d.q_f)
     eps_n = -1 if (d.n - 1) % 2 else 1
     beta_small = float(vol_gl_formula(d.n - 1, d.q_f)) * asai_lfactor(d.sigma_n, eps_n).value(1)
     value = (
@@ -136,19 +138,27 @@ def i_assembled(d: PairData, trunc: TruncationCfg | None = None) -> complex:
     return ensure_finite(value)
 
 
+def _j_main_terms(d: PairData) -> tuple[Fraction, int, int, complex, complex, complex | None]:
+    """The factors of `j_main`: the constant, the two edge-value signs, the
+    central pairing value and the two edge values.  The unramified-part edge
+    value is None when that part is empty."""
+    sigma_u = d.sigma_u()
+    eps_n = -1 if d.n % 2 else 1                # sign (-1)^n
+    eps_u = -1 if (d.n + 1) % 2 else 1          # sign (-1)^(n+1)
+    l_rs = rs_lfactor(d.sigma_n, sigma_u).value(0.5) if len(sigma_u) else 1.0
+    l_n = asai_lfactor(d.sigma_n, eps_n).value(1)
+    l_u = asai_lfactor(sigma_u, eps_u).value(1) if len(sigma_u) else None
+    return constant_c_main(d.n, d.c, d.q_f), eps_n, eps_u, l_rs, l_n, l_u
+
+
 def j_main(d: PairData) -> complex:
     """The main closed formula: the explicit constant times the central
     pairing value over the two twisted tensor edge values."""
     if not d.parity_ok:
         raise ParityError(f"c={d.c} and eps={d.eps} have different parities")
-    sigma_u = d.sigma_u()
-    eps_n = -1 if d.n % 2 else 1                # sign (-1)^n
-    eps_u = -1 if (d.n + 1) % 2 else 1          # sign (-1)^(n+1)
-    num = rs_lfactor(d.sigma_n, sigma_u).value(0.5) if len(sigma_u) else 1.0
-    den = asai_lfactor(d.sigma_n, eps_n).value(1)
-    if len(sigma_u):
-        den *= asai_lfactor(sigma_u, eps_u).value(1)
-    c_const = constant_c_main(d.n, d.c, d.q_f)
+    c_const, _, _, num, den, l_u = _j_main_terms(d)
+    if l_u is not None:
+        den *= l_u
     return ensure_finite(float(c_const) * num / den)
 
 
@@ -158,11 +168,3 @@ def j_via_bridge(d: PairData) -> complex:
     pairing-character closed form."""
     vol_form, _ = c1(d.n, d.c, d.q_f)
     return ensure_finite(float(l_eta(d.q_f)) * float(vol_form) * i_closed(d))
-
-
-def alpha_newform(norm: float, d: PairData) -> complex:
-    """Local pairing value on the newform line: the vector's squared norm
-    times the main character value."""
-    if not norm > 0:
-        raise ValueError("norm must be positive")
-    return norm * j_main(d)

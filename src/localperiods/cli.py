@@ -15,7 +15,23 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .assembly import PairData, ParityError, i_assembled, i_closed, j_main, j_via_bridge
+from .assembly import (
+    PairData,
+    ParityError,
+    _j_main_terms,
+    i_assembled,
+    i_closed,
+    j_main,
+    j_via_bridge,
+)
+from .draws import (
+    conj_selfdual_unit,
+    random_anti_hermitian,
+    random_integral_emat,
+    random_kprime_element,
+    random_ramified_rep,
+    unit_circle,
+)
 from .hermitian import (
     EMat,
     cayley,
@@ -25,7 +41,6 @@ from .hermitian import (
     in_bmk_tilde,
     in_group_u,
     in_k_s,
-    in_kprime,
     iota_c,
     norm_one_units,
     r_map,
@@ -56,13 +71,19 @@ from .periods import (
     ratio_spread,
     theta_truncated,
 )
-from .report import STATUS_FAIL, STATUS_PASS, VerificationReport, hard_check, soft_check
-from .reps import GenericRep, RamCusp, SatakeSet, Segment, UnramChar
+from .report import (
+    STATUS_FAIL,
+    STATUS_PASS,
+    VerificationReport,
+    exact_check,
+    hard_check,
+    soft_check,
+)
+from .reps import GenericRep, SatakeSet
 from .symfunc import macdonald_closed, macdonald_sum
 from .volumes import (
     c1,
     constant_c_main,
-    vol_bmk_glf,
     vol_gl,
     vol_k0,
     vol_kprime_c,
@@ -133,8 +154,12 @@ def parse_complex_list(text: str) -> list[complex]:
 
 def load_config_file(path: str) -> dict[str, str]:
     """Flat key = value lines, '#' comments; keys mirror the long flags."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path!r}: {exc.strerror}") from exc
     values: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -148,47 +173,35 @@ def load_config_file(path: str) -> dict[str, str]:
 def load_rep(cfg: RunConfig) -> GenericRep:
     if not cfg.segments_file:
         raise UsageError("--segments-file is required for this command")
-    with open(cfg.segments_file) as fh:
-        return GenericRep.from_json(json.load(fh))
-
-
-# ---------------------------------------------------------------------------
-# random draws
-
-
-def unit_circle(rng: random.Random, m: int) -> tuple[complex, ...]:
-    return tuple(cmath.exp(2j * math.pi * rng.random()) for _ in range(m))
-
-
-def conj_selfdual_unit(rng: random.Random, m: int) -> tuple[complex, ...]:
-    """Unit-circle multiset stable under inversion: rotation pairs plus a
-    self-inverse +-1 when the size is odd."""
-    out: list[complex] = []
-    if m % 2:
-        out.append(complex(rng.choice([1.0, -1.0])))
-    while len(out) < m:
-        z = cmath.exp(2j * math.pi * rng.random())
-        out.extend([z, 1 / z])
-    rng.shuffle(out)
-    return tuple(out)
-
-
-def random_ramified_rep(
-    rng: random.Random, rank: int, r: int, cond: int
-) -> GenericRep:
-    """Rank-`rank` representation with r unramified-character supports on
-    the unit circle (conjugate-self-dual) and one opaque ramified support
-    carrying the whole conductor."""
-    if not (0 <= r < rank):
-        raise ValueError("need 0 <= r < rank")
-    params = conj_selfdual_unit(rng, r)
-    segments = [Segment(UnramChar(a)) for a in params]
-    segments.append(Segment(RamCusp(dim=rank - r, cond=cond)))
-    return GenericRep(tuple(segments))
+    path = cfg.segments_file
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read segments file {path!r}: {exc.strerror}") from exc
+    try:
+        return GenericRep.from_json(data)
+    except (KeyError, TypeError) as exc:
+        raise UsageError(f"bad segments file {path!r}: {type(exc).__name__}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # verification suites
+
+
+def _ratio_pair(
+    name: str, params: dict, ratios: list[complex], constant: Fraction
+) -> list[VerificationReport]:
+    """Hard check that the ratios agree across the draws, and soft check of
+    their mean against the constant they should all equal."""
+    params = {**params, "draws": len(ratios)}
+    spread = ratio_spread(ratios)
+    status = STATUS_PASS if spread <= 1e-7 else STATUS_FAIL
+    mean = sum(ratios) / len(ratios)
+    return [
+        VerificationReport(f"{name}-ratio-independence", params, complex(spread), 0j, spread, status),
+        soft_check(f"{name}-constant", dict(params), mean, complex(float(constant)), 1e-8),
+    ]
 
 
 def run_macdonald(cfg: RunConfig, rng: random.Random) -> list[VerificationReport]:
@@ -225,27 +238,7 @@ def run_theta(cfg: RunConfig, rng: random.Random) -> list[VerificationReport]:
                 theta_truncated(sigma, cfg.trunc).value / pair_dual_lfactor(sigma).value(1)
             )
             reports.append(check_theta(sigma, cfg.trunc, tol=1e-8))
-        spread = ratio_spread(ratios)
-        mean = sum(ratios) / len(ratios)
-        reports.append(
-            VerificationReport(
-                "theta-ratio-independence",
-                {"k": k_rank, "draws": len(ratios)},
-                complex(spread),
-                0j,
-                spread,
-                STATUS_PASS if spread <= 1e-7 else STATUS_FAIL,
-            )
-        )
-        reports.append(
-            soft_check(
-                "theta-constant",
-                {"k": k_rank, "draws": len(ratios)},
-                mean,
-                complex(float(vol_gl(k_rank - 1, cfg.q_e))),
-                1e-8,
-            )
-        )
+        reports.extend(_ratio_pair("theta", {"k": k_rank}, ratios, vol_gl(k_rank - 1, cfg.q_e)))
     return reports
 
 
@@ -272,44 +265,16 @@ def run_lambda(cfg: RunConfig, rng: random.Random) -> list[VerificationReport]:
             _, sigma_u = rep.unramified_part(cfg.q_e)
             lval = rs_lfactor(sigma_n, sigma_u).value(0.5) if len(sigma_u) else 1.0
             ratios.append(got / lval)
-        spread = ratio_spread(ratios)
-        reports.append(
-            VerificationReport(
-                "lambda-ratio-independence",
-                {"n": n, "draws": len(ratios)},
-                complex(spread),
-                0j,
-                spread,
-                STATUS_PASS if spread <= 1e-7 else STATUS_FAIL,
-            )
-        )
-        reports.append(
-            soft_check(
-                "lambda-constant",
-                {"n": n, "draws": len(ratios)},
-                sum(ratios) / len(ratios),
-                complex(float(vol_gl(n, cfg.q_e))),
-                1e-8,
-            )
-        )
+        reports.extend(_ratio_pair("lambda", {"n": n}, ratios, vol_gl(n, cfg.q_e)))
     return reports
 
 
 def run_volumes(cfg: RunConfig, rng: random.Random) -> list[VerificationReport]:
     reports = []
     for q in Q_GRID:
-        ok_gl1 = vol_gl(1, q) == 1
-        ok_u1 = vol_unitary_w(1, q) == 1
-        reports.append(
-            VerificationReport(
-                "volume-sanity",
-                {"q": q, "claim": "rank-one volumes are 1"},
-                complex(float(vol_gl(1, q))),
-                complex(1),
-                0.0 if (ok_gl1 and ok_u1) else 1.0,
-                STATUS_PASS if (ok_gl1 and ok_u1) else STATUS_FAIL,
-            )
-        )
+        ok = vol_gl(1, q) == 1 and vol_unitary_w(1, q) == 1
+        params = {"q": q, "claim": "rank-one volumes are 1"}
+        reports.append(exact_check("volume-sanity", params, float(vol_gl(1, q)), 1, ok))
         for n in range(1, 5):
             for c in range(1, 4):
                 values = [
@@ -320,18 +285,9 @@ def run_volumes(cfg: RunConfig, rng: random.Random) -> list[VerificationReport]:
                     constant_c_main(n, c, q),
                 ]
                 positive = all(v > 0 for v in values)
-                dual_ok = vol_u_lie(n, c, q) == Fraction(1, q ** (c * n))
-                ok = positive and dual_ok
-                reports.append(
-                    VerificationReport(
-                        "volume-sanity",
-                        {"q": q, "n": n, "c": c, "claim": "positivity and dual lattice"},
-                        complex(1),
-                        complex(1) if ok else complex(0),
-                        0.0 if ok else 1.0,
-                        STATUS_PASS if ok else STATUS_FAIL,
-                    )
-                )
+                ok = positive and vol_u_lie(n, c, q) == Fraction(1, q ** (c * n))
+                params = {"q": q, "n": n, "c": c, "claim": "positivity and dual lattice"}
+                reports.append(exact_check("volume-sanity", params, 1, int(ok), ok))
     return reports
 
 
@@ -341,16 +297,9 @@ def run_c1(cfg: RunConfig, rng: random.Random) -> list[VerificationReport]:
         for n in range(1, 5):
             for c in range(1, 6):
                 left, right = c1(n, c, q)
-                ok = left == right
+                params = {"q": q, "n": n, "c": c}
                 reports.append(
-                    VerificationReport(
-                        "c1-identity",
-                        {"q": q, "n": n, "c": c},
-                        complex(float(left)),
-                        complex(float(right)),
-                        0.0 if ok else 1.0,
-                        STATUS_PASS if ok else STATUS_FAIL,
-                    )
+                    exact_check("c1-identity", params, float(left), float(right), left == right)
                 )
     return reports
 
@@ -380,20 +329,11 @@ def run_main_theorem(cfg: RunConfig, rng: random.Random) -> list[VerificationRep
         rep = random_ramified_rep(rng, n + 1, r, c)
         sigma_n = SatakeSet(conj_selfdual_unit(rng, n), q_f**2)
         d = PairData(n=n, c=c, eps=eps, q_f=q_f, sigma_n=sigma_n, rep=rep)
-        lhs = j_main(d)
-        rhs = j_via_bridge(d)
         params = {"draw": k, "n": n, "c": c, "q_f": q_f, "r": r}
-        reports.append(hard_check("main-theorem-bridge", params, lhs, rhs, 1e-9))
+        reports.append(hard_check("main-theorem-bridge", params, j_main(d), j_via_bridge(d), 1e-9))
         if n <= 2:
-            reports.append(
-                hard_check(
-                    "i-assembled-vs-closed",
-                    params,
-                    i_assembled(d, cfg.trunc),
-                    i_closed(d),
-                    1e-9,
-                )
-            )
+            lhs = i_assembled(d, cfg.trunc)
+            reports.append(hard_check("i-assembled-vs-closed", params, lhs, i_closed(d), 1e-9))
     return reports
 
 
@@ -407,69 +347,31 @@ def run_fl_rank1(cfg: RunConfig, rng: random.Random) -> list[VerificationReport]
     return reports
 
 
-def _random_integral_emat(rng: random.Random, size: int, u: int, span: int = 4) -> EMat:
-    return EMat(
-        [
-            [
-                QuadExt(Fraction(rng.randint(-span, span)), Fraction(rng.randint(-span, span)), u)
-                for _ in range(size)
-            ]
-            for _ in range(size)
-        ],
-        u,
-    )
-
-
-def _random_anti_hermitian(rng: random.Random, n: int, c: int, p: int, u: int) -> EMat:
-    """Integral anti-hermitian matrix for the form diag(1,...,1,p^c)."""
-    root = QuadExt.sqrt_u(u)
-    a = [[QuadExt.of(0, u)] * n for _ in range(n)]
-    for i in range(n):
-        a[i][i] = root * Fraction(rng.randint(-3, 3))
-        for jj in range(i + 1, n):
-            val = QuadExt(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3)), u)
-            a[i][jj] = val
-            a[jj][i] = -val.conj()
-    z = [QuadExt(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3)), u) for _ in range(n)]
-    w = root * Fraction(rng.randint(-3, 3))
-    rows = [list(a[i]) + [-(Fraction(p**c)) * z[i].conj()] for i in range(n)]
-    rows.append(list(z) + [w])
-    return EMat(rows, u)
-
-
 def run_matrix_identities(cfg: RunConfig, rng: random.Random) -> list[VerificationReport]:
     p, u = cfg.p, cfg.u
     validate_field_context(p, u)
     reports = []
 
-    def record(check: str, index: int, ok: bool, extra: dict | None = None) -> None:
-        params = {"index": index, "p": p}
-        if extra:
-            params.update(extra)
-        reports.append(
-            VerificationReport(
-                check, params, complex(1), complex(1) if ok else complex(0),
-                0.0 if ok else 1.0, STATUS_PASS if ok else STATUS_FAIL,
-            )
-        )
+    def record(check: str, index: int, ok: bool, extra: dict) -> None:
+        reports.append(exact_check(check, {"index": index, "p": p, **extra}, 1, int(ok), ok))
 
     for idx in range(200):
         m = rng.randint(1, 4)
-        x = _random_integral_emat(rng, m + 1, u)
+        x = random_integral_emat(rng, m + 1, u)
         record("det-stack", idx, det_stack_identity_check(x), {"m": m})
 
     done = 0
     while done < 100:
         n = rng.randint(1, 2)
         c = rng.randint(0, 2)
-        x = _random_anti_hermitian(rng, n, c, p, u)
+        x = random_anti_hermitian(rng, n, c, p, u)
         one = EMat.identity(n + 1, u)
         if (one - x).det().is_zero():
             continue
         j = herm_form_j(n, c, p, u)
         g = cayley(x, QuadExt.of(1, u))
         ok = in_group_u(g, j)
-        h = _random_integral_emat(rng, n + 1, u, span=2)
+        h = random_integral_emat(rng, n + 1, u, span=2)
         if not h.det().is_zero() and not (one - h @ x @ h.inv()).det().is_zero():
             lhs = cayley(h @ x @ h.inv(), QuadExt.of(1, u))
             ok = ok and lhs == h @ g @ h.inv()
@@ -484,7 +386,7 @@ def run_matrix_identities(cfg: RunConfig, rng: random.Random) -> list[Verificati
         one = EMat.identity(n + 1, u)
         factors = []
         for _ in range(2):
-            x = _random_anti_hermitian(rng, n, c, p, u)
+            x = random_anti_hermitian(rng, n, c, p, u)
             if not x.is_integral(p) or (one - x).det().is_zero():
                 break
             if qe_valuation((one - x).det(), p) != 0:
@@ -508,7 +410,7 @@ def run_matrix_identities(cfg: RunConfig, rng: random.Random) -> list[Verificati
     while done < 100:
         n = rng.randint(1, 3)
         c = rng.randint(0, 2)
-        y = _random_integral_emat(rng, n + 1, u, span=3) * root
+        y = random_integral_emat(rng, n + 1, u, span=3) * root
         y = y - y.conj()  # entrywise trace-zero model element
         try:
             lhs = transfer_factor(iota_c(y, c, p), p)
@@ -522,19 +424,8 @@ def run_matrix_identities(cfg: RunConfig, rng: random.Random) -> list[Verificati
     while done < 100:
         n = rng.randint(1, 2)
         c = rng.randint(1, 2)
-        a = _random_integral_emat(rng, n, u, span=2)
-        det_a = a.det()
-        if det_a.is_zero() or qe_valuation(det_a, p) != 0:
-            continue
-        y_col = [[Fraction(p**c) * QuadExt(Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2)), u)] for _ in range(n)]
-        z_row = [QuadExt(Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2)), u) for _ in range(n)]
-        w = QuadExt.of(1, u) + Fraction(p**c) * QuadExt(
-            Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2)), u
-        )
-        rows = [list(a.rows[i]) + [y_col[i][0]] for i in range(n)]
-        rows.append(z_row + [w])
-        g = EMat(rows, u)
-        if not in_kprime(g, c, p):
+        g = random_kprime_element(rng, n, c, p, u)
+        if g is None:
             continue
         record("r-map-congruence", done, in_k_s(r_map(g), c, p), {"n": n, "c": c})
         done += 1
@@ -571,7 +462,7 @@ def compute_lfactor(cfg: RunConfig) -> str:
         raise UsageError("--satake is required")
     s = cfg.s if cfg.s is not None else 1.0
     if cfg.asai is not None:
-        sign = 1 if cfg.asai in ("+", "plus", "1") else -1
+        sign = 1 if cfg.asai == "+" else -1
         lf = asai_lfactor(SatakeSet(tuple(cfg.satake), cfg.q_e), sign)
     elif cfg.pair_dual:
         lf = pair_dual_lfactor(SatakeSet(tuple(cfg.satake), cfg.q_e))
@@ -615,19 +506,14 @@ def _pair_data(cfg: RunConfig) -> PairData:
 
 def compute_j_main(cfg: RunConfig) -> str:
     d = _pair_data(cfg)
-    sigma_u = d.sigma_u()
-    eps_n = -1 if d.n % 2 else 1
-    eps_u = -1 if (d.n + 1) % 2 else 1
-    c_const = constant_c_main(d.n, d.c, d.q_f)
-    l_rs = rs_lfactor(d.sigma_n, sigma_u).value(0.5) if len(sigma_u) else 1.0
-    l_n = asai_lfactor(d.sigma_n, eps_n).value(1)
-    l_u = asai_lfactor(sigma_u, eps_u).value(1) if len(sigma_u) else 1.0
+    j = j_main(d)
+    c_const, eps_n, eps_u, l_rs, l_n, l_u = _j_main_terms(d)
     lines = [
         f"C = {c_const}",
         f"L(1/2, pairing) = {fmt_value(l_rs)}",
         f"L(1, As^[{eps_n:+d}], unramified side) = {fmt_value(l_n)}",
-        f"L(1, As^[{eps_u:+d}], unramified part) = {fmt_value(l_u)}",
-        f"J = {fmt_value(j_main(d))}",
+        f"L(1, As^[{eps_u:+d}], unramified part) = {fmt_value(1.0 if l_u is None else l_u)}",
+        f"J = {fmt_value(j)}",
     ]
     return "\n".join(lines)
 
@@ -655,7 +541,10 @@ def _emit(reports: list[VerificationReport], json_path: str | None) -> int:
     )
     if json_path:
         payload = [rep.to_json() for rep in reports]
-        Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        try:
+            Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write --json report {json_path!r}: {exc.strerror}") from exc
     return 1 if any(rep.is_hard_failure for rep in reports) else 0
 
 
@@ -689,7 +578,7 @@ def cmd_volumes(cfg: RunConfig) -> int:
         ("vol(GL_n(O_F))", vol_gl(n, q)),
         ("vol(GL_n(O_E))", vol_gl(n, q * q)),
         ("vol(K'^c_{n+1})", vol_kprime_c(n, c, q * q)),
-        ("vol(K^c-block GL_{n+1}(O_F))", vol_bmk_glf(n, c, q)),
+        ("vol(K^c-block GL_{n+1}(O_F))", vol_kprime_c(n, c, q)),
         ("vol(U(W)(O_F))", vol_unitary_w(n, q)),
         ("vol(U(V)(O_F))", vol_unitary_v(n, c, q)),
         ("vol(u(V)(O_F))", vol_u_lie(n, c, q)),
@@ -757,7 +646,7 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         "satake": parse_complex_list, "satake2": parse_complex_list,
         "segments_file": str, "json_path": str,
     }
-    aliases = {"qf": "q_f", "json": "json_path", "segments-file": "segments_file"}
+    aliases = {"qf": "q_f", "json": "json_path"}
     for key, raw in file_values.items():
         key = aliases.get(key, key)
         if key not in converters:

@@ -398,17 +398,6 @@ def norm_one_units(u: int, height: int = 3):
     return out
 
 
-def choose_xi(g: EMat, p: int) -> QuadExt:
-    """Norm-one Cayley parameter with a unit det(g + xi), defaulting to 1
-    and falling back to a small-height search."""
-    one = EMat.identity(g.nrows, g.u)
-    for xi in norm_one_units(g.u):
-        den = (g + one * xi).det()
-        if not den.is_zero() and qe_valuation(den, p) == 0:
-            return xi
-    raise ValueError("no small-height norm-one Cayley parameter with unit denominator")
-
-
 # ---------------------------------------------------------------------------
 # transfer factor, regularity, matching
 
@@ -483,13 +472,6 @@ def matching_invariants(
         moments.append((z @ v).entry(0, 0))
         v = a @ v
     return x.charpoly(), tuple(moments), w
-
-
-def matches(x: EMat, y: EMat) -> bool:
-    """Orbit matching: both regular semisimple with equal invariant tuples."""
-    if not (is_regular_semisimple(x) and is_regular_semisimple(y)):
-        raise NonRegularError("matching is defined on regular semisimple elements")
-    return matching_invariants(x) == matching_invariants(y)
 
 
 def iota_c(x: EMat, c: int, p: int) -> EMat:

@@ -99,11 +99,6 @@ class ToleranceCfg:
 DEFAULT_TOL = ToleranceCfg()
 
 
-def approx_eq(x: complex, y: complex, cfg: ToleranceCfg = DEFAULT_TOL) -> bool:
-    """|x - y| <= abs + rel * max(|x|, |y|)."""
-    return abs(x - y) <= cfg.abs + cfg.rel * max(abs(x), abs(y))
-
-
 def ensure_finite(z: complex) -> complex:
     """Reject NaN/Inf at API boundaries; returns z unchanged."""
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):

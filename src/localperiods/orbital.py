@@ -21,7 +21,6 @@ from .hermitian import (
     in_k_tilde_lie,
     in_lie_u,
     in_s_lie,
-    matching_invariants,
     transfer_factor,
 )
 from .numerics import (
@@ -31,7 +30,7 @@ from .numerics import (
     qe_valuation,
     validate_field_context,
 )
-from .report import STATUS_FAIL, STATUS_PASS, VerificationReport
+from .report import VerificationReport, exact_check
 
 
 def rank_one_element(
@@ -160,25 +159,14 @@ def fl_check_rank1(
                 params = {"p": p, "c": c, "v12": v12, "v21": v21, "diag": tag, "side": side}
                 if side == 1:
                     lhs = orb_s2(y, c, p)
-                    ok = lhs == 0
-                    rep = VerificationReport(
-                        "fl-rank1", params, complex(lhs), 0j,
-                        0.0 if ok else 1.0, STATUS_PASS if ok else STATUS_FAIL,
-                    )
+                    rep = exact_check("fl-rank1", params, lhs, 0, lhs == 0)
+                elif x is None:
+                    params["reason"] = "no exact matched representative"
+                    rep = exact_check("fl-rank1", params, 0, 0, False)
                 else:
-                    if x is None:
-                        rep = VerificationReport(
-                            "fl-rank1", params, 0j, 0j, 1.0, STATUS_FAIL,
-                        )
-                        rep.params["reason"] = "no exact matched representative"
-                    else:
-                        lhs = transfer_factor(y, p) * orb_s2(y, c, p)
-                        rhs = orb_u2(x, c, p)
-                        ok = lhs == rhs
-                        rep = VerificationReport(
-                            "fl-rank1", params, complex(lhs), complex(rhs),
-                            0.0 if ok else 1.0, STATUS_PASS if ok else STATUS_FAIL,
-                        )
+                    lhs = transfer_factor(y, p) * orb_s2(y, c, p)
+                    rhs = orb_u2(x, c, p)
+                    rep = exact_check("fl-rank1", params, lhs, rhs, lhs == rhs)
                 reports.append(rep)
     return reports
 
@@ -217,21 +205,13 @@ def group_transport_check(
         g = cayley(x, one)
         in_lattice = in_k_tilde_lie(x, c, p, j)
         in_group = in_group_u(g, j) and in_bmk_tilde(g, c, p)
-        ok = in_lattice == in_group
         reports.append(
-            VerificationReport(
+            exact_check(
                 "fl-rank1-group-transport",
                 {"p": p, "c": c, "index": len(reports), "in_lattice": in_lattice},
-                complex(int(in_lattice)),
-                complex(int(in_group)),
-                0.0 if ok else 1.0,
-                STATUS_PASS if ok else STATUS_FAIL,
+                int(in_lattice),
+                int(in_group),
+                in_lattice == in_group,
             )
         )
     return reports
-
-
-def invariants_match_rank1(y: EMat, x: EMat) -> bool:
-    """Diagonal entries and off-diagonal product agree (the complete rank-one
-    invariant tuple)."""
-    return matching_invariants(y) == matching_invariants(x)

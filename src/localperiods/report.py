@@ -75,6 +75,15 @@ def hard_check(
                               tail_estimate=tail_estimate)
 
 
+def exact_check(
+    check: str, params: dict[str, Any], lhs: complex, rhs: complex, ok: bool
+) -> VerificationReport:
+    """Pass/fail record of an identity decided exactly by the caller:
+    rel_err is 0.0 on a pass and 1.0 on a failure."""
+    return VerificationReport(check, params, complex(lhs), complex(rhs), 0.0 if ok else 1.0,
+                              STATUS_PASS if ok else STATUS_FAIL)
+
+
 def soft_check(
     check: str,
     params: dict[str, Any],

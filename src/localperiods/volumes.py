@@ -7,10 +7,7 @@ checks run over a grid of prime powers rather than symbolically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-
-from .numerics import is_prime_power
 
 
 def zeta1(q: int) -> Fraction:
@@ -21,21 +18,6 @@ def zeta1(q: int) -> Fraction:
 def l_eta(q: int) -> Fraction:
     """Edge value of the quadratic-character L-factor: (1 + q^-1)^-1."""
     return 1 / (1 + Fraction(1, q))
-
-
-@dataclass(frozen=True)
-class VolumeCtx:
-    """Residue size of the base field; the extension has its square."""
-
-    q_f: int
-
-    def __post_init__(self) -> None:
-        if self.q_f < 3 or self.q_f % 2 == 0 or not is_prime_power(self.q_f):
-            raise ValueError("q_f must be an odd prime power >= 3")
-
-    @property
-    def q_e(self) -> int:
-        return self.q_f**2
 
 
 def vol_gl_formula(m: int, q: int) -> Fraction:
@@ -60,30 +42,18 @@ def vol_gl(m: int, q: int) -> Fraction:
     return vol_gl_formula(m, q)
 
 
-def vol_kprime_c(n: int, c: int, q_e: int) -> Fraction:
-    """Volume of the depth-c mirahoric subgroup of GL_{n+1} over the
-    extension: zeta_E(1) q_E^{-c(n+1)} prod_{i<=n} (1 - q_E^-i).  Derived
-    only for c >= 1."""
+def vol_kprime_c(n: int, c: int, q: int) -> Fraction:
+    """Volume of the depth-c congruence subgroup of GL_{n+1} over a field of
+    residue size q: zeta(1) q^{-c(n+1)} prod_{i<=n} (1 - q^-i).  At q_E it is
+    the mirahoric group over the extension, at q_F the base-field points of
+    the congruence block group.  Derived only for c >= 1."""
     if c < 1:
         raise ValueError("formula requires c >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    out = zeta1(q_e) * Fraction(1, q_e ** (c * (n + 1)))
+    out = zeta1(q) * Fraction(1, q ** (c * (n + 1)))
     for i in range(1, n + 1):
-        out *= 1 - Fraction(1, q_e**i)
-    return out
-
-
-def vol_bmk_glf(n: int, c: int, q_f: int) -> Fraction:
-    """Volume of the base-field points of the depth-c congruence block group
-    inside GL_{n+1}: zeta_F(1) q_F^{-c(n+1)} prod_{i<=n} (1 - q_F^-i)."""
-    if c < 1:
-        raise ValueError("formula requires c >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    out = zeta1(q_f) * Fraction(1, q_f ** (c * (n + 1)))
-    for i in range(1, n + 1):
-        out *= 1 - Fraction(1, q_f**i)
+        out *= 1 - Fraction(1, q**i)
     return out
 
 
@@ -119,12 +89,6 @@ def vol_k0(n: int, c: int, q: int) -> Fraction:
     return Fraction(1, q ** (c * n + n * n + 1))
 
 
-def vol_k0_group(n: int, c: int, q: int) -> Fraction:
-    """Group-level congruence core: the Cayley Jacobian normalization times
-    the Lie-lattice value, L(1,eta) q^{-cn - n^2 - 1}."""
-    return l_eta(q) * vol_k0(n, c, q)
-
-
 def c1(n: int, c: int, q_f: int) -> tuple[Fraction, Fraction]:
     """The matching constant, in both displayed shapes: the volume quotient
     and the zeta-product form.  Returned separately so their equality can be
@@ -135,7 +99,7 @@ def c1(n: int, c: int, q_f: int) -> tuple[Fraction, Fraction]:
         raise ValueError("n must be >= 1")
     q_e = q_f**2
     vol_form = vol_unitary_w(n, q_f) ** 2 / (
-        vol_gl(n, q_f) * vol_gl(n, q_e) * vol_bmk_glf(n, c, q_f)
+        vol_gl(n, q_f) * vol_gl(n, q_e) * vol_kprime_c(n, c, q_f)
     )
     prod_form = (
         l_eta(q_f) ** 2

@@ -1,17 +1,16 @@
-"""Shared test utilities: independent combinatorial oracles and random
-generators for exact matrices and parameter draws."""
+"""Shared test utilities: independent combinatorial oracles, bit-level
+comparison, and generators built on the shared draws in localperiods.draws."""
 
 from __future__ import annotations
 
-import cmath
-import math
 import random
 import struct
 from fractions import Fraction
 
-from localperiods.hermitian import EMat, herm_form_j, in_group_u, in_kprime
+from localperiods.draws import random_anti_hermitian, random_integral_emat, random_kprime_element
+from localperiods.hermitian import EMat, herm_form_j, in_group_u
 from localperiods.numerics import QuadExt
-from localperiods.reps import GenericRep, RamCusp, SatakeSet, Segment, UnramChar
+from localperiods.reps import SatakeSet
 from localperiods.symfunc import _modulus, schur
 
 
@@ -145,52 +144,16 @@ def h_pair_series(xs, ys, t: complex, terms: int = 400) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# random draws
-
-
-def unit_circle(rng: random.Random, m: int) -> tuple[complex, ...]:
-    return tuple(cmath.exp(2j * math.pi * rng.random()) for _ in range(m))
-
-
-def conj_selfdual_unit(rng: random.Random, m: int) -> tuple[complex, ...]:
-    out: list[complex] = []
-    if m % 2:
-        out.append(complex(rng.choice([1.0, -1.0])))
-    while len(out) < m:
-        z = cmath.exp(2j * math.pi * rng.random())
-        out.extend([z, 1 / z])
-    rng.shuffle(out)
-    return tuple(out)
-
-
-def ramified_rep(rng: random.Random, rank: int, r: int, cond: int) -> GenericRep:
-    params = conj_selfdual_unit(rng, r)
-    segments = [Segment(UnramChar(a)) for a in params]
-    segments.append(Segment(RamCusp(dim=rank - r, cond=cond)))
-    return GenericRep(tuple(segments))
+# parameter sets and exact matrix generators (the draws are localperiods.draws)
 
 
 def satake(params, q_e: int) -> SatakeSet:
     return SatakeSet(tuple(params), q_e)
 
 
-# ---------------------------------------------------------------------------
-# exact matrix generators
-
-
-def rand_qe(rng: random.Random, u: int, span: int = 4, den: int = 1) -> QuadExt:
-    return QuadExt(
-        Fraction(rng.randint(-span, span), den), Fraction(rng.randint(-span, span), den), u
-    )
-
-
-def rand_emat(rng: random.Random, size: int, u: int, span: int = 4) -> EMat:
-    return EMat([[rand_qe(rng, u, span) for _ in range(size)] for _ in range(size)], u)
-
-
 def rand_invertible(rng: random.Random, size: int, u: int, span: int = 3) -> EMat:
     while True:
-        m = rand_emat(rng, size, u, span)
+        m = random_integral_emat(rng, size, u, span)
         if not m.det().is_zero():
             return m
 
@@ -204,30 +167,13 @@ def rand_s_element(rng: random.Random, size: int, u: int, span: int = 4) -> EMat
     )
 
 
-def rand_anti_hermitian(rng: random.Random, n: int, c: int, p: int, u: int, span: int = 3) -> EMat:
-    """Random integral anti-hermitian matrix for the form diag(1,..,1,p^c)."""
-    root = QuadExt.sqrt_u(u)
-    a = [[QuadExt.of(0, u)] * n for _ in range(n)]
-    for i in range(n):
-        a[i][i] = root * Fraction(rng.randint(-span, span))
-        for j in range(i + 1, n):
-            val = rand_qe(rng, u, span)
-            a[i][j] = val
-            a[j][i] = -val.conj()
-    z = [rand_qe(rng, u, span) for _ in range(n)]
-    w = root * Fraction(rng.randint(-span, span))
-    rows = [list(a[i]) + [-(Fraction(p**c)) * z[i].conj()] for i in range(n)]
-    rows.append(list(z) + [w])
-    return EMat(rows, u)
-
-
 def rand_unitary(rng: random.Random, n: int, c: int, p: int, u: int) -> EMat:
     """Random element of the unitary group via a Cayley image."""
     from localperiods.hermitian import cayley
 
     j = herm_form_j(n, c, p, u)
     while True:
-        x = rand_anti_hermitian(rng, n, c, p, u, span=2)
+        x = random_anti_hermitian(rng, n, c, p, u, span=2)
         if (EMat.identity(n + 1, u) - x).det().is_zero():
             continue
         g = cayley(x, QuadExt.of(1, u))
@@ -237,18 +183,7 @@ def rand_unitary(rng: random.Random, n: int, c: int, p: int, u: int) -> EMat:
 
 def rand_kprime_element(rng: random.Random, n: int, c: int, p: int, u: int) -> EMat:
     """Random element of the depth-c mirahoric subgroup of GL_{n+1}."""
-    from localperiods.numerics import qe_valuation
-
     while True:
-        a = rand_emat(rng, n, u, span=2)
-        det_a = a.det()
-        if det_a.is_zero() or qe_valuation(det_a, p) != 0:
-            continue
-        y = [Fraction(p**c) * rand_qe(rng, u, 2) for _ in range(n)]
-        z = [rand_qe(rng, u, 2) for _ in range(n)]
-        w = QuadExt.of(1, u) + Fraction(p**c) * rand_qe(rng, u, 2)
-        rows = [list(a.rows[i]) + [y[i]] for i in range(n)]
-        rows.append(z + [w])
-        g = EMat(rows, u)
-        if in_kprime(g, c, p):
+        g = random_kprime_element(rng, n, c, p, u)
+        if g is not None:
             return g

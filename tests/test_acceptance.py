@@ -7,7 +7,7 @@ in well under five minutes.
 
 import random
 
-from helpers import conj_selfdual_unit, ramified_rep, satake, unit_circle
+from helpers import satake
 from localperiods.assembly import PairData, i_assembled, i_closed, j_main, j_via_bridge
 from localperiods.cli import (
     RunConfig,
@@ -17,6 +17,7 @@ from localperiods.cli import (
     run_matrix_identities,
     run_volumes,
 )
+from localperiods.draws import conj_selfdual_unit, random_ramified_rep, unit_circle
 from localperiods.lfactors import pair_dual_lfactor, rs_lfactor
 from localperiods.orbital import fl_check_rank1
 from localperiods.periods import (
@@ -55,7 +56,7 @@ def test_02_beta_period_chain():
         for r in range(n + 1):
             for _ in range(10):
                 q_f = rng.choice([5, 7]) if n == 3 else rng.choice([3, 5])
-                rep = ramified_rep(rng, n + 1, r, rng.randint(1, 3))
+                rep = random_ramified_rep(rng, n + 1, r, rng.randint(1, 3))
                 got = beta_truncated(rep, q_f, trunc).value
                 want = beta_closed(rep, q_f)
                 err = abs(got - want) / max(1.0, abs(want))
@@ -73,7 +74,7 @@ def test_03_essential_vector_pairing_identity():
     for n in (1, 2):
         for r in range(n + 1):
             for _ in range(5):
-                rep = ramified_rep(rng, n + 1, r, rng.randint(1, 3))
+                rep = random_ramified_rep(rng, n + 1, r, rng.randint(1, 3))
                 sigma = satake(unit_circle(rng, n), 25)
                 got = lambda_truncated(sigma, rep, trunc).value
                 want = lambda_closed(sigma, rep)
@@ -85,7 +86,7 @@ def test_03_essential_vector_pairing_identity():
     # soft and only recorded
     ratios = []
     for _ in range(10):
-        rep = ramified_rep(rng, 4, rng.randint(0, 3), rng.randint(1, 2))
+        rep = random_ramified_rep(rng, 4, rng.randint(0, 3), rng.randint(1, 2))
         sigma = satake(unit_circle(rng, 3), 25)
         got = lambda_truncated(sigma, rep, trunc).value
         _, sigma_u = rep.unramified_part(25)
@@ -153,7 +154,7 @@ def test_07_main_theorem_algebra():
             eps=c % 2,
             q_f=q_f,
             sigma_n=satake(conj_selfdual_unit(rng, n), q_f**2),
-            rep=ramified_rep(rng, n + 1, rng.randint(0, n), c),
+            rep=random_ramified_rep(rng, n + 1, rng.randint(0, n), c),
         )
         lhs, rhs = j_main(d), j_via_bridge(d)
         err = abs(lhs - rhs) / max(abs(lhs), abs(rhs))

@@ -3,16 +3,16 @@ import random
 
 import pytest
 
-from helpers import conj_selfdual_unit, ramified_rep, satake, unit_circle
+from helpers import satake
 from localperiods.assembly import (
     PairData,
     ParityError,
-    alpha_newform,
     i_assembled,
     i_closed,
     j_main,
     j_via_bridge,
 )
+from localperiods.draws import conj_selfdual_unit, random_ramified_rep, unit_circle
 from localperiods.lfactors import asai_lfactor, rs_lfactor
 from localperiods.periods import TruncationCfg
 from localperiods.reps import GenericRep, RamCusp, SatakeSet, Segment, UnramChar
@@ -29,7 +29,7 @@ def pair_data(rng, n, c, q_f, r=None):
         eps=c % 2,
         q_f=q_f,
         sigma_n=satake(conj_selfdual_unit(rng, n), q_f**2),
-        rep=ramified_rep(rng, n + 1, r, c),
+        rep=random_ramified_rep(rng, n + 1, r, c),
     )
 
 
@@ -50,17 +50,17 @@ class TestPairData:
     def test_conductor_mismatch(self):
         rng = random.Random(1)
         with pytest.raises(ValueError):
-            PairData(1, 2, 0, 3, satake((1.0,), 9), ramified_rep(rng, 2, 1, 1))
+            PairData(1, 2, 0, 3, satake((1.0,), 9), random_ramified_rep(rng, 2, 1, 1))
 
     def test_residue_size_bound(self):
         rng = random.Random(2)
         with pytest.raises(ValueError):
-            PairData(3, 1, 1, 3, satake(unit_circle(rng, 3), 9), ramified_rep(rng, 4, 1, 1))
+            PairData(3, 1, 1, 3, satake(unit_circle(rng, 3), 9), random_ramified_rep(rng, 4, 1, 1))
 
     def test_base_mismatch(self):
         rng = random.Random(3)
         with pytest.raises(ValueError):
-            PairData(1, 1, 1, 3, satake((1.0,), 4), ramified_rep(rng, 2, 1, 1))
+            PairData(1, 1, 1, 3, satake((1.0,), 4), random_ramified_rep(rng, 2, 1, 1))
 
     def test_parity_flag(self):
         d = trivial_pair(c=1)
@@ -166,26 +166,6 @@ class TestBridge:
         d = PairData(1, 1, 1, 3, sigma, rep)
         lhs, rhs = j_main(d), j_via_bridge(d)
         assert abs(lhs - rhs) > 1e-3 * max(abs(lhs), abs(rhs))
-
-
-class TestAlphaNewform:
-    def test_unit_norm(self):
-        d = trivial_pair()
-        assert alpha_newform(1.0, d) == j_main(d)
-
-    def test_linearity(self):
-        d = trivial_pair()
-        assert abs(alpha_newform(2.0, d) - 2 * j_main(d)) < 1e-15
-
-    def test_positive_norm_required(self):
-        with pytest.raises(ValueError):
-            alpha_newform(0.0, trivial_pair())
-
-    def test_real_positive(self):
-        rng = random.Random(23)
-        d = pair_data(rng, 2, 2, 5)
-        val = alpha_newform(1.5, d)
-        assert val.real > 0 and abs(val.imag) < 1e-9 * abs(val)
 
 
 class TestUnramifiedDegeneration:

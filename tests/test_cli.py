@@ -1,7 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from localperiods import cli
 from localperiods.cli import main, parse_complex_list
 
 
@@ -44,6 +46,13 @@ class TestVerify:
     def test_c1_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "c1")
         assert code == 0 and "0 fail" in out
+
+    def test_c1_suite_fails_on_unequal_halves(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "c1", lambda n, c, q: (Fraction(1), Fraction(2)))
+        code, out, _ = run(capsys, "verify", "c1")
+        assert code == 1
+        assert "[FAIL] c1-identity" in out and "rel_err=1.000e+00" in out
+        assert "100 checks: 0 pass, 100 fail" in out
 
     def test_soft_discrepancies_do_not_fail(self, capsys, tmp_path):
         out_file = tmp_path / "theta.json"
@@ -198,3 +207,82 @@ def test_removed_tolerance_flags_exit_2(capsys, flag):
         main(["verify", "volumes", flag, "1e-3"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+#: segment files for the pinned compute targets: rank 2 with one unramified
+#: character, and rank 3 with one unramified character off the real axis
+REP1 = {"segments": [{"type": "unram", "alpha": [1.0, 0.0], "k": 1},
+                     {"type": "ram", "dim": 1, "cond": 1, "k": 1}]}
+REP2 = {"segments": [{"type": "unram", "alpha": [0.6, 0.8], "k": 1},
+                     {"type": "ram", "dim": 2, "cond": 1, "k": 1}]}
+N1 = ["--qf", "3", "--n", "1", "--c", "1", "--satake", "1"]
+N2 = ["--qf", "5", "--n", "2", "--c", "1", "--satake", "0.6+0.8i,0.6-0.8i"]
+
+#: name -> (argv, segments file or None, the exact stdout)
+STDOUT_PINS = {
+    "j-main-n1": (["compute", "j-main", *N1], REP1, (
+        "C = 1/9\n"
+        "L(1/2, pairing) = 1.5\n"
+        "L(1, As^[-1], unramified side) = 0.75\n"
+        "L(1, As^[+1], unramified part) = 1.5\n"
+        "J = 0.148148148148\n"
+    )),
+    "j-main-n2": (["compute", "j-main", *N2], REP2, (
+        "C = 2496/390625\n"
+        "L(1/2, pairing) = 1.14583333333+0.208333333333i\n"
+        "L(1, As^[+1], unramified side) = 1.30208333333\n"
+        "L(1, As^[-1], unramified part) = 0.875-0.125i\n"
+        "J = 0.0061341696+0.0020447232i\n"
+    )),
+    "i-closed-n1": (["compute", "i-closed", *N1], REP1, "I = 0.0219478737997\n"),
+    "i-closed-n2": (["compute", "i-closed", *N2], REP2, "I = 5.87938073149e-05\n"),
+    "volumes": (["volumes", "--qf", "3", "--n", "2", "--c", "1"], None, (
+        "vol(GL_n(O_F))               = 8/9\n"
+        "vol(GL_n(O_E))               = 80/81\n"
+        "vol(K'^c_{n+1})              = 80/59049\n"
+        "vol(K^c-block GL_{n+1}(O_F)) = 8/243\n"
+        "vol(U(W)(O_F))               = 8/9\n"
+        "vol(U(V)(O_F))               = 32/243\n"
+        "vol(u(V)(O_F))               = 1/9\n"
+        "vol(k_0)                     = 1/2187\n"
+        "c1 (volume form)             = 2187/80\n"
+        "c1 (product form)            = 2187/80\n"
+        "C                            = 160/6561\n"
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_PINS))
+def test_stdout_is_pinned(name, capsys, tmp_path):
+    argv, rep, want = STDOUT_PINS[name]
+    if rep is not None:
+        seg = tmp_path / "rep.json"
+        seg.write_text(json.dumps(rep))
+        argv = [*argv, "--segments-file", str(seg)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, want, "")
+
+
+#: bad input files: name -> (files to write under tmp_path, argv with {tmp})
+I_CLOSED = ["compute", "i-closed", *N1]
+BAD_INPUTS = {
+    "segments-missing": ({}, [*I_CLOSED, "--segments-file", "{tmp}/missing.json"]),
+    "segments-directory": ({}, [*I_CLOSED, "--segments-file", "{tmp}"]),
+    "segments-no-alpha": ({"rep.json": '{"segments": [{"type": "unram"}]}'},
+                          [*I_CLOSED, "--segments-file", "{tmp}/rep.json"]),
+    "segments-no-key": ({"rep.json": '{"foo": 1}'}, [*I_CLOSED, "--segments-file", "{tmp}/rep.json"]),
+    "segments-a-list": ({"rep.json": "[1, 2]"}, [*I_CLOSED, "--segments-file", "{tmp}/rep.json"]),
+    "config-missing": ({}, ["volumes", "--config", "{tmp}/missing.cfg"]),
+    # the checks run first; the report cannot be written after them
+    "json-unwritable": ({}, ["verify", "c1", "--json", "{tmp}/no/dir/out.json"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_input_files_exit_2(name, capsys, tmp_path):
+    files, argv = BAD_INPUTS[name]
+    for fname, text in files.items():
+        (tmp_path / fname).write_text(text)
+    code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert err.startswith("usage error: ") and err.count("\n") == 1

@@ -1,10 +1,10 @@
 """Fresh --json reports against golden copies, byte for byte.
 
-The golden files hold the reports of the per-call Schur and Whittaker
-evaluation, which the per-sum tables must reproduce exactly.  A
-restructuring change leaves them unchanged; a change meant to move a
-float result regenerates them with the arguments below and records the
-largest drift.
+Every suite has one.  Each file was written by the commit before a change
+that rewrote how its suite computes or records, such as the per-sum Schur
+and Whittaker tables or the shared exact-check records.  A restructuring
+change leaves them unchanged; a change meant to move a float result
+regenerates them with the arguments below and records the largest drift.
 """
 
 from pathlib import Path
@@ -27,6 +27,9 @@ REPORTS = {
     "asai-cancel-qf3-seed7.json": ["asai-cancel", "--qf", "3", "--seed", "7"],
     "volumes-seed7.json": ["volumes", "--seed", "7"],
     "c1-seed7.json": ["c1", "--seed", "7"],
+    # the two exact suites, which bench/run.py's exact workload runs
+    "fl-rank1-seed7.json": ["fl-rank1", "--seed", "7"],
+    "matrix-identities-seed7.json": ["matrix-identities", "--seed", "7"],
 }
 
 
@@ -36,3 +39,7 @@ def test_report_matches_golden_bytes(name, tmp_path, capsys):
     assert cli.main(["verify", *REPORTS[name], "--json", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_every_suite_has_a_golden():
+    assert set(cli.SUITES) <= {args[0] for args in REPORTS.values()}

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import conj_selfdual_unit, unit_circle
+from localperiods.draws import conj_selfdual_unit, unit_circle
 from localperiods.lfactors import (
     LocalLFactor,
     PoleError,

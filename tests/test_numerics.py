@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from localperiods.numerics import (
     QuadExt,
     ToleranceCfg,
-    approx_eq,
     fraction_sqrt,
     is_nonsquare_mod,
     is_prime,
@@ -117,15 +116,6 @@ class TestRationalExactness:
 
 
 class TestApproxEq:
-    def test_close(self):
-        assert approx_eq(1.0, 1.0 + 1e-14, ToleranceCfg(rel=1e-10, abs=1e-12))
-
-    def test_far(self):
-        assert not approx_eq(1.0, 1.1, ToleranceCfg(rel=1e-10, abs=1e-12))
-
-    def test_absolute_floor(self):
-        assert approx_eq(0.0, 1e-13, ToleranceCfg(rel=1e-10, abs=1e-12))
-
     def test_tolerances_must_be_positive(self):
         with pytest.raises(ValueError):
             ToleranceCfg(rel=0.0)

@@ -3,12 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from localperiods.hermitian import EMat, herm_form_j, in_k_tilde_lie, in_lie_u, transfer_factor
+from localperiods.hermitian import (
+    EMat,
+    herm_form_j,
+    in_k_tilde_lie,
+    in_lie_u,
+    matching_invariants,
+    transfer_factor,
+)
 from localperiods.numerics import QuadExt, qe_valuation
 from localperiods.orbital import (
     fl_check_rank1,
     group_transport_check,
-    invariants_match_rank1,
     match_rank1,
     orb_s2,
     orb_u2,
@@ -114,7 +120,7 @@ class TestMatchRank1:
         side, x = match_rank1(y, 1, P)
         assert side == 0 and x is not None
         assert in_lie_u(x, herm_form_j(1, 1, P, U))
-        assert invariants_match_rank1(y, x)
+        assert matching_invariants(y) == matching_invariants(x)
 
     def test_side_one_parity_obstruction(self):
         y = rank_one_element(0, 0, 1, 1, U)  # v = 0, c = 1
@@ -130,14 +136,14 @@ class TestMatchRank1:
             side, x = match_rank1(y, c, P)
             assert side == (v12 + v21 - c) % 2
             if side == 0 and x is not None:
-                assert invariants_match_rank1(y, x)
+                assert matching_invariants(y) == matching_invariants(x)
 
     def test_general_rational_target(self):
         y = rank_one_element(1, -1, Fraction(2), Fraction(1, 2), U)  # v = 0
         side, x = match_rank1(y, 0, P)
         assert side == 0
         if x is not None:
-            assert invariants_match_rank1(y, x)
+            assert matching_invariants(y) == matching_invariants(x)
 
 
 class TestFlRank1:

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from helpers import conj_selfdual_unit, h_pair_series, ramified_rep, satake, unit_circle
+from helpers import h_pair_series, satake
 from localperiods import periods, whittaker
+from localperiods.draws import conj_selfdual_unit, random_ramified_rep, unit_circle
 from localperiods.lfactors import pair_dual_lfactor, rs_lfactor
 from localperiods.periods import (
     TruncationCfg,
@@ -69,7 +70,7 @@ class TestBetaTruncated:
         for n in (1, 2, 3):
             for r in range(n + 1):
                 for _ in range(3):
-                    rep = ramified_rep(rng, n + 1, r, rng.randint(1, 3))
+                    rep = random_ramified_rep(rng, n + 1, r, rng.randint(1, 3))
                     q_f = rng.choice([3, 5])
                     trunc = TruncationCfg(depth=30)
                     got = beta_truncated(rep, q_f, trunc)
@@ -78,7 +79,7 @@ class TestBetaTruncated:
 
     def test_check_report_passes(self):
         rng = random.Random(37)
-        rep = ramified_rep(rng, 3, 2, 1)
+        rep = random_ramified_rep(rng, 3, 2, 1)
         report = check_beta(rep, 3, TR)
         assert report.status == STATUS_PASS
         assert report.tail_estimate is not None
@@ -192,7 +193,7 @@ class TestLambda:
         rng = random.Random(61)
         for n in (1, 2, 3):
             for r in range(n + 1):
-                rep = ramified_rep(rng, n + 1, r, rng.randint(1, 2))
+                rep = random_ramified_rep(rng, n + 1, r, rng.randint(1, 2))
                 sigma = satake(unit_circle(rng, n), 25)
                 got = lambda_truncated(sigma, rep, TruncationCfg(depth=25))
                 want = lambda_closed(sigma, rep)
@@ -202,7 +203,7 @@ class TestLambda:
         rng = random.Random(67)
         ratios = []
         for _ in range(6):
-            rep = ramified_rep(rng, 4, rng.randint(0, 3), 1)
+            rep = random_ramified_rep(rng, 4, rng.randint(0, 3), 1)
             sigma = satake(unit_circle(rng, 3), 25)
             got = lambda_truncated(sigma, rep, TruncationCfg(depth=25)).value
             _, sigma_u = rep.unramified_part(25)
@@ -224,7 +225,7 @@ class TestLambda:
 
     def test_check_report(self):
         rng = random.Random(71)
-        rep = ramified_rep(rng, 2, 1, 1)
+        rep = random_ramified_rep(rng, 2, 1, 1)
         sigma = satake(unit_circle(rng, 1), 9)
         report = check_lambda(sigma, rep, TR)
         assert report.status == STATUS_PASS
@@ -233,7 +234,7 @@ class TestLambda:
 class TestTails:
     def test_tail_monotonicity(self):
         rng = random.Random(73)
-        rep = ramified_rep(rng, 3, 2, 1)
+        rep = random_ramified_rep(rng, 3, 2, 1)
         sigma = satake(unit_circle(rng, 2), 9)
         base = lambda_truncated(sigma, rep, TruncationCfg(depth=12))
         deeper = lambda_truncated(sigma, rep, TruncationCfg(depth=22))
@@ -241,7 +242,7 @@ class TestTails:
 
     def test_tail_shrinks_with_depth(self):
         rng = random.Random(79)
-        rep = ramified_rep(rng, 2, 1, 1)
+        rep = random_ramified_rep(rng, 2, 1, 1)
         t1 = beta_truncated(rep, 3, TruncationCfg(depth=10)).tail_estimate
         t2 = beta_truncated(rep, 3, TruncationCfg(depth=20)).tail_estimate
         assert 0 < t2 < t1
@@ -273,7 +274,7 @@ def newform_reps(rng, n):
     """Rank-(n+1) representations covering every unramified-part rank:
     a ramified cuspidal part with r = 0..n, a Steinberg-type segment with
     r = n, and a fully unramified one."""
-    reps = [ramified_rep(rng, n + 1, r, rng.randint(1, 2)) for r in range(n + 1)]
+    reps = [random_ramified_rep(rng, n + 1, r, rng.randint(1, 2)) for r in range(n + 1)]
     alphas = conj_selfdual_unit(rng, n)
     reps.append(GenericRep((Segment(UnramChar(alphas[0]), 2),)
                            + tuple(Segment(UnramChar(a)) for a in alphas[1:])))
@@ -333,7 +334,7 @@ class TestSupportSummation:
         for n in (1, 2, 3):
             sigma = satake(unit_circle(rng, n), 9)
             for r in range(n + 1):
-                rep = ramified_rep(rng, n + 1, r, 1)
+                rep = random_ramified_rep(rng, n + 1, r, 1)
                 sigma_u = rep.unramified_part(9)[1]
                 for depth in (1, 4, 9):
                     built.clear()

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import conj_selfdual_unit
+from localperiods.draws import conj_selfdual_unit
 from localperiods.numerics import ToleranceCfg
 from localperiods.reps import (
     GenericRep,

@@ -3,15 +3,12 @@ from fractions import Fraction
 import pytest
 
 from localperiods.volumes import (
-    VolumeCtx,
     c1,
     constant_c_main,
     l_eta,
-    vol_bmk_glf,
     vol_gl,
     vol_gl_formula,
     vol_k0,
-    vol_k0_group,
     vol_kprime_c,
     vol_u_lie,
     vol_unitary_v,
@@ -26,12 +23,6 @@ class TestElementary:
     def test_zeta_values(self):
         assert zeta1(3) == Fraction(3, 2)
         assert l_eta(3) == Fraction(3, 4)
-
-    def test_ctx_validation(self):
-        assert VolumeCtx(3).q_e == 9
-        for bad in (2, 4, 15, 1):
-            with pytest.raises(ValueError):
-                VolumeCtx(bad)
 
 
 class TestVolGl:
@@ -62,12 +53,13 @@ class TestCongruenceVolumes:
             vol_kprime_c(1, 0, 9)
 
     def test_bmk_frozen(self):
-        assert vol_bmk_glf(1, 1, 3) == Fraction(1, 9)
-        assert vol_bmk_glf(1, 2, 3) == Fraction(1, 81)
+        # the base-field block group is the same formula at q_F
+        assert vol_kprime_c(1, 1, 3) == Fraction(1, 9)
+        assert vol_kprime_c(1, 2, 3) == Fraction(1, 81)
 
     def test_bmk_rejects_c0(self):
         with pytest.raises(ValueError):
-            vol_bmk_glf(2, 0, 3)
+            vol_kprime_c(2, 0, 3)
 
     def test_c0_would_not_extend_to_the_full_group(self):
         # the depth-0 extension of the formula disagrees with the full
@@ -98,12 +90,11 @@ class TestUnitaryVolumes:
         assert vol_k0(2, 1, 3) == Fraction(1, 3 ** (2 + 4 + 1))
 
     def test_group_core_carries_eta_factor(self):
-        assert vol_k0_group(2, 1, 3) == Fraction(3, 4) * vol_k0(2, 1, 3)
-        # consistency: the full unitary volume is the core times the two
-        # finite-group orders, checked at small size
+        # the full unitary volume is the group-level core L(1, eta) vol(k_0)
+        # times the two finite-group orders, checked at small size
         q, n, c = 3, 1, 1
         u1 = q + 1  # norm-one circle over the residue field
-        assert vol_k0_group(n, c, q) * u1 * u1 == vol_unitary_v(n, c, q)
+        assert l_eta(q) * vol_k0(n, c, q) * u1 * u1 == vol_unitary_v(n, c, q)
 
     def test_positivity_grid(self):
         for q in Q_GRID:
@@ -112,7 +103,7 @@ class TestUnitaryVolumes:
                     for val in (
                         vol_gl(n, q),
                         vol_kprime_c(n, c, q * q),
-                        vol_bmk_glf(n, c, q),
+                        vol_kprime_c(n, c, q),
                         vol_unitary_w(n, q),
                         vol_unitary_v(n, c, q),
                         vol_u_lie(n, c, q),

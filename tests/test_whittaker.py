@@ -5,7 +5,8 @@ import pytest
 
 import itertools
 
-from helpers import outcome, ramified_rep, ssyt_schur, unit_circle
+from helpers import outcome, ssyt_schur
+from localperiods.draws import random_ramified_rep, unit_circle
 from localperiods.reps import GenericRep, RamCusp, Segment, UnramChar
 from localperiods.whittaker import (
     _essential_on_torus,
@@ -66,7 +67,7 @@ class TestTorusEvaluators:
         rng = random.Random(6)
         for m in (2, 3, 4):
             for r in range(m):
-                rep = ramified_rep(rng, m, r, cond=1)
+                rep = random_ramified_rep(rng, m, r, cond=1)
                 _, sigma_u = rep.unramified_part(9)
                 got_r, value = _essential_on_torus(rep, 9, 4)
                 assert got_r == r
@@ -85,18 +86,18 @@ class TestEssentialValue:
     def test_identity_is_one(self):
         rng = random.Random(1)
         for r in range(3):
-            rep = ramified_rep(rng, 4, r, cond=2)
+            rep = random_ramified_rep(rng, 4, r, cond=2)
             assert essential_value(rep, (0, 0, 0), 9) == 1.0
 
     def test_vanishes_when_tail_nonzero(self):
         rng = random.Random(2)
-        rep = ramified_rep(rng, 3, 1, cond=1)  # r = 1, rank 3
+        rep = random_ramified_rep(rng, 3, 1, cond=1)  # r = 1, rank 3
         assert essential_value(rep, (2, 1), 9) == 0.0
         assert essential_value(rep, (0, -1), 9) == 0.0
 
     def test_vanishes_on_negative_head(self):
         rng = random.Random(3)
-        rep = ramified_rep(rng, 3, 1, cond=1)
+        rep = random_ramified_rep(rng, 3, 1, cond=1)
         assert essential_value(rep, (-1, 0), 9) == 0.0
 
     def test_rank_two_formula(self):
@@ -123,7 +124,7 @@ class TestEssentialValue:
         for _ in range(100):
             m = rng.randint(2, 4)
             r = rng.randint(0, m - 1)
-            rep = ramified_rep(rng, m, r, cond=rng.randint(1, 3))
+            rep = random_ramified_rep(rng, m, r, cond=rng.randint(1, 3))
             head = tuple(sorted((rng.randint(0, 3) for _ in range(r)), reverse=True))
             f = head + (0,) * (m - 1 - r)
             _, sigma_u = rep.unramified_part(q_e)
@@ -140,6 +141,6 @@ class TestEssentialValue:
 
     def test_wrong_arity(self):
         rng = random.Random(5)
-        rep = ramified_rep(rng, 3, 1, cond=1)
+        rep = random_ramified_rep(rng, 3, 1, cond=1)
         with pytest.raises(ValueError):
             essential_value(rep, (1, 0, 0), 9)
