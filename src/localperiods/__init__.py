@@ -15,7 +15,6 @@ from .hermitian import (
     iota_c,
     is_regular_semisimple,
     matching_invariants,
-    membership,
     r_map,
     transfer_factor,
 )
@@ -30,14 +29,12 @@ from .lfactors import (
 from .numerics import (
     QuadExt,
     Rat,
-    ToleranceCfg,
     padic_valuation,
     qe_valuation,
     validate_field_context,
 )
 from .orbital import fl_check_rank1, match_rank1, orb_s2, orb_u2, rank_one_element
 from .periods import (
-    TruncationCfg,
     beta_closed,
     beta_spherical_closed,
     beta_spherical_truncated,
@@ -78,8 +75,6 @@ __all__ = [
     "Rat",
     "SatakeSet",
     "Segment",
-    "ToleranceCfg",
-    "TruncationCfg",
     "UnramChar",
     "VerificationReport",
     "asai_cancellation_check",
@@ -110,7 +105,6 @@ __all__ = [
     "macdonald_sum",
     "match_rank1",
     "matching_invariants",
-    "membership",
     "orb_s2",
     "orb_u2",
     "padic_valuation",

@@ -14,13 +14,7 @@ from fractions import Fraction
 
 from .lfactors import asai_lfactor, pair_dual_lfactor, rs_lfactor
 from .numerics import ensure_finite
-from .periods import (
-    TruncationCfg,
-    beta_closed,
-    beta_truncated,
-    lambda_closed,
-    lambda_truncated,
-)
+from .periods import beta_closed, beta_truncated, lambda_closed, lambda_truncated
 from .reps import GenericRep, SatakeSet
 from .volumes import c1, constant_c_main, l_eta, vol_gl, vol_gl_formula, vol_kprime_c
 
@@ -103,14 +97,14 @@ def i_closed(d: PairData) -> complex:
     return ensure_finite(float(vols) * _l_quotient_pre_cancellation(d))
 
 
-def i_assembled(d: PairData, trunc: TruncationCfg | None = None) -> complex:
+def i_assembled(d: PairData, depth: int | None = None) -> complex:
     """Component-wise assembly: congruence volume times the squared
     normalization constants times the pairing integral times the conjugated
     base-field periods.
 
     Only the squared moduli of the normalization constants enter (their
     phases cancel between the pairing and the periods).  With a truncation
-    config the pairing integral and the ramified-side period are computed
+    depth the pairing integral and the ramified-side period are computed
     as truncated sums; the spherical-side period always uses its closed
     form, whose normalization constant is part of the same convention.
     """
@@ -121,9 +115,9 @@ def i_assembled(d: PairData, trunc: TruncationCfg | None = None) -> complex:
     cn1_sq_inv = float(vol_gl(d.n, d.q_e))
     if len(sigma_u):
         cn1_sq_inv *= pair_dual_lfactor(sigma_u).value(1)
-    if trunc is not None:
-        lam = lambda_truncated(d.sigma_n, d.rep, trunc).value
-        beta_big = beta_truncated(d.rep, d.q_f, trunc).value
+    if depth is not None:
+        lam = lambda_truncated(d.sigma_n, d.rep, depth).value
+        beta_big = beta_truncated(d.rep, d.q_f, depth).value
     else:
         lam = lambda_closed(d.sigma_n, d.rep)
         beta_big = beta_closed(d.rep, d.q_f)

@@ -55,7 +55,6 @@ from .lfactors import (
 )
 from .numerics import (
     QuadExt,
-    ToleranceCfg,
     is_prime,
     is_prime_power,
     qe_valuation,
@@ -63,7 +62,6 @@ from .numerics import (
 )
 from .orbital import fl_check_rank1, group_transport_check
 from .periods import (
-    TruncationCfg,
     check_beta,
     check_lambda,
     check_theta,
@@ -74,6 +72,7 @@ from .periods import (
 from .report import (
     STATUS_FAIL,
     STATUS_PASS,
+    TOLERANCES,
     VerificationReport,
     exact_check,
     hard_check,
@@ -118,10 +117,6 @@ class RunConfig:
     @property
     def q_e(self) -> int:
         return self.q_f**2
-
-    @property
-    def trunc(self) -> TruncationCfg:
-        return TruncationCfg(self.depth)
 
     def validate(self) -> None:
         if not is_prime_power(self.q_f) or self.q_f < 3 or self.q_f % 2 == 0:
@@ -196,11 +191,12 @@ def _ratio_pair(
     their mean against the constant they should all equal."""
     params = {**params, "draws": len(ratios)}
     spread = ratio_spread(ratios)
-    status = STATUS_PASS if spread <= 1e-7 else STATUS_FAIL
+    check = f"{name}-ratio-independence"
+    status = STATUS_PASS if spread <= TOLERANCES[check] else STATUS_FAIL
     mean = sum(ratios) / len(ratios)
     return [
-        VerificationReport(f"{name}-ratio-independence", params, complex(spread), 0j, spread, status),
-        soft_check(f"{name}-constant", dict(params), mean, complex(float(constant)), 1e-8),
+        VerificationReport(check, params, complex(spread), 0j, spread, status),
+        soft_check(f"{name}-constant", dict(params), mean, complex(float(constant))),
     ]
 
 
@@ -212,7 +208,7 @@ def run_macdonald(cfg: RunConfig, rng: random.Random) -> list[VerificationReport
         got = macdonald_sum(xs, 60)
         want = macdonald_closed(xs)
         params = {"draw": k, "r": r, "x": [[z.real, z.imag] for z in xs]}
-        reports.append(hard_check("macdonald", params, got, want, 1e-9))
+        reports.append(hard_check("macdonald", params, got, want))
     return reports
 
 
@@ -222,7 +218,7 @@ def run_beta(cfg: RunConfig, rng: random.Random) -> list[VerificationReport]:
         for r in range(n + 1):
             for k in range(10):
                 rep = random_ramified_rep(rng, n + 1, r, rng.randint(1, 3))
-                rep_report = check_beta(rep, cfg.q_f, cfg.trunc, tol=1e-8)
+                rep_report = check_beta(rep, cfg.q_f, cfg.depth)
                 rep_report.params.update({"n": n, "r": r, "draw": k})
                 reports.append(rep_report)
     return reports
@@ -235,9 +231,9 @@ def run_theta(cfg: RunConfig, rng: random.Random) -> list[VerificationReport]:
         for k in range(5):
             sigma = SatakeSet(unit_circle(rng, k_rank), cfg.q_e)
             ratios.append(
-                theta_truncated(sigma, cfg.trunc).value / pair_dual_lfactor(sigma).value(1)
+                theta_truncated(sigma, cfg.depth).value / pair_dual_lfactor(sigma).value(1)
             )
-            reports.append(check_theta(sigma, cfg.trunc, tol=1e-8))
+            reports.append(check_theta(sigma, cfg.depth))
         reports.extend(_ratio_pair("theta", {"k": k_rank}, ratios, vol_gl(k_rank - 1, cfg.q_e)))
     return reports
 
@@ -251,7 +247,7 @@ def run_lambda(cfg: RunConfig, rng: random.Random) -> list[VerificationReport]:
             r = rng.randint(0, n)
             rep = random_ramified_rep(rng, n + 1, r, rng.randint(1, 3))
             sigma_n = SatakeSet(unit_circle(rng, n), cfg.q_e)
-            rep_report = check_lambda(sigma_n, rep, cfg.trunc, tol=1e-8, hard=True)
+            rep_report = check_lambda(sigma_n, rep, cfg.depth)
             rep_report.params.update({"n": n, "r": r, "draw": k})
             reports.append(rep_report)
     n = 3
@@ -261,7 +257,7 @@ def run_lambda(cfg: RunConfig, rng: random.Random) -> list[VerificationReport]:
             r = rng.randint(0, n)
             rep = random_ramified_rep(rng, n + 1, r, rng.randint(1, 3))
             sigma_n = SatakeSet(unit_circle(rng, n), cfg.q_e)
-            got = lambda_truncated(sigma_n, rep, cfg.trunc).value
+            got = lambda_truncated(sigma_n, rep, cfg.depth).value
             _, sigma_u = rep.unramified_part(cfg.q_e)
             lval = rs_lfactor(sigma_n, sigma_u).value(0.5) if len(sigma_u) else 1.0
             ratios.append(got / lval)
@@ -310,7 +306,7 @@ def run_asai_cancel(cfg: RunConfig, rng: random.Random) -> list[VerificationRepo
         m = rng.randint(1, 4)
         sigma = SatakeSet(conj_selfdual_unit(rng, m), cfg.q_e)
         for parity in (0, 1):
-            rep = asai_cancellation_check(sigma, parity, ToleranceCfg(1e-10, 1e-12))
+            rep = asai_cancellation_check(sigma, parity)
             rep.params["draw"] = k
             reports.append(rep)
     return reports
@@ -330,10 +326,10 @@ def run_main_theorem(cfg: RunConfig, rng: random.Random) -> list[VerificationRep
         sigma_n = SatakeSet(conj_selfdual_unit(rng, n), q_f**2)
         d = PairData(n=n, c=c, eps=eps, q_f=q_f, sigma_n=sigma_n, rep=rep)
         params = {"draw": k, "n": n, "c": c, "q_f": q_f, "r": r}
-        reports.append(hard_check("main-theorem-bridge", params, j_main(d), j_via_bridge(d), 1e-9))
+        reports.append(hard_check("main-theorem-bridge", params, j_main(d), j_via_bridge(d)))
         if n <= 2:
-            lhs = i_assembled(d, cfg.trunc)
-            reports.append(hard_check("i-assembled-vs-closed", params, lhs, i_closed(d), 1e-9))
+            lhs = i_assembled(d, cfg.depth)
+            reports.append(hard_check("i-assembled-vs-closed", params, lhs, i_closed(d)))
     return reports
 
 
@@ -372,9 +368,11 @@ def run_matrix_identities(cfg: RunConfig, rng: random.Random) -> list[Verificati
         g = cayley(x, QuadExt.of(1, u))
         ok = in_group_u(g, j)
         h = random_integral_emat(rng, n + 1, u, span=2)
-        if not h.det().is_zero() and not (one - h @ x @ h.inv()).det().is_zero():
-            lhs = cayley(h @ x @ h.inv(), QuadExt.of(1, u))
-            ok = ok and lhs == h @ g @ h.inv()
+        if not h.det().is_zero():
+            h_inv = h.inv()
+            hxh = h @ x @ h_inv
+            if not (one - hxh).det().is_zero():
+                ok = ok and cayley(hxh, QuadExt.of(1, u)) == h @ g @ h_inv
         record("cayley-unitarity-equivariance", done, ok, {"n": n, "c": c})
         done += 1
 
@@ -387,9 +385,10 @@ def run_matrix_identities(cfg: RunConfig, rng: random.Random) -> list[Verificati
         factors = []
         for _ in range(2):
             x = random_anti_hermitian(rng, n, c, p, u)
-            if not x.is_integral(p) or (one - x).det().is_zero():
+            if not x.is_integral(p):
                 break
-            if qe_valuation((one - x).det(), p) != 0:
+            det_x = (one - x).det()
+            if det_x.is_zero() or qe_valuation(det_x, p) != 0:
                 break
             factors.append(cayley(x, QuadExt.of(1, u)))
         if len(factors) < 2:
@@ -600,36 +599,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    # each subcommand parses only the options it reads, and only by their
+    # full names: an abbreviation such as --s would otherwise reach --seed
+    def add_shared(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="flat key = value config file; flags override")
         p.add_argument("--qf", type=int, dest="q_f")
-        p.add_argument("--p", type=int)
-        p.add_argument("--u", type=int)
         p.add_argument("--n", type=int)
         p.add_argument("--c", type=int)
-        p.add_argument("--eps", type=int, choices=(0, 1))
-        p.add_argument("--satake", type=str)
-        p.add_argument("--satake2", type=str)
-        p.add_argument("--segments-file", dest="segments_file")
-        p.add_argument("--depth", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--vmax", type=int)
-        p.add_argument("--s", type=float)
-        p.add_argument("--json", dest="json_path")
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
+    p_verify = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
     p_verify.add_argument("suite", choices=["all", *SUITES])
-    add_common(p_verify)
+    add_shared(p_verify)
+    p_verify.add_argument("--p", type=int)
+    p_verify.add_argument("--u", type=int)
+    p_verify.add_argument("--depth", type=int)
+    p_verify.add_argument("--seed", type=int)
+    p_verify.add_argument("--vmax", type=int)
+    p_verify.add_argument("--json", dest="json_path")
 
-    p_compute = sub.add_parser("compute", help="evaluate a single quantity")
+    p_compute = sub.add_parser("compute", help="evaluate a single quantity", allow_abbrev=False)
     p_compute.add_argument("target", choices=["lfactor", "whittaker", "j-main", "i-closed"])
     p_compute.add_argument("--asai", choices=["+", "-"])
     p_compute.add_argument("--pair-dual", action="store_true", dest="pair_dual")
     p_compute.add_argument("--lambda", dest="weight", type=str, help="comma-separated exponents")
-    add_common(p_compute)
+    add_shared(p_compute)
+    p_compute.add_argument("--eps", type=int, choices=(0, 1))
+    p_compute.add_argument("--satake", type=str)
+    p_compute.add_argument("--satake2", type=str)
+    p_compute.add_argument("--segments-file", dest="segments_file")
+    p_compute.add_argument("--s", type=float)
 
-    p_vol = sub.add_parser("volumes", help="print the exact constants table")
-    add_common(p_vol)
+    p_vol = sub.add_parser("volumes", help="print the exact constants table", allow_abbrev=False)
+    add_shared(p_vol)
 
     return parser
 
@@ -648,10 +649,13 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     }
     aliases = {"qf": "q_f", "json": "json_path"}
     for key, raw in file_values.items():
-        key = aliases.get(key, key)
-        if key not in converters:
+        name = aliases.get(key, key)
+        if name not in converters:
             raise UsageError(f"unknown config key {key!r}")
-        setattr(cfg, key, converters[key](raw))
+        # the subcommand's parser sets an attribute for each option it reads
+        if not hasattr(args, name):
+            raise UsageError(f"config key {key!r} is not read by {args.command!r}")
+        setattr(cfg, name, converters[name](raw))
     for key, conv in converters.items():
         val = getattr(args, key, None)
         if val is not None:

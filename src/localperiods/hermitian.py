@@ -303,10 +303,6 @@ def in_kprime(g: EMat, c: int, p: int) -> bool:
     return in_bmk(g, c, p) and _det_is_unit(g, p)
 
 
-def in_kprime_tilde(g: EMat, c: int, p: int) -> bool:
-    return in_bmk_tilde(g, c, p) and _det_is_unit(g, p)
-
-
 def in_k_s(s: EMat, c: int, p: int) -> bool:
     """Integral points of the norm-one variety inside the congruence block."""
     return in_bmk(s, c, p) and in_s_variety(s)
@@ -318,65 +314,26 @@ def in_k_tilde_lie(x: EMat, c: int, p: int, j: EMat) -> bool:
     return in_lie_u(x, j) and in_bmk_tilde(x, c, p)
 
 
-def in_k_tilde_lie_s(x: EMat, c: int, p: int) -> bool:
-    """Same congruence lattice inside the twisted-conjugation Lie model."""
-    return in_s_lie(x) and in_bmk_tilde(x, c, p)
-
-
-_MEMBERSHIP_KINDS = {
-    "u(V)": lambda m, j, c, p: in_lie_u(m, j),
-    "U(V)": lambda m, j, c, p: in_group_u(m, j),
-    "s_m": lambda m, j, c, p: in_s_lie(m),
-    "S_m": lambda m, j, c, p: in_s_variety(m),
-    "bmK^c": lambda m, j, c, p: in_bmk(m, c, p),
-    "bmKt^c": lambda m, j, c, p: in_bmk_tilde(m, c, p),
-    "K'^c": lambda m, j, c, p: in_kprime(m, c, p),
-    "Kt'^c": lambda m, j, c, p: in_kprime_tilde(m, c, p),
-    "K_S^c": lambda m, j, c, p: in_k_s(m, c, p),
-    "kt_c": lambda m, j, c, p: in_k_tilde_lie(m, c, p, j),
-    "kt'_c": lambda m, j, c, p: in_k_tilde_lie_s(m, c, p),
-}
-
-
-def membership(
-    mat: EMat, kind: str, *, j: EMat | None = None, c: int = 0, p: int | None = None
-) -> bool:
-    """Exact membership test; kind selects the group/lattice predicate."""
-    if kind not in _MEMBERSHIP_KINDS:
-        raise ValueError(f"unknown membership kind {kind!r}; choose from {sorted(_MEMBERSHIP_KINDS)}")
-    needs_j = kind in ("u(V)", "U(V)", "kt_c")
-    needs_p = kind not in ("u(V)", "U(V)", "s_m", "S_m")
-    if needs_j and j is None:
-        raise ValueError(f"kind {kind!r} requires the hermitian matrix j")
-    if needs_p and p is None:
-        raise ValueError(f"kind {kind!r} requires the prime p")
-    return _MEMBERSHIP_KINDS[kind](mat, j, c, p)
-
-
 # ---------------------------------------------------------------------------
 # Cayley maps
 
 
 def cayley(x: EMat, xi: QuadExt) -> EMat:
-    """xi (1 + x)(1 - x)^(-1); requires det(1 - x) != 0 and a norm-one xi."""
+    """xi (1 + x)(1 - x)^(-1); requires det(1 - x) != 0 and a norm-one xi.
+    A singular 1 - x raises ZeroDivisionError from the inversion."""
     if QuadExt.of(xi, x.u).norm() != 1:
         raise ValueError("xi must have norm 1")
     one = EMat.identity(x.nrows, x.u)
-    den = one - x
-    if den.det().is_zero():
-        raise ZeroDivisionError("1 - x is singular")
-    return ((one + x) @ den.inv()) * xi
+    return ((one + x) @ (one - x).inv()) * xi
 
 
 def cayley_inv(g: EMat, xi: QuadExt) -> EMat:
-    """(g - xi)(g + xi)^(-1), inverse to `cayley` where both are defined."""
+    """(g - xi)(g + xi)^(-1), inverse to `cayley` where both are defined.
+    A singular g + xi raises ZeroDivisionError from the inversion."""
     if QuadExt.of(xi, g.u).norm() != 1:
         raise ValueError("xi must have norm 1")
     one = EMat.identity(g.nrows, g.u)
-    den = g + one * xi
-    if den.det().is_zero():
-        raise ZeroDivisionError("g + xi is singular")
-    return (g - one * xi) @ den.inv()
+    return (g - one * xi) @ (g + one * xi).inv()
 
 
 def norm_one_units(u: int, height: int = 3):

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from .numerics import DEFAULT_TOL, ToleranceCfg, ensure_finite
+from .numerics import ensure_finite
 from .report import VerificationReport, hard_check, rejected
 from .reps import SatakeSet, is_conjugate_selfdual
 
@@ -112,9 +112,7 @@ def pair_dual_lfactor(sigma: SatakeSet) -> LocalLFactor:
     return LocalLFactor(sigma.base, tuple((a * b.conjugate(), 1) for a in sigma for b in sigma))
 
 
-def asai_cancellation_check(
-    sigma: SatakeSet, n_parity: int, cfg: ToleranceCfg = DEFAULT_TOL
-) -> VerificationReport:
+def asai_cancellation_check(sigma: SatakeSet, n_parity: int) -> VerificationReport:
     """Check conj(L(1, As^(eps'))) / L(1, sigma x conj-dual) = L(1, As^(eps))^-1
     where eps = (-1)^n and eps' = (-1)^(n-1), for conjugate-self-dual
     unit-circle parameters."""
@@ -123,11 +121,11 @@ def asai_cancellation_check(
         "base": sigma.base,
         "n_parity": n_parity % 2,
     }
-    if not is_conjugate_selfdual(sigma, cfg):
+    if not is_conjugate_selfdual(sigma):
         return rejected("asai-cancel", params, "parameters not conjugate-self-dual")
     if any(abs(abs(a) - 1) > 1e-9 for a in sigma):
         return rejected("asai-cancel", params, "parameters not on the unit circle")
     eps = -1 if n_parity % 2 else 1
     lhs = asai_lfactor(sigma, -eps).value(1).conjugate() / pair_dual_lfactor(sigma).value(1)
     rhs = 1 / asai_lfactor(sigma, eps).value(1)
-    return hard_check("asai-cancel", params, lhs, rhs, cfg.rel)
+    return hard_check("asai-cancel", params, lhs, rhs)

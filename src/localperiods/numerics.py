@@ -1,5 +1,6 @@
 """Exact scalar layer: rationals, the quadratic extension Q(sqrt(u)),
-p-adic valuations, and the floating-point tolerance policy.
+and p-adic valuations.  The floating-point checks take their tolerances
+from report.TOLERANCES.
 
 Exactness-critical computations (volumes, orbital integrals, matrix
 identities) stay entirely inside :class:`fractions.Fraction` and
@@ -84,19 +85,6 @@ def validate_field_context(p: int, u: RatLike) -> None:
         raise ValueError(f"p must be an odd prime, got {p}")
     if not is_nonsquare_mod(u, p):
         raise ValueError(f"u={u} must be a p-unit non-square mod p={p}")
-
-
-@dataclass(frozen=True)
-class ToleranceCfg:
-    rel: float = 1e-10
-    abs: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not (self.rel > 0 and self.abs > 0):
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_TOL = ToleranceCfg()
 
 
 def ensure_finite(z: complex) -> complex:

@@ -137,9 +137,7 @@ def match_rank1(y: EMat, c: int, p: int) -> tuple[int, EMat | None]:
     return 0, x
 
 
-def fl_check_rank1(
-    p: int, c: int, vmax: int, u: int = -1, include_nonintegral_diag: bool = True
-) -> list[VerificationReport]:
+def fl_check_rank1(p: int, c: int, vmax: int, u: int = -1) -> list[VerificationReport]:
     """Exhaustive exact check of the rank-one transfer identity over the
     valuation grid: on side 0 the sign-weighted twisted integral equals the
     unitary membership bit of the matched representative, on side 1 the
@@ -148,9 +146,10 @@ def fl_check_rank1(
     if vmax < 0 or c < 0:
         raise ValueError("grid bounds must be >= 0")
     reports = []
-    diag_choices = [(Fraction(0), Fraction(0), "integral")]
-    if include_nonintegral_diag:
-        diag_choices.append((Fraction(1, p), Fraction(0), "non-integral"))
+    diag_choices = [
+        (Fraction(0), Fraction(0), "integral"),
+        (Fraction(1, p), Fraction(0), "non-integral"),
+    ]
     for v12 in range(vmax + 1):
         for v21 in range(vmax + 1):
             for a, d, tag in diag_choices:

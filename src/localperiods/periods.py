@@ -22,7 +22,6 @@ per-call spherical_value and delta_weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .lfactors import asai_lfactor, pair_dual_lfactor, rs_lfactor
@@ -34,18 +33,6 @@ from .whittaker import _essential_on_torus, _spherical_on_torus
 from .whittaker import essential_value  # noqa: F401  (bench/tests probe it in this namespace)
 
 
-@dataclass(frozen=True)
-class TruncationCfg:
-    depth: int = 40
-
-    def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-
-
-DEFAULT_TRUNC = TruncationCfg()
-
-
 class TruncResult(NamedTuple):
     value: complex
     tail_estimate: float
@@ -54,7 +41,7 @@ class TruncResult(NamedTuple):
 def _torus_sum(
     rank: int,
     head: int,
-    trunc: TruncationCfg,
+    depth: int,
     q: int,
     term: Callable[[tuple[int, ...]], complex],
 ) -> TruncResult:
@@ -62,9 +49,10 @@ def _torus_sum(
     weakly decreasing in [0, depth] and whose other entries are zero, in
     descending lexicographic order.  The tail estimate is the outermost
     shell's (f_1 = depth) total magnitude amplified by a geometric factor."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     total: complex = 0.0
     shell = 0.0
-    depth = trunc.depth
     zeros = (0,) * (rank - head)
     for lam in partitions_in_box(head, depth):
         f = lam + zeros
@@ -84,7 +72,7 @@ def _delta_inv_table(q: int) -> Callable[[tuple[int, ...]], float]:
     return _per_modular_exponent(lambda f: float(1 / delta_weight(f, q)))
 
 
-def beta_truncated(rep: GenericRep, q_f: int, trunc: TruncationCfg = DEFAULT_TRUNC) -> TruncResult:
+def beta_truncated(rep: GenericRep, q_f: int, depth: int) -> TruncResult:
     """Twisted base-field period of the normalized newform-line vector of a
     ramified rank-(n+1) representation, summed over the diagonal torus of
     GL_n up to the truncation depth."""
@@ -93,7 +81,7 @@ def beta_truncated(rep: GenericRep, q_f: int, trunc: TruncationCfg = DEFAULT_TRU
     q_e = q_f**2
     n = rep.rank - 1
     sign = -1 if n % 2 else 1
-    r, newform = _essential_on_torus(rep, q_e, trunc.depth)
+    r, newform = _essential_on_torus(rep, q_e, depth)
     delta_inv = _delta_inv_table(q_f)
 
     def term(f: tuple[int, ...]) -> complex:
@@ -102,7 +90,7 @@ def beta_truncated(rep: GenericRep, q_f: int, trunc: TruncationCfg = DEFAULT_TRU
             return 0.0
         return w * delta_inv(f) * sign ** (sum(f) % 2)
 
-    res = _torus_sum(n, r, trunc, q_f, term)
+    res = _torus_sum(n, r, depth, q_f, term)
     vol = float(vol_gl(n, q_f))
     return TruncResult(vol * res.value, vol * res.tail_estimate)
 
@@ -120,14 +108,12 @@ def beta_closed(rep: GenericRep, q_f: int) -> complex:
     return float(vol_gl(n, q_f)) * asai_lfactor(sigma_u, sign).value(1)
 
 
-def beta_spherical_truncated(
-    sigma_n: SatakeSet, q_f: int, trunc: TruncationCfg = DEFAULT_TRUNC
-) -> TruncResult:
+def beta_spherical_truncated(sigma_n: SatakeSet, q_f: int, depth: int) -> TruncResult:
     """Twisted base-field period of the normalized spherical vector of an
     unramified rank-n representation, summed over the GL_{n-1} torus."""
     n = len(sigma_n)
     sign = -1 if (n - 1) % 2 else 1
-    spherical = _spherical_on_torus(sigma_n.params, sigma_n.base, trunc.depth)
+    spherical = _spherical_on_torus(sigma_n.params, sigma_n.base, depth)
     delta_inv = _delta_inv_table(q_f)
 
     def term(f: tuple[int, ...]) -> complex:
@@ -136,7 +122,7 @@ def beta_spherical_truncated(
             return 0.0
         return w * delta_inv(f) * sign ** (sum(f) % 2)
 
-    res = _torus_sum(n - 1, n - 1, trunc, q_f, term)
+    res = _torus_sum(n - 1, n - 1, depth, q_f, term)
     vol = float(vol_gl(n - 1, q_f))
     return TruncResult(vol * res.value, vol * res.tail_estimate)
 
@@ -152,14 +138,12 @@ def beta_spherical_closed(sigma_n: SatakeSet, q_f: int) -> complex:
     return float(vol_gl(n - 1, q_f)) * asai_lfactor(sigma_n, sign).value(1)
 
 
-def theta_truncated(
-    sigma: SatakeSet, trunc: TruncationCfg = DEFAULT_TRUNC
-) -> TruncResult:
+def theta_truncated(sigma: SatakeSet, depth: int) -> TruncResult:
     """Norm of the normalized spherical vector of an unramified rank-k
     representation under the GL_{k-1} inner-product integral."""
     k = len(sigma)
     q_e = sigma.base
-    spherical = _spherical_on_torus(sigma.params, q_e, trunc.depth)
+    spherical = _spherical_on_torus(sigma.params, q_e, depth)
     delta_inv = _delta_inv_table(q_e)
 
     def term(f: tuple[int, ...]) -> complex:
@@ -168,7 +152,7 @@ def theta_truncated(
             return 0.0
         return abs(w) ** 2 * delta_inv(f)
 
-    res = _torus_sum(k - 1, k - 1, trunc, q_e, term)
+    res = _torus_sum(k - 1, k - 1, depth, q_e, term)
     vol = float(vol_gl(k - 1, q_e))
     return TruncResult(vol * res.value, vol * res.tail_estimate)
 
@@ -180,21 +164,14 @@ def theta_closed(sigma: SatakeSet) -> complex:
     return float(vol_gl(k - 1, sigma.base)) * pair_dual_lfactor(sigma).value(1)
 
 
-def lambda_truncated(
-    sigma_n: SatakeSet,
-    rep: GenericRep,
-    trunc: TruncationCfg = DEFAULT_TRUNC,
-    s: float = 0.0,
-) -> TruncResult:
+def lambda_truncated(sigma_n: SatakeSet, rep: GenericRep, depth: int) -> TruncResult:
     """Pairing integral of the spherical vector of sigma_n against the
     newform-line vector of the rank-(n+1) representation over the GL_n
-    torus.  The s parameter shifts by |det|^s and exists for convergence
-    experiments only; the identity checks use s = 0."""
+    torus."""
     n = len(sigma_n)
     if rep.rank != n + 1:
         raise ValueError("rank mismatch: need rank(rep) = len(sigma_n) + 1")
     q_e = sigma_n.base
-    depth = trunc.depth
 
     if rep.is_ramified():
         head, w_big = _essential_on_torus(rep, q_e, depth)
@@ -215,10 +192,9 @@ def lambda_truncated(
         w2 = w_big(f)
         if w2 == 0:
             return 0.0
-        extra = float(q_e) ** (-s * sum(f)) if s else 1.0
-        return w1 * w2 * delta_inv(f) * extra
+        return w1 * w2 * delta_inv(f)
 
-    res = _torus_sum(n, head, trunc, q_e, term)
+    res = _torus_sum(n, head, depth, q_e, term)
     vol = float(vol_gl(n, q_e))
     return TruncResult(vol * res.value, vol * res.tail_estimate)
 
@@ -236,69 +212,51 @@ def lambda_closed(sigma_n: SatakeSet, rep: GenericRep) -> complex:
 # ---------------------------------------------------------------------------
 # report-producing comparisons
 
-def check_beta(
-    rep: GenericRep, q_f: int, trunc: TruncationCfg = DEFAULT_TRUNC, tol: float = 1e-8
-) -> VerificationReport:
+def check_beta(rep: GenericRep, q_f: int, depth: int) -> VerificationReport:
     """Hard check: truncated period equals its closed form (self-contained
     chain, exact in-convention)."""
-    got = beta_truncated(rep, q_f, trunc)
+    got = beta_truncated(rep, q_f, depth)
     want = beta_closed(rep, q_f)
-    params = {"q_f": q_f, "rep": rep.to_json(), "depth": trunc.depth}
-    return hard_check("beta", params, got.value, want,
-                      max(tol, got.tail_estimate), tail_estimate=got.tail_estimate)
+    params = {"q_f": q_f, "rep": rep.to_json(), "depth": depth}
+    return hard_check("beta", params, got.value, want, tail_estimate=got.tail_estimate)
 
 
-def check_beta_spherical(
-    sigma_n: SatakeSet, q_f: int, trunc: TruncationCfg = DEFAULT_TRUNC, tol: float = 1e-8
-) -> VerificationReport:
+def check_beta_spherical(sigma_n: SatakeSet, q_f: int, depth: int) -> VerificationReport:
     """Soft check: measured constant against the literature normalization is
     recorded, never patched."""
-    got = beta_spherical_truncated(sigma_n, q_f, trunc)
+    got = beta_spherical_truncated(sigma_n, q_f, depth)
     want = beta_spherical_closed(sigma_n, q_f)
     params = {
         "q_f": q_f,
         "satake": [[a.real, a.imag] for a in sigma_n],
-        "depth": trunc.depth,
+        "depth": depth,
     }
-    return soft_check("beta-spherical", params, got.value, want, tol,
-                      tail_estimate=got.tail_estimate)
+    return soft_check("beta-spherical", params, got.value, want, tail_estimate=got.tail_estimate)
 
 
-def check_theta(
-    sigma: SatakeSet, trunc: TruncationCfg = DEFAULT_TRUNC, tol: float = 1e-8
-) -> VerificationReport:
+def check_theta(sigma: SatakeSet, depth: int) -> VerificationReport:
     """Soft check of the norm integral against the reference constant."""
-    got = theta_truncated(sigma, trunc)
+    got = theta_truncated(sigma, depth)
     want = theta_closed(sigma)
     params = {
         "q_e": sigma.base,
         "satake": [[a.real, a.imag] for a in sigma],
-        "depth": trunc.depth,
+        "depth": depth,
     }
-    return soft_check("theta", params, got.value, want, tol,
-                      tail_estimate=got.tail_estimate)
+    return soft_check("theta", params, got.value, want, tail_estimate=got.tail_estimate)
 
 
-def check_lambda(
-    sigma_n: SatakeSet,
-    rep: GenericRep,
-    trunc: TruncationCfg = DEFAULT_TRUNC,
-    tol: float = 1e-8,
-    hard: bool = True,
-) -> VerificationReport:
-    """Pairing-integral identity; hard at low rank, soft where only
-    constant-tracking is claimed."""
-    got = lambda_truncated(sigma_n, rep, trunc)
+def check_lambda(sigma_n: SatakeSet, rep: GenericRep, depth: int) -> VerificationReport:
+    """Hard check of the pairing-integral identity."""
+    got = lambda_truncated(sigma_n, rep, depth)
     want = lambda_closed(sigma_n, rep)
     params = {
         "q_e": sigma_n.base,
         "satake": [[a.real, a.imag] for a in sigma_n],
         "rep": rep.to_json(),
-        "depth": trunc.depth,
+        "depth": depth,
     }
-    fn = hard_check if hard else soft_check
-    return fn("lambda", params, got.value, want, max(tol, got.tail_estimate),
-              tail_estimate=got.tail_estimate)
+    return hard_check("lambda", params, got.value, want, tail_estimate=got.tail_estimate)
 
 
 def ratio_spread(ratios: list[complex]) -> float:

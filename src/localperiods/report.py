@@ -11,6 +11,23 @@ STATUS_FAIL = "fail"
 STATUS_SOFT = "soft-discrepancy"
 STATUS_REJECTED = "rejected-input"
 
+#: relative tolerance of each float check family, by check name; the exact
+#: checks (exact_check) need none
+TOLERANCES: dict[str, float] = {
+    "macdonald": 1e-9,
+    "main-theorem-bridge": 1e-9,
+    "i-assembled-vs-closed": 1e-9,
+    "beta": 1e-8,
+    "beta-spherical": 1e-8,
+    "theta": 1e-8,
+    "lambda": 1e-8,
+    "theta-constant": 1e-8,
+    "lambda-constant": 1e-8,
+    "theta-ratio-independence": 1e-7,
+    "lambda-ratio-independence": 1e-7,
+    "asai-cancel": 1e-10,
+}
+
 
 def rel_error(lhs: complex, rhs: complex) -> float:
     scale = max(abs(lhs), abs(rhs))
@@ -65,12 +82,11 @@ def hard_check(
     params: dict[str, Any],
     lhs: complex,
     rhs: complex,
-    tol: float,
     tail_estimate: float | None = None,
 ) -> VerificationReport:
-    """Pass/fail comparison at the stated relative tolerance."""
+    """Pass/fail comparison at the check's relative tolerance in TOLERANCES."""
     err = rel_error(lhs, rhs)
-    status = STATUS_PASS if err <= tol else STATUS_FAIL
+    status = STATUS_PASS if err <= TOLERANCES[check] else STATUS_FAIL
     return VerificationReport(check, params, complex(lhs), complex(rhs), err, status,
                               tail_estimate=tail_estimate)
 
@@ -89,13 +105,13 @@ def soft_check(
     params: dict[str, Any],
     lhs: complex,
     rhs: complex,
-    tol: float,
     tail_estimate: float | None = None,
 ) -> VerificationReport:
     """Comparison verified only up to a recorded multiplicative constant:
-    never a hard failure, but any deviation is preserved in the report."""
+    never a hard failure, but any deviation beyond the check's tolerance in
+    TOLERANCES is preserved in the report."""
     err = rel_error(lhs, rhs)
-    if err <= tol:
+    if err <= TOLERANCES[check]:
         return VerificationReport(check, params, complex(lhs), complex(rhs), err, STATUS_PASS,
                                   tail_estimate=tail_estimate)
     factor = complex(lhs) / complex(rhs) if rhs != 0 else complex("inf")

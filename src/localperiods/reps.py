@@ -8,7 +8,10 @@ import cmath
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence, Union
 
-from .numerics import DEFAULT_TOL, ToleranceCfg, ensure_finite
+from .numerics import ensure_finite
+
+#: relative tolerance within which a parameter matches an inverse
+SELFDUAL_REL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -118,15 +121,6 @@ class GenericRep:
     def is_ramified(self) -> bool:
         return self.conductor() > 0
 
-    def is_tempered(self, cfg: ToleranceCfg = DEFAULT_TOL) -> bool:
-        """Temperedness at the level modelled here: every unramified-character
-        support sits on the unit circle."""
-        return all(
-            abs(abs(seg.base.alpha) - 1) <= cfg.abs + cfg.rel
-            for seg in self.segments
-            if isinstance(seg.base, UnramChar)
-        )
-
     def unramified_part(self, q_e: int) -> tuple[int, SatakeSet]:
         """Number of unramified-character supports and their parameters,
         ordered by decreasing real part of the exponent t with alpha = q_e^-t
@@ -184,14 +178,13 @@ def _perfect_matching(adj: list[list[bool]]) -> bool:
     return all(try_augment(i, [False] * n) for i in range(n))
 
 
-def is_conjugate_selfdual(
-    s: SatakeSet | Sequence[complex], cfg: ToleranceCfg = DEFAULT_TOL
-) -> bool:
+def is_conjugate_selfdual(s: SatakeSet | Sequence[complex]) -> bool:
     """True iff the multiset of parameters equals the multiset of their
-    inverses, under tolerance-matched bipartite pairing."""
+    inverses, under bipartite pairing of values that agree to
+    SELFDUAL_REL_TOL relative to the larger modulus."""
     params = tuple(s)
     if any(a == 0 for a in params):
         raise ValueError("parameters must be nonzero")
     inv = [1 / a for a in params]
-    adj = [[abs(a - b) <= cfg.abs + cfg.rel * max(abs(a), abs(b)) for b in inv] for a in params]
+    adj = [[abs(a - b) <= SELFDUAL_REL_TOL * max(abs(a), abs(b)) for b in inv] for a in params]
     return _perfect_matching(adj)

@@ -9,9 +9,9 @@ identity checked by the verification suites.
 
 Torus sums and the Macdonald series evaluate many weights at the same
 arguments, so _schur_table computes the powers, product and Vandermonde
-of the arguments once per sum and returns schur's values bit for bit;
-2x2 and 3x3 determinants take unrolled copies of the elimination loop
-with the same operations.
+of the arguments (or their complete homogeneous values) once per sum and
+returns schur's values bit for bit; 2x2 and 3x3 determinants take
+unrolled copies of the elimination loop with the same operations.
 """
 
 from __future__ import annotations
@@ -223,10 +223,16 @@ def schur_jacobi_trudi(parts: Sequence[int], xs: Sequence[complex]) -> complex:
         lam.pop()
     if not lam:
         return 1.0
-    ell = len(lam)
-    if ell > len(xs):
+    if len(lam) > len(xs):
         return 0.0
-    h = complete_homogeneous(lam[0] + ell, xs)
+    return _jacobi_trudi_det(lam, complete_homogeneous(lam[0] + len(lam), xs))
+
+
+def _jacobi_trudi_det(lam: Sequence[int], h: Sequence[complex]) -> complex:
+    """det(h_{lambda_i - i + j}) for a partition with no zero parts, read
+    from h = [h_0, h_1, ...] with h_k = 0 for k < 0.  h must reach index
+    lambda_1 + len(lambda) - 1; h_k does not depend on the length of h."""
+    ell = len(lam)
 
     def h_at(k: int) -> complex:
         return h[k] if 0 <= k < len(h) else 0.0
@@ -274,12 +280,13 @@ def schur(parts: Sequence[int], xs: Sequence[complex]) -> complex:
 def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int]], complex]:
     """schur(parts, xs) as a function of a weakly decreasing weight alone.
 
-    The powers x_i^k for k < max_part + len(xs), the product of the
-    arguments, the Vandermonde and the coincidence test are computed once
-    here, with the operations schur performs per call, so every value is
-    bit-identical to schur's.  Weights with a part outside [0, max_part],
-    and all weights at nearly coincident arguments, go to schur itself.
-    The weight must be weakly decreasing; schur's check of that is not
+    The coincidence test, the product of the arguments and either the
+    powers x_i^k for k < max_part + len(xs) and the Vandermonde or, at
+    nearly coincident arguments, the complete homogeneous values h_k for
+    k <= max_part + len(xs), are computed once here, with the operations
+    schur performs per call, so every value is bit-identical to schur's.
+    Weights with a part outside [0, max_part] go to schur itself.  The
+    weight must be weakly decreasing; schur's check of that is not
     repeated here.
     """
     xs = tuple(xs)
@@ -291,12 +298,14 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int
     if m == 0:
         return per_call
     try:
-        if _coincident(xs):
-            return per_call
-        den = _vandermonde(xs)
-        if den == 0:
-            return per_call
-        powers = [[x**k for k in range(max_part + m)] for x in xs]
+        coincident = _coincident(xs)
+        if coincident:
+            h = complete_homogeneous(max_part + m, xs)
+        else:
+            den = _vandermonde(xs)
+            if den == 0:
+                return per_call
+            powers = [[x**k for k in range(max_part + m)] for x in xs]
     except OverflowError:
         return per_call
     prod = _product(xs)
@@ -310,6 +319,9 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int
             if parts[0] == 0:
                 return 1.0
             return 0.0 if has_zero else prod ** parts[0]
+        if coincident:
+            # schur's route through schur_jacobi_trudi, zero parts dropped
+            return 1.0 * _jacobi_trudi_det(parts[: m - parts.count(0)], h)
         row_at = itemgetter(*[p + o for p, o in zip(parts, offsets)])
         # schur's central factor 1.0 stays: it can change the sign of a zero
         return 1.0 * (_det(list(map(row_at, powers))) / den)

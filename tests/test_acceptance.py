@@ -21,7 +21,6 @@ from localperiods.draws import conj_selfdual_unit, random_ramified_rep, unit_cir
 from localperiods.lfactors import pair_dual_lfactor, rs_lfactor
 from localperiods.orbital import fl_check_rank1
 from localperiods.periods import (
-    TruncationCfg,
     beta_closed,
     beta_truncated,
     lambda_closed,
@@ -49,7 +48,7 @@ def test_01_macdonald_identity():
 
 def test_02_beta_period_chain():
     rng = random.Random(202)
-    trunc = TruncationCfg(depth=25)
+    depth = 25
     worst = 0.0
     ok = True
     for n in (1, 2, 3):
@@ -57,7 +56,7 @@ def test_02_beta_period_chain():
             for _ in range(10):
                 q_f = rng.choice([5, 7]) if n == 3 else rng.choice([3, 5])
                 rep = random_ramified_rep(rng, n + 1, r, rng.randint(1, 3))
-                got = beta_truncated(rep, q_f, trunc).value
+                got = beta_truncated(rep, q_f, depth).value
                 want = beta_closed(rep, q_f)
                 err = abs(got - want) / max(1.0, abs(want))
                 worst = max(worst, err)
@@ -68,7 +67,7 @@ def test_02_beta_period_chain():
 
 def test_03_essential_vector_pairing_identity():
     rng = random.Random(303)
-    trunc = TruncationCfg(depth=25)
+    depth = 25
     ok = True
     worst = 0.0
     for n in (1, 2):
@@ -76,7 +75,7 @@ def test_03_essential_vector_pairing_identity():
             for _ in range(5):
                 rep = random_ramified_rep(rng, n + 1, r, rng.randint(1, 3))
                 sigma = satake(unit_circle(rng, n), 25)
-                got = lambda_truncated(sigma, rep, trunc).value
+                got = lambda_truncated(sigma, rep, depth).value
                 want = lambda_closed(sigma, rep)
                 err = abs(got - want) / max(1.0, abs(want))
                 worst = max(worst, err)
@@ -88,7 +87,7 @@ def test_03_essential_vector_pairing_identity():
     for _ in range(10):
         rep = random_ramified_rep(rng, 4, rng.randint(0, 3), rng.randint(1, 2))
         sigma = satake(unit_circle(rng, 3), 25)
-        got = lambda_truncated(sigma, rep, trunc).value
+        got = lambda_truncated(sigma, rep, depth).value
         _, sigma_u = rep.unramified_part(25)
         lval = rs_lfactor(sigma, sigma_u).value(0.5) if len(sigma_u) else 1.0
         ratios.append(got / lval)
@@ -106,14 +105,14 @@ def test_03_essential_vector_pairing_identity():
 
 def test_04_theta_norm_ratio():
     rng = random.Random(404)
-    trunc = TruncationCfg(depth=30)
+    depth = 30
     ok = True
     notes = []
     for k in (2, 3):
         ratios = []
         for _ in range(5):
             sigma = satake(unit_circle(rng, k), 9)
-            ratios.append(theta_truncated(sigma, trunc).value / pair_dual_lfactor(sigma).value(1))
+            ratios.append(theta_truncated(sigma, depth).value / pair_dual_lfactor(sigma).value(1))
         spread = ratio_spread(ratios)
         ok = ok and spread <= 1e-7
         measured = (sum(ratios) / len(ratios)).real
@@ -140,7 +139,7 @@ def test_06_matching_constant_identity():
 
 def test_07_main_theorem_algebra():
     rng = random.Random(707)
-    trunc = TruncationCfg(depth=40)
+    depth = 40
     ok = True
     worst_bridge = 0.0
     worst_assembled = 0.0
@@ -161,7 +160,7 @@ def test_07_main_theorem_algebra():
         worst_bridge = max(worst_bridge, err)
         ok = ok and err <= 1e-9
         if n <= 2:
-            ia, ic = i_assembled(d, trunc), i_closed(d)
+            ia, ic = i_assembled(d, depth), i_closed(d)
             err2 = abs(ia - ic) / max(abs(ia), abs(ic))
             worst_assembled = max(worst_assembled, err2)
             ok = ok and err2 <= 1e-9

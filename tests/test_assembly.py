@@ -14,11 +14,10 @@ from localperiods.assembly import (
 )
 from localperiods.draws import conj_selfdual_unit, random_ramified_rep, unit_circle
 from localperiods.lfactors import asai_lfactor, rs_lfactor
-from localperiods.periods import TruncationCfg
 from localperiods.reps import GenericRep, RamCusp, SatakeSet, Segment, UnramChar
 from localperiods.volumes import constant_c_main
 
-TR = TruncationCfg(depth=40)
+DEPTH = 40
 
 
 def pair_data(rng, n, c, q_f, r=None):
@@ -101,20 +100,20 @@ class TestIAssembled:
         rng = random.Random(11)
         for _ in range(10):
             d = pair_data(rng, rng.randint(1, 2), rng.randint(1, 3), 3)
-            lhs = i_assembled(d, TR)
+            lhs = i_assembled(d, DEPTH)
             rhs = i_closed(d)
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
     def test_fully_ramified_case(self):
         rng = random.Random(13)
         d = pair_data(rng, 2, 2, 5, r=0)
-        assert abs(i_assembled(d, TR) - i_closed(d)) <= 1e-10 * abs(i_closed(d))
+        assert abs(i_assembled(d, DEPTH) - i_closed(d)) <= 1e-10 * abs(i_closed(d))
 
     def test_rank_one_pipeline(self):
         rng = random.Random(15)
         for c in (1, 2, 3):
             d = pair_data(rng, 1, c, 3)
-            assert abs(i_assembled(d, TR) - i_closed(d)) <= 1e-10 * abs(i_closed(d))
+            assert abs(i_assembled(d, DEPTH) - i_closed(d)) <= 1e-10 * abs(i_closed(d))
 
 
 class TestJMain:

@@ -180,7 +180,7 @@ class TestCompute:
 class TestConfigFile:
     def test_file_values_and_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("qf = 5\nn = 1\nc = 2\nseed = 3\n# comment\n")
+        cfg.write_text("qf = 5\nn = 1\nc = 2\n# comment\n")
         code, out, _ = run(capsys, "volumes", "--config", str(cfg), "--c", "1")
         assert code == 0
         assert "c1 (volume form)" in out
@@ -199,6 +199,51 @@ class TestConfigFile:
         cfg.write_text("tol_rel = 1e-3\n")
         code, _, err = run(capsys, "verify", "volumes", "--config", str(cfg))
         assert code == 2 and "tol_rel" in err
+
+
+#: each subcommand parses only the options it reads: name -> (argv, flag)
+UNREAD_FLAGS = {
+    "volumes-json": (["volumes", "--n", "1", "--c", "1", "--json", "{out}"], "--json"),
+    "lfactor-json": (["compute", "lfactor", "--satake", "1", "--asai", "+", "--json", "{out}"],
+                     "--json"),
+    "verify-satake": (["verify", "c1", "--satake", "1"], "--satake"),
+    "verify-s": (["verify", "c1", "--s", "0.3"], "--s"),
+    "verify-eps": (["verify", "c1", "--eps", "1"], "--eps"),
+    "compute-seed": (["compute", "lfactor", "--satake", "1", "--asai", "+", "--seed", "3"],
+                     "--seed"),
+    "volumes-depth": (["volumes", "--n", "1", "--c", "1", "--depth", "5"], "--depth"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREAD_FLAGS))
+def test_unread_flags_exit_2(name, capsys, tmp_path):
+    argv, flag = UNREAD_FLAGS[name]
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(out=out) for a in argv])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+#: config-file keys outside the subcommand's options: name -> (argv, key)
+UNREAD_KEYS = {
+    "volumes-seed": (["volumes", "--n", "1", "--c", "1"], "seed"),
+    "volumes-json": (["volumes", "--n", "1", "--c", "1"], "json"),
+    "verify-satake": (["verify", "c1"], "satake"),
+    "verify-eps": (["verify", "c1"], "eps"),
+    "compute-depth": (["compute", "lfactor", "--satake", "1", "--asai", "+"], "depth"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREAD_KEYS))
+def test_unread_config_keys_exit_2(name, capsys, tmp_path):
+    argv, key = UNREAD_KEYS[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 1\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: config key {key!r} is not read by")
 
 
 @pytest.mark.parametrize("flag", ["--tol-rel", "--tol-abs"])

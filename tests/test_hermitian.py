@@ -25,7 +25,6 @@ from localperiods.hermitian import (
     iota_c,
     is_regular_semisimple,
     matching_invariants,
-    membership,
     norm_one_units,
     r_map,
     transfer_factor,
@@ -110,16 +109,13 @@ class TestMembership:
         assert not in_bmk_tilde(emat([[qe(Fraction(1, 3)), qe(3)], [qe(1), qe(1)]]), 0, P)
 
     def test_dispatcher(self):
+        """One element per family of predicates, each called directly."""
         j = herm_form_j(1, 1, P, U)
         x = emat([[qe(0), qe(0, 3)], [qe(0, 1), qe(0)]])
-        assert membership(x, "u(V)", j=j)
-        assert membership(x, "kt_c", j=j, c=1, p=P)
-        assert not membership(EMat.identity(2, U), "s_m")
-        assert membership(EMat.identity(2, U), "S_m")
-        with pytest.raises(ValueError):
-            membership(x, "not-a-kind")
-        with pytest.raises(ValueError):
-            membership(x, "u(V)")  # missing j
+        assert in_lie_u(x, j)
+        assert in_k_tilde_lie(x, 1, P, j)
+        assert not in_s_lie(EMat.identity(2, U))
+        assert in_s_variety(EMat.identity(2, U))
 
 
 class TestCayley:

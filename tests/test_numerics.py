@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from localperiods.numerics import (
     QuadExt,
-    ToleranceCfg,
     fraction_sqrt,
     is_nonsquare_mod,
     is_prime,
@@ -113,12 +112,6 @@ class TestRationalExactness:
         lhs = (x + y) * (x.denominator * y.denominator)
         rhs = x.numerator * y.denominator + y.numerator * x.denominator
         assert lhs == rhs
-
-
-class TestApproxEq:
-    def test_tolerances_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ToleranceCfg(rel=0.0)
 
 
 class TestContext:

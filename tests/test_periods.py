@@ -9,7 +9,6 @@ from localperiods import periods, whittaker
 from localperiods.draws import conj_selfdual_unit, random_ramified_rep, unit_circle
 from localperiods.lfactors import pair_dual_lfactor, rs_lfactor
 from localperiods.periods import (
-    TruncationCfg,
     TruncResult,
     beta_closed,
     beta_spherical_closed,
@@ -30,8 +29,8 @@ from localperiods.reps import GenericRep, RamCusp, Segment, UnramChar
 from localperiods.symfunc import weakly_decreasing_tuples
 from localperiods.volumes import vol_gl
 
-TR = TruncationCfg(depth=40)
-TR_DEEP = TruncationCfg(depth=60)
+DEPTH = 40
+DEEP = 60
 
 
 def rep_with_su(params, rank, cond=1):
@@ -42,24 +41,24 @@ def rep_with_su(params, rank, cond=1):
 class TestBetaTruncated:
     def test_trivial_parameter_geometric_series(self):
         rep = rep_with_su((1.0,), 2)
-        got = beta_truncated(rep, 3, TR)
+        got = beta_truncated(rep, 3, DEPTH)
         assert abs(got.value - 0.75) < 1e-12
 
     def test_general_parameter_geometric_series(self):
         alpha = cmath.exp(1.3j)
         rep = rep_with_su((alpha,), 2)
-        got = beta_truncated(rep, 3, TR)
+        got = beta_truncated(rep, 3, DEPTH)
         assert abs(got.value - 1 / (1 + alpha / 3)) < 1e-12
 
     def test_fully_ramified_single_term(self):
         rep = rep_with_su((), 3, cond=2)
-        got = beta_truncated(rep, 3, TR)
+        got = beta_truncated(rep, 3, DEPTH)
         assert got.value == float(vol_gl(2, 3))
 
     def test_unramified_rejected(self):
         rep = GenericRep((Segment(UnramChar(1.0)),))
         with pytest.raises(ValueError):
-            beta_truncated(rep, 3, TR)
+            beta_truncated(rep, 3, DEPTH)
 
     def test_closed_form_frozen_rank_two(self):
         rep = rep_with_su((1j, -1j), 3)
@@ -72,33 +71,32 @@ class TestBetaTruncated:
                 for _ in range(3):
                     rep = random_ramified_rep(rng, n + 1, r, rng.randint(1, 3))
                     q_f = rng.choice([3, 5])
-                    trunc = TruncationCfg(depth=30)
-                    got = beta_truncated(rep, q_f, trunc)
+                    got = beta_truncated(rep, q_f, 30)
                     want = beta_closed(rep, q_f)
                     assert abs(got.value - want) <= 1e-8 * max(1.0, abs(want)), (n, r)
 
     def test_check_report_passes(self):
         rng = random.Random(37)
         rep = random_ramified_rep(rng, 3, 2, 1)
-        report = check_beta(rep, 3, TR)
+        report = check_beta(rep, 3, DEPTH)
         assert report.status == STATUS_PASS
         assert report.tail_estimate is not None
 
 
 class TestBetaSpherical:
     def test_rank_one_point_integral(self):
-        got = beta_spherical_truncated(satake((1.0,), 9), 3, TR)
+        got = beta_spherical_truncated(satake((1.0,), 9), 3, DEPTH)
         assert got.value == 1.0
 
     def test_rank_two_product_form(self):
         a = cmath.exp(0.7j)
         sigma = satake((a, a.conjugate()), 9)
-        got = beta_spherical_truncated(sigma, 3, TR)
+        got = beta_spherical_truncated(sigma, 3, DEPTH)
         want = 1 / ((1 + a / 3) * (1 + a.conjugate() / 3))
         assert abs(got.value - want) < 1e-12
 
     def test_rank_two_trivial_frozen(self):
-        got = beta_spherical_truncated(satake((1.0, 1.0), 9), 3, TR)
+        got = beta_spherical_truncated(satake((1.0, 1.0), 9), 3, DEPTH)
         assert abs(got.value - 9 / 16) < 1e-12
 
     def test_soft_constant_is_the_missing_length_term(self):
@@ -107,7 +105,7 @@ class TestBetaSpherical:
         for n in (2, 3):
             alphas = unit_circle(rng, n)
             sigma = satake(alphas, 9)
-            got = beta_spherical_truncated(sigma, 3, TR).value
+            got = beta_spherical_truncated(sigma, 3, DEPTH).value
             ref = beta_spherical_closed(sigma, 3)
             prod = 1.0
             for a in alphas:
@@ -116,7 +114,7 @@ class TestBetaSpherical:
             assert abs(got / ref - want_ratio) < 1e-10
 
     def test_soft_report_records_discrepancy(self):
-        report = check_beta_spherical(satake((1.0, 1.0), 9), 3, TR)
+        report = check_beta_spherical(satake((1.0, 1.0), 9), 3, DEPTH)
         assert report.status == STATUS_SOFT
         assert report.discrepancy_factor is not None
         assert abs(report.discrepancy_factor - (1 - 1 / 9)) < 1e-10
@@ -124,11 +122,11 @@ class TestBetaSpherical:
 
 class TestTheta:
     def test_rank_one_point_integral(self):
-        got = theta_truncated(satake((cmath.exp(0.2j),), 9), TR)
+        got = theta_truncated(satake((cmath.exp(0.2j),), 9), DEPTH)
         assert got.value == 1.0
 
     def test_rank_two_squared_series_oracle(self):
-        got = theta_truncated(satake((1.0, 1.0), 4), TR_DEEP)
+        got = theta_truncated(satake((1.0, 1.0), 4), DEEP)
         want = sum((f + 1) ** 2 * 0.25**f for f in range(500))
         assert abs(got.value - want) < 1e-10
         assert abs(got.value - 80 / 27) < 1e-10
@@ -137,7 +135,7 @@ class TestTheta:
         rng = random.Random(43)
         alphas = unit_circle(rng, 2)
         sigma = satake(alphas, 9)
-        got = theta_truncated(sigma, TR)
+        got = theta_truncated(sigma, DEPTH)
         conj = tuple(a.conjugate() for a in alphas)
         want = h_pair_series(alphas, conj, 1 / 9)
         assert abs(got.value - want.real) < 1e-10
@@ -148,7 +146,7 @@ class TestTheta:
             ratios = []
             for _ in range(4):
                 sigma = satake(unit_circle(rng, k), 9)
-                ratios.append(theta_truncated(sigma, TR).value / pair_dual_lfactor(sigma).value(1))
+                ratios.append(theta_truncated(sigma, DEPTH).value / pair_dual_lfactor(sigma).value(1))
             assert ratio_spread(ratios) < 1e-10
             want = float(vol_gl(k - 1, 9)) * (1 - 9.0**-k)
             assert abs(ratios[0] - want) < 1e-9
@@ -156,7 +154,7 @@ class TestTheta:
     def test_soft_report(self):
         rng = random.Random(53)
         sigma = satake(unit_circle(rng, 2), 9)
-        report = check_theta(sigma, TR)
+        report = check_theta(sigma, DEPTH)
         assert report.status == STATUS_SOFT
         assert abs(report.discrepancy_factor - (1 - 1 / 81)) < 1e-9
         assert abs(report.rhs - theta_closed(sigma)) < 1e-12
@@ -167,14 +165,14 @@ class TestLambda:
         alpha, beta = cmath.exp(0.4j), cmath.exp(-1.1j)
         sigma = satake((alpha,), 9)
         rep = rep_with_su((beta,), 2)
-        got = lambda_truncated(sigma, rep, TR)
+        got = lambda_truncated(sigma, rep, DEPTH)
         want = 1 / (1 - alpha * beta / 3)
         assert abs(got.value - want) < 1e-12
 
     def test_rank_one_unramified_cauchy(self):
         sigma = satake((1.0,), 4)
         rep = GenericRep((Segment(UnramChar(1.0)), Segment(UnramChar(1.0))))
-        got = lambda_truncated(sigma, rep, TR_DEEP)
+        got = lambda_truncated(sigma, rep, DEEP)
         assert abs(got.value - 4.0) < 1e-10
 
     def test_rank_two_support_collapse(self):
@@ -183,7 +181,7 @@ class TestLambda:
         beta = cmath.exp(0.25j)
         sigma = satake(alphas, 9)
         rep = rep_with_su((beta,), 3)
-        got = lambda_truncated(sigma, rep, TR)
+        got = lambda_truncated(sigma, rep, DEPTH)
         want = float(vol_gl(2, 9))
         for a in alphas:
             want /= 1 - a * beta / 3
@@ -195,7 +193,7 @@ class TestLambda:
             for r in range(n + 1):
                 rep = random_ramified_rep(rng, n + 1, r, rng.randint(1, 2))
                 sigma = satake(unit_circle(rng, n), 25)
-                got = lambda_truncated(sigma, rep, TruncationCfg(depth=25))
+                got = lambda_truncated(sigma, rep, 25)
                 want = lambda_closed(sigma, rep)
                 assert abs(got.value - want) <= 1e-8 * max(1.0, abs(want)), (n, r)
 
@@ -205,29 +203,22 @@ class TestLambda:
         for _ in range(6):
             rep = random_ramified_rep(rng, 4, rng.randint(0, 3), 1)
             sigma = satake(unit_circle(rng, 3), 25)
-            got = lambda_truncated(sigma, rep, TruncationCfg(depth=25)).value
+            got = lambda_truncated(sigma, rep, 25).value
             _, sigma_u = rep.unramified_part(25)
             lval = rs_lfactor(sigma, sigma_u).value(0.5) if len(sigma_u) else 1.0
             ratios.append(got / lval)
         assert ratio_spread(ratios) < 1e-7
         assert abs(ratios[0] - float(vol_gl(3, 25))) < 1e-8
 
-    def test_s_parameter_shifts_value(self):
-        sigma = satake((1.0,), 9)
-        rep = rep_with_su((1.0,), 2)
-        at0 = lambda_truncated(sigma, rep, TR).value
-        at_half = lambda_truncated(sigma, rep, TR, s=0.5).value
-        assert abs(at0 - at_half) > 1e-3
-
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
-            lambda_truncated(satake((1.0,), 9), rep_with_su((1.0,), 3), TR)
+            lambda_truncated(satake((1.0,), 9), rep_with_su((1.0,), 3), DEPTH)
 
     def test_check_report(self):
         rng = random.Random(71)
         rep = random_ramified_rep(rng, 2, 1, 1)
         sigma = satake(unit_circle(rng, 1), 9)
-        report = check_lambda(sigma, rep, TR)
+        report = check_lambda(sigma, rep, DEPTH)
         assert report.status == STATUS_PASS
 
 
@@ -236,16 +227,29 @@ class TestTails:
         rng = random.Random(73)
         rep = random_ramified_rep(rng, 3, 2, 1)
         sigma = satake(unit_circle(rng, 2), 9)
-        base = lambda_truncated(sigma, rep, TruncationCfg(depth=12))
-        deeper = lambda_truncated(sigma, rep, TruncationCfg(depth=22))
+        base = lambda_truncated(sigma, rep, 12)
+        deeper = lambda_truncated(sigma, rep, 22)
         assert abs(deeper.value - base.value) <= base.tail_estimate
 
     def test_tail_shrinks_with_depth(self):
         rng = random.Random(79)
         rep = random_ramified_rep(rng, 2, 1, 1)
-        t1 = beta_truncated(rep, 3, TruncationCfg(depth=10)).tail_estimate
-        t2 = beta_truncated(rep, 3, TruncationCfg(depth=20)).tail_estimate
+        t1 = beta_truncated(rep, 3, 10).tail_estimate
+        t2 = beta_truncated(rep, 3, 20).tail_estimate
         assert 0 < t2 < t1
+
+    def test_depth_below_one_is_rejected(self):
+        rep = rep_with_su((1.0,), 2)
+        sigma = satake((1.0,), 9)
+        for call in (
+            lambda d: beta_truncated(rep, 3, d),
+            lambda d: beta_spherical_truncated(satake((1.0, 1.0), 9), 3, d),
+            lambda d: theta_truncated(satake((1.0, 1.0), 9), d),
+            lambda d: lambda_truncated(sigma, rep, d),
+        ):
+            for depth in (0, -1):
+                with pytest.raises(ValueError, match="depth must be >= 1"):
+                    call(depth)
 
     def test_ratio_spread_basics(self):
         assert ratio_spread([]) == 0.0
@@ -253,12 +257,11 @@ class TestTails:
         assert ratio_spread([1.0, 2.0]) > 0.3
 
 
-def full_box_torus_sum(rank, head, trunc, q, term):
+def full_box_torus_sum(rank, head, depth, q, term):
     """Reference summer: every weakly decreasing tuple in [-depth, depth]^rank,
     ignoring the support head, with the shell taken by largest |f_i|."""
     total = 0.0
     shell = 0.0
-    depth = trunc.depth
     for f in weakly_decreasing_tuples(rank, -depth, depth):
         t = term(f)
         if t == 0:
@@ -288,17 +291,16 @@ class TestSupportSummation:
         cases = []
         for n in (1, 2, 3):
             for depth in (1, 3, 8):
-                trunc = TruncationCfg(depth=depth)
                 q_f = rng.choice([3, 5])
                 q_e = q_f**2
                 sigma_n = satake(unit_circle(rng, n), q_e)
                 sigma_up = satake(unit_circle(rng, n + 1), q_e)
-                cases.append((theta_truncated, (sigma_up, trunc)))
-                cases.append((beta_spherical_truncated, (sigma_up, q_f, trunc)))
+                cases.append((theta_truncated, (sigma_up, depth)))
+                cases.append((beta_spherical_truncated, (sigma_up, q_f, depth)))
                 for rep in newform_reps(rng, n):
-                    cases.append((lambda_truncated, (sigma_n, rep, trunc)))
+                    cases.append((lambda_truncated, (sigma_n, rep, depth)))
                     if rep.is_ramified():
-                        cases.append((beta_truncated, (rep, q_f, trunc)))
+                        cases.append((beta_truncated, (rep, q_f, depth)))
         got = [fn(*args) for fn, args in cases]
         monkeypatch.setattr(periods, "_torus_sum", full_box_torus_sum)
         want = [fn(*args) for fn, args in cases]
@@ -339,7 +341,7 @@ class TestSupportSummation:
                 for depth in (1, 4, 9):
                     built.clear()
                     calls[0] = 0
-                    lambda_truncated(sigma, rep, TruncationCfg(depth=depth))
+                    lambda_truncated(sigma, rep, depth)
                     assert calls[0] == math.comb(depth + r, r), (n, r, depth)
                     assert len(built) == 2
                     assert set(built) == {tuple(sigma_u.params), tuple(sigma.params)}

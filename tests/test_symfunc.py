@@ -15,6 +15,7 @@ from helpers import (
     recursive_weakly_decreasing,
     ssyt_schur,
 )
+from localperiods import symfunc
 from localperiods.symfunc import (
     COINCIDENCE_SPREAD,
     DivergenceError,
@@ -227,6 +228,21 @@ class TestSchurTable:
     def test_nearly_coincident_arguments_take_jacobi_trudi(self):
         xs = (0.5, 0.5 + COINCIDENCE_SPREAD / 2)
         assert bits(_schur_table(xs, 4)((3, 1))) == bits(schur_jacobi_trudi((3, 1), xs))
+
+    def test_nearly_coincident_arguments_build_h_once(self, monkeypatch):
+        built = []
+        complete_homogeneous = symfunc.complete_homogeneous
+
+        def counting(max_degree, xs):
+            built.append(max_degree)
+            return complete_homogeneous(max_degree, xs)
+
+        monkeypatch.setattr(symfunc, "complete_homogeneous", counting)
+        xs = (0.3 - 0.4j, 0.3 - 0.4j + 1e-13, 0.2)
+        value = _schur_table(xs, 8)
+        for lam in partitions_in_box(3, 8):
+            value(lam)
+        assert built == [8 + 3]
 
 
 class TestDeltaWeight:
