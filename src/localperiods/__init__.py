@@ -28,7 +28,6 @@ from .lfactors import (
 )
 from .numerics import (
     QuadExt,
-    Rat,
     padic_valuation,
     qe_valuation,
     validate_field_context,
@@ -72,7 +71,6 @@ __all__ = [
     "PoleError",
     "QuadExt",
     "RamCusp",
-    "Rat",
     "SatakeSet",
     "Segment",
     "UnramChar",

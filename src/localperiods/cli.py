@@ -361,18 +361,19 @@ def run_matrix_identities(cfg: RunConfig, rng: random.Random) -> list[Verificati
         n = rng.randint(1, 2)
         c = rng.randint(0, 2)
         x = random_anti_hermitian(rng, n, c, p, u)
-        one = EMat.identity(n + 1, u)
-        if (one - x).det().is_zero():
+        try:
+            g = cayley(x, QuadExt.of(1, u))
+        except ZeroDivisionError:
             continue
-        j = herm_form_j(n, c, p, u)
-        g = cayley(x, QuadExt.of(1, u))
-        ok = in_group_u(g, j)
+        ok = in_group_u(g, herm_form_j(n, c, p, u))
         h = random_integral_emat(rng, n + 1, u, span=2)
-        if not h.det().is_zero():
+        try:
             h_inv = h.inv()
-            hxh = h @ x @ h_inv
-            if not (one - hxh).det().is_zero():
-                ok = ok and cayley(hxh, QuadExt.of(1, u)) == h @ g @ h_inv
+        except ZeroDivisionError:
+            pass
+        else:
+            # det(1 - h x h^-1) = det(1 - x) != 0, so this Cayley transform exists
+            ok = ok and cayley(h @ x @ h_inv, QuadExt.of(1, u)) == h @ g @ h_inv
         record("cayley-unitarity-equivariance", done, ok, {"n": n, "c": c})
         done += 1
 
@@ -443,6 +444,15 @@ SUITES: dict[str, Callable[[RunConfig, random.Random], list[VerificationReport]]
     "main-theorem": run_main_theorem,
     "fl-rank1": run_fl_rank1,
     "matrix-identities": run_matrix_identities,
+}
+
+#: the RunConfig fields each suite reads besides seed and json_path; volumes
+#: reads q_f, n and c only for the c1 and C lines that cmd_verify prints
+_SUITE_OPTIONS: dict[str, tuple[str, ...]] = {
+    "macdonald": (), "c1": (), "asai-cancel": ("q_f",),
+    "beta": ("q_f", "depth"), "theta": ("q_f", "depth"), "lambda": ("q_f", "depth"),
+    "volumes": ("q_f", "n", "c"), "main-theorem": ("q_f", "n", "c", "depth"),
+    "fl-rank1": ("p", "u", "c", "vmax"), "matrix-identities": ("p", "u"),
 }
 
 
@@ -648,17 +658,25 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         "segments_file": str, "json_path": str,
     }
     aliases = {"qf": "q_f", "json": "json_path"}
+    # verify parses every suite's options, and rejects those its suites ignore
+    reads, reader = set(converters), repr(args.command)
+    if args.command == "verify":
+        names = SUITES if args.suite == "all" else [args.suite]
+        reads = {"seed", "json_path"}.union(*(_SUITE_OPTIONS[name] for name in names))
+        reader = f"'verify {args.suite}'"
     for key, raw in file_values.items():
         name = aliases.get(key, key)
         if name not in converters:
             raise UsageError(f"unknown config key {key!r}")
         # the subcommand's parser sets an attribute for each option it reads
-        if not hasattr(args, name):
-            raise UsageError(f"config key {key!r} is not read by {args.command!r}")
+        if not hasattr(args, name) or name not in reads:
+            raise UsageError(f"config key {key!r} is not read by {reader}")
         setattr(cfg, name, converters[name](raw))
     for key, conv in converters.items():
         val = getattr(args, key, None)
         if val is not None:
+            if key not in reads:
+                raise UsageError(f"--{'qf' if key == 'q_f' else key} is not read by {reader}")
             setattr(cfg, key, conv(val) if isinstance(val, str) else val)
     if getattr(args, "asai", None) is not None:
         cfg.asai = args.asai

@@ -116,18 +116,6 @@ class EMat:
             out.append(row)
         return EMat(out, self.u)
 
-    def __pow__(self, k: int) -> "EMat":
-        if not self.is_square() or k < 0:
-            raise ValueError("nonnegative power of a square matrix")
-        out = EMat.identity(self.nrows, self.u)
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            base = base @ base
-            k >>= 1
-        return out
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EMat):
             return NotImplemented
@@ -224,29 +212,6 @@ class EMat:
     def is_integral(self, p: int) -> bool:
         return all(qe_valuation(a, p) >= 0 for row in self.rows for a in row)
 
-    # -- JSON -------------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "u": self.u,
-            "entries": [
-                [
-                    [a.a.numerator, a.a.denominator, a.b.numerator, a.b.denominator]
-                    for a in row
-                ]
-                for row in self.rows
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "EMat":
-        u = int(data["u"])
-        rows = [
-            [QuadExt(Fraction(an, ad), Fraction(bn, bd), u) for an, ad, bn, bd in row]
-            for row in data["entries"]
-        ]
-        return cls(rows, u)
-
 
 def herm_form_j(n: int, c: int, p: int, u: int) -> EMat:
     """The diagonal hermitian matrix with n ones and a last slot of depth c."""
@@ -337,8 +302,8 @@ def cayley_inv(g: EMat, xi: QuadExt) -> EMat:
 
 
 def norm_one_units(u: int, height: int = 3):
-    """Small-height norm-one elements z/conj(z), 1 first; used as fallback
-    Cayley parameters."""
+    """Small-height norm-one elements z/conj(z), 1 first; the Cayley
+    parameters xi that the cayley-lattice-stability checks draw from."""
     seen = set()
     out = [QuadExt.of(1, u)]
     seen.add((Fraction(1), Fraction(0)))
@@ -359,22 +324,22 @@ def norm_one_units(u: int, height: int = 3):
 # transfer factor, regularity, matching
 
 
-def _last_row_stack(x: EMat) -> EMat:
-    """Rows e* x^i for i = 0..n, where e* is the last coordinate row."""
-    m = x.nrows
-    row = EMat([[1 if j == m - 1 else 0 for j in range(m)]], x.u)
-    rows = []
-    for _ in range(m):
-        rows.append(row.rows[0])
-        row = row @ x
-    return EMat(rows, x.u)
+def _krylov(a: EMat, v: EMat, k: int) -> EMat:
+    """The matrix with columns v, a v, ..., a^(k-1) v for a column v.  A row
+    stack w, w a, ... is its transpose _krylov(a^t, w^t, k), with the same
+    determinant."""
+    cols = [v]
+    for _ in range(k - 1):
+        cols.append(a @ cols[-1])
+    return EMat([[col.rows[i][0] for col in cols] for i in range(v.nrows)], a.u)
 
 
 def transfer_factor(y: EMat, p: int) -> int:
-    """Sign (-1)^v(det of the last-row Krylov stack); raises on non-regular
-    input where the determinant vanishes.  The same formula serves the Lie
-    and group variants."""
-    d = _last_row_stack(y).det()
+    """Sign (-1)^v(det of the last-row Krylov stack e*, e* y, ...); raises on
+    non-regular input where the determinant vanishes.  The same formula
+    serves the Lie and group variants."""
+    m = y.nrows
+    d = _krylov(y.transpose(), EMat.identity(m, y.u).block(0, m, m - 1, m), m).det()
     if d.is_zero():
         raise NonRegularError("Krylov stack is singular; element not regular")
     v = qe_valuation(d, p)
@@ -398,19 +363,9 @@ def is_regular_semisimple(x: EMat) -> bool:
     column and the row Krylov family of the bottom row both span."""
     a, b, z, _ = _blocks(x)
     n = a.nrows
-    cols = []
-    v = b
-    for _ in range(n):
-        cols.append([v.entry(i, 0) for i in range(n)])
-        v = a @ v
-    if EMat(list(zip(*cols)), x.u).det().is_zero():
+    if _krylov(a, b, n).det().is_zero():
         return False
-    rows = []
-    w = z
-    for _ in range(n):
-        rows.append(list(w.rows[0]))
-        w = w @ a
-    return not EMat(rows, x.u).det().is_zero()
+    return not _krylov(a.transpose(), z.transpose(), n).det().is_zero()
 
 
 def matching_invariants(
@@ -422,13 +377,7 @@ def matching_invariants(
     polynomial and moments alone do not separate orbits already in the
     2 x 2 case."""
     a, b, z, w = _blocks(x)
-    n = a.nrows
-    moments = []
-    v = b
-    for _ in range(n):
-        moments.append((z @ v).entry(0, 0))
-        v = a @ v
-    return x.charpoly(), tuple(moments), w
+    return x.charpoly(), (z @ _krylov(a, b, a.nrows)).rows[0], w
 
 
 def iota_c(x: EMat, c: int, p: int) -> EMat:
@@ -452,20 +401,10 @@ def det_stack_identity_check(x: EMat) -> bool:
     """Exact comparison of det((x^i e)_{0<=i<=m}) with (-1)^m det((a^i b)_{0<=i<m})
     for the block decomposition with corner column e."""
     m = x.nrows - 1
-    e = EMat([[0] for _ in range(m)] + [[1]], x.u)
-    cols = []
-    v = e
-    for _ in range(m + 1):
-        cols.append([v.entry(i, 0) for i in range(m + 1)])
-        v = x @ v
-    lhs = EMat(list(zip(*cols)), x.u).det()
+    e = EMat.identity(m + 1, x.u).block(0, m + 1, m, m + 1)
+    lhs = _krylov(x, e, m + 1).det()
     a, b, _, _ = _blocks(x)
-    bcols = []
-    w = b
-    for _ in range(m):
-        bcols.append([w.entry(i, 0) for i in range(m)])
-        w = a @ w
-    rhs = EMat(list(zip(*bcols)), x.u).det()
+    rhs = _krylov(a, b, m).det()
     if m % 2:
         rhs = -rhs
     return lhs == rhs

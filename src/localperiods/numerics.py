@@ -5,6 +5,8 @@ from report.TOLERANCES.
 Exactness-critical computations (volumes, orbital integrals, matrix
 identities) stay entirely inside :class:`fractions.Fraction` and
 :class:`QuadExt`; complex floats only enter through Satake parameters.
+The :class:`QuadExt` constructor takes ``Fraction`` parts and only checks
+them; :meth:`QuadExt.of` converts an int or a Fraction.
 """
 
 from __future__ import annotations
@@ -14,11 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-Rat = Fraction
-
 RatLike = Union[int, Fraction]
-
-INFINITY = math.inf
 
 
 def is_prime(n: int) -> bool:
@@ -58,7 +56,7 @@ def padic_valuation(x: RatLike, p: int) -> float:
         raise ValueError(f"p must be prime, got {p}")
     x = Fraction(x)
     if x == 0:
-        return INFINITY
+        return math.inf
     v = 0
     num, den = x.numerator, x.denominator
     while num % p == 0:
@@ -112,7 +110,8 @@ class QuadExt:
 
     u is a fixed squarefree-ish integer shared by all operands of an
     expression (mixing contexts raises).  Galois conjugation flips the
-    sign of b; norm and trace land back in Q.
+    sign of b; norm and trace land back in Q.  The constructor only checks
+    that a and b are ``Fraction``s; ``QuadExt.of`` converts an int.
     """
 
     a: Fraction
@@ -120,8 +119,9 @@ class QuadExt:
     u: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        # an int part would turn the division in __truediv__ into a float one
+        if not (isinstance(self.a, Fraction) and isinstance(self.b, Fraction)):
+            raise TypeError("QuadExt parts must be Fractions; use QuadExt.of")
         if not isinstance(self.u, int):
             raise TypeError("u must be an int")
 
@@ -137,27 +137,24 @@ class QuadExt:
     def sqrt_u(cls, u: int) -> "QuadExt":
         return cls(Fraction(0), Fraction(1), u)
 
-    def _coerce(self, other: "QuadExt | RatLike") -> "QuadExt":
-        return QuadExt.of(other, self.u)
-
     def __add__(self, other: "QuadExt | RatLike") -> "QuadExt":
-        o = self._coerce(other)
+        o = QuadExt.of(other, self.u)
         return QuadExt(self.a + o.a, self.b + o.b, self.u)
 
     __radd__ = __add__
 
     def __sub__(self, other: "QuadExt | RatLike") -> "QuadExt":
-        o = self._coerce(other)
+        o = QuadExt.of(other, self.u)
         return QuadExt(self.a - o.a, self.b - o.b, self.u)
 
     def __rsub__(self, other: "QuadExt | RatLike") -> "QuadExt":
-        return self._coerce(other) - self
+        return QuadExt.of(other, self.u) - self
 
     def __neg__(self) -> "QuadExt":
         return QuadExt(-self.a, -self.b, self.u)
 
     def __mul__(self, other: "QuadExt | RatLike") -> "QuadExt":
-        o = self._coerce(other)
+        o = QuadExt.of(other, self.u)
         return QuadExt(
             self.a * o.a + self.u * self.b * o.b,
             self.a * o.b + self.b * o.a,
@@ -167,14 +164,14 @@ class QuadExt:
     __rmul__ = __mul__
 
     def __truediv__(self, other: "QuadExt | RatLike") -> "QuadExt":
-        o = self._coerce(other)
+        o = QuadExt.of(other, self.u)
         n = o.norm()
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(u))")
         return self * QuadExt(o.a / n, -o.b / n, self.u)
 
     def __rtruediv__(self, other: "QuadExt | RatLike") -> "QuadExt":
-        return self._coerce(other) / self
+        return QuadExt.of(other, self.u) / self
 
     def __pow__(self, k: int) -> "QuadExt":
         if k < 0:

@@ -246,6 +246,51 @@ def test_unread_config_keys_exit_2(name, capsys, tmp_path):
     assert err.startswith(f"usage error: config key {key!r} is not read by")
 
 
+#: verify parses every suite's options, but a suite that ignores one rejects
+#: it: name -> (argv, the option named in the error)
+SUITE_UNREAD = {
+    "torus-p": (["verify", "lambda", "--p", "5"], "--p"),
+    "main-theorem-vmax": (["verify", "main-theorem", "--vmax", "2"], "--vmax"),
+    "asai-cancel-depth": (["verify", "asai-cancel", "--depth", "5"], "--depth"),
+    "volumes-vmax": (["verify", "volumes", "--vmax", "9"], "--vmax"),
+    "c1-depth": (["verify", "c1", "--depth", "3"], "--depth"),
+    "macdonald-p": (["verify", "macdonald", "--p", "5"], "--p"),
+    "fl-rank1-qf": (["verify", "fl-rank1", "--qf", "5"], "--qf"),
+    "matrix-identities-c": (["verify", "matrix-identities", "--c", "1"], "--c"),
+    "c1-depth-key": (["verify", "c1", "--config", "{cfg}"], "config key 'depth'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_UNREAD))
+def test_options_the_suite_ignores_exit_2(name, capsys, tmp_path):
+    argv, what = SUITE_UNREAD[name]
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out.json"
+    cfg.write_text("depth = 3\n")
+    code, stdout, err = run(capsys, *(a.format(cfg=cfg) for a in argv), "--json", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == f"usage error: {what} is not read by 'verify {argv[1]}'\n"
+    assert not out.exists()
+
+
+def test_every_suite_lists_its_options():
+    assert set(cli._SUITE_OPTIONS) == set(cli.SUITES)
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["volumes", "--qf", "3", "--n", "1", "--c", "1", "--seed", "7"],
+     {"q_f": 3, "n": 1, "c": 1, "seed": 7}),
+    (["all", "--depth", "5", "--vmax", "2", "--p", "5", "--u", "2"],
+     {"depth": 5, "vmax": 2, "p": 5, "u": 2}),
+])
+def test_options_a_suite_reads_are_accepted(argv, want, capsys, monkeypatch):
+    seen = []
+    for name in cli.SUITES:
+        monkeypatch.setitem(cli.SUITES, name, lambda cfg, rng: seen.append(cfg) or [])
+    code, _, err = run(capsys, "verify", *argv)
+    assert (code, err) == (0, "")
+    assert seen and all(getattr(cfg, k) == v for cfg in seen for k, v in want.items())
+
+
 @pytest.mark.parametrize("flag", ["--tol-rel", "--tol-abs"])
 def test_removed_tolerance_flags_exit_2(capsys, flag):
     with pytest.raises(SystemExit) as exc:

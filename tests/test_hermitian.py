@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 
@@ -69,12 +68,6 @@ class TestEMatBasics:
                 for k, c in enumerate(coeffs):
                     val = val + c * qe(t) ** (n - k)
                 assert val == tmat.det()
-
-    def test_json_round_trip(self):
-        rng = random.Random(4)
-        m = random_integral_emat(rng, 3, U)
-        blob = json.dumps(m.to_json())
-        assert EMat.from_json(json.loads(blob)) == m
 
     def test_immutability(self):
         m = EMat.identity(2, U)

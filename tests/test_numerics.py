@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from localperiods.hermitian import EMat
 from localperiods.numerics import (
     QuadExt,
     fraction_sqrt,
@@ -103,6 +104,23 @@ class TestQuadExtRing:
     def test_context_mismatch(self):
         with pytest.raises(ValueError):
             qe(1, 1, 2) + qe(1, 1, 3)
+
+    @pytest.mark.parametrize("a, b", [(1, 0), (Fraction(1), 0.5), (Fraction(1), 0)])
+    def test_constructor_rejects_non_fraction_parts(self, a, b):
+        # an int part would make __truediv__ divide in floating point
+        with pytest.raises(TypeError):
+            QuadExt(a, b, -1)
+
+    def test_of_and_arithmetic_give_fraction_parts(self):
+        for x in (
+            QuadExt.of(2, -1),
+            EMat([[1, 0], [0, 1]], -1).entry(0, 0),
+            QuadExt.of(1, -1) / 3,
+            3 / QuadExt.of(2, -1),
+            QuadExt.of(1, -1) - 1,
+        ):
+            assert type(x.a) is Fraction and type(x.b) is Fraction
+        assert QuadExt.of(1, -1) / 3 == qe(Fraction(1, 3), 0)
 
 
 class TestRationalExactness:
