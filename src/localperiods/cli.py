@@ -55,6 +55,7 @@ from .lfactors import (
 )
 from .numerics import (
     QuadExt,
+    ensure_finite,
     is_prime,
     is_prime_power,
     qe_valuation,
@@ -67,7 +68,6 @@ from .periods import (
     check_theta,
     lambda_truncated,
     ratio_spread,
-    theta_truncated,
 )
 from .report import (
     STATUS_FAIL,
@@ -230,10 +230,8 @@ def run_theta(cfg: RunConfig, rng: random.Random) -> list[VerificationReport]:
         ratios = []
         for k in range(5):
             sigma = SatakeSet(unit_circle(rng, k_rank), cfg.q_e)
-            ratios.append(
-                theta_truncated(sigma, cfg.depth).value / pair_dual_lfactor(sigma).value(1)
-            )
             reports.append(check_theta(sigma, cfg.depth))
+            ratios.append(reports[-1].lhs / pair_dual_lfactor(sigma).value(1))
         reports.extend(_ratio_pair("theta", {"k": k_rank}, ratios, vol_gl(k_rank - 1, cfg.q_e)))
     return reports
 
@@ -241,8 +239,6 @@ def run_theta(cfg: RunConfig, rng: random.Random) -> list[VerificationReport]:
 def run_lambda(cfg: RunConfig, rng: random.Random) -> list[VerificationReport]:
     reports = []
     for n in (1, 2):
-        if cfg.q_f <= n:
-            continue
         for k in range(5):
             r = rng.randint(0, n)
             rep = random_ramified_rep(rng, n + 1, r, rng.randint(1, 3))
@@ -313,8 +309,6 @@ def run_asai_cancel(cfg: RunConfig, rng: random.Random) -> list[VerificationRepo
 
 
 def run_main_theorem(cfg: RunConfig, rng: random.Random) -> list[VerificationReport]:
-    if cfg.c is not None and cfg.c < 1:
-        raise UsageError("main-theorem checks require c >= 1")
     reports = []
     for k in range(20):
         n = cfg.n if cfg.n is not None else rng.randint(1, 3)
@@ -488,11 +482,12 @@ def compute_lfactor(cfg: RunConfig) -> str:
 def compute_whittaker(cfg: RunConfig, weight: list[int]) -> str:
     if cfg.segments_file:
         rep = load_rep(cfg)
-        val = essential_value(rep, tuple(weight), cfg.q_e)
+        val = ensure_finite(essential_value(rep, tuple(weight), cfg.q_e))
         return f"W_ess({weight}) = {fmt_value(val)}"
     if not cfg.satake:
         raise UsageError("--satake is required")
-    val = spherical_value(tuple(cfg.satake), tuple(weight), cfg.q_e)
+    sigma = SatakeSet(tuple(cfg.satake), cfg.q_e)
+    val = ensure_finite(spherical_value(sigma.params, tuple(weight), cfg.q_e))
     return f"W0({weight}) = {fmt_value(val)}"
 
 
@@ -560,8 +555,6 @@ def _emit(reports: list[VerificationReport], json_path: str | None) -> int:
 def cmd_verify(cfg: RunConfig, suite: str) -> int:
     cfg.validate()
     names = list(SUITES) if suite == "all" else [suite]
-    if suite not in SUITES and suite != "all":
-        raise UsageError(f"unknown suite {suite!r}")
     if "main-theorem" in names and cfg.c is not None and cfg.c < 1:
         raise UsageError("main-theorem checks require c >= 1")
     reports: list[VerificationReport] = []
@@ -711,7 +704,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ParityError, PoleError, ValueError) as exc:
+    except (ParityError, PoleError, OverflowError, ValueError) as exc:
         print(f"rejected input: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -60,23 +60,9 @@ class LocalLFactor:
             out /= term
         return ensure_finite(out)
 
-    def degree(self) -> int:
-        return sum(d for _, d in self.factors)
-
-    def __mul__(self, other: "LocalLFactor") -> "LocalLFactor":
-        if self.base != other.base:
-            raise ValueError("cannot merge factors over different bases")
-        return LocalLFactor(self.base, self.factors + other.factors)
-
-    def conj(self) -> "LocalLFactor":
-        return LocalLFactor(self.base, tuple((g.conjugate(), d) for g, d in self.factors))
-
     def to_json(self) -> dict[str, Any]:
         return {"base": self.base, "factors": [[g.real, g.imag, d] for g, d in self.factors]}
 
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "LocalLFactor":
-        return cls(int(data["base"]), tuple((complex(re, im), int(d)) for re, im, d in data["factors"]))
 
 
 def rs_lfactor(sigma: SatakeSet, tau: SatakeSet) -> LocalLFactor:

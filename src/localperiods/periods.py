@@ -5,19 +5,21 @@ tail control, together with their closed forms and comparison checks.
 All three share one summation convention: an integral over the unipotent
 quotient of GL_m of a right-lattice-invariant function equals the lattice
 volume times the sum over diagonal exponent tuples of the integrand
-weighted by the inverse modular character.  Sums run over the support of
-the integrand only: weakly decreasing tuples f_1 >= ... >= f_head >= 0
-padded with zeros, where head is the unramified-part rank r for integrands
-with a newform-line (essential) factor and the full torus rank for purely
+weighted by the inverse modular character.  _torus_sum alone applies it:
+each truncated period passes only its integrand, which carries neither the
+weight nor the volume.  Sums run over the support of the integrand only:
+weakly decreasing tuples f_1 >= ... >= f_head >= 0 padded with zeros,
+where head is the unramified-part rank r for integrands with a
+newform-line (essential) factor and the full torus rank for purely
 spherical ones.  Off that support the integrands vanish identically by the
 torus-value support conditions, so a sum at depth d has exactly
 C(d + head, head) terms.
 
 Each sum builds its Whittaker evaluators (_spherical_on_torus,
-_essential_on_torus) and its inverse-modular-weight table once, so the
-Schur powers, the Vandermonde and each modular weight are computed once
-per sum rather than once per term; the values are bit-identical to the
-per-call spherical_value and delta_weight.
+_essential_on_torus) and _torus_sum its inverse-modular-weight table once,
+so the Schur powers, the Vandermonde and each modular weight are computed
+once per sum rather than once per term; the values are bit-identical to
+the per-call spherical_value and delta_weight.
 """
 
 from __future__ import annotations
@@ -43,33 +45,37 @@ def _torus_sum(
     head: int,
     depth: int,
     q: int,
-    term: Callable[[tuple[int, ...]], complex],
+    integrand: Callable[[tuple[int, ...]], complex],
 ) -> TruncResult:
-    """Sum `term` over the rank-length tuples whose first `head` entries are
-    weakly decreasing in [0, depth] and whose other entries are zero, in
-    descending lexicographic order.  The tail estimate is the outermost
-    shell's (f_1 = depth) total magnitude amplified by a geometric factor."""
+    """The torus integral vol(GL_rank(O)) * sum_f integrand(f) / delta(f),
+    truncated at depth, with the modular character and the lattice volume
+    both taken at residue size q.  This is the only place that applies the
+    convention: an integrand carries neither 1/delta nor the volume.
+
+    f runs over the rank-length tuples whose first `head` entries are weakly
+    decreasing in [0, depth] and whose other entries are zero, in descending
+    lexicographic order.  A zero integrand value is skipped before weighting;
+    1/delta(f) >= 1 on that support, so no nonzero value weights to zero.
+    The tail estimate is the outermost shell's (f_1 = depth) total weighted
+    magnitude amplified by a geometric factor, scaled by the same volume."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    delta_inv = _per_modular_exponent(lambda f: float(1 / delta_weight(f, q)))
     total: complex = 0.0
     shell = 0.0
     zeros = (0,) * (rank - head)
     for lam in partitions_in_box(head, depth):
         f = lam + zeros
-        t = term(f)
-        if t == 0:
+        w = integrand(f)
+        if w == 0:
             continue
+        t = w * delta_inv(f)
         total += t
         if f and f[0] == depth:
             shell += abs(t)
+    vol = float(vol_gl(rank, q))
     geo = 1.0 / (1.0 - float(q) ** -0.5)
-    return TruncResult(total, shell * geo)
-
-
-def _delta_inv_table(q: int) -> Callable[[tuple[int, ...]], float]:
-    """The inverse modular weight 1/delta(f) at fixed q as a float,
-    computed once per distinct modular exponent."""
-    return _per_modular_exponent(lambda f: float(1 / delta_weight(f, q)))
+    return TruncResult(vol * total, vol * (shell * geo))
 
 
 def beta_truncated(rep: GenericRep, q_f: int, depth: int) -> TruncResult:
@@ -78,21 +84,10 @@ def beta_truncated(rep: GenericRep, q_f: int, depth: int) -> TruncResult:
     GL_n up to the truncation depth."""
     if not rep.is_ramified():
         raise ValueError("representation is unramified; use beta_spherical_truncated")
-    q_e = q_f**2
     n = rep.rank - 1
     sign = -1 if n % 2 else 1
-    r, newform = _essential_on_torus(rep, q_e, depth)
-    delta_inv = _delta_inv_table(q_f)
-
-    def term(f: tuple[int, ...]) -> complex:
-        w = newform(f)
-        if w == 0:
-            return 0.0
-        return w * delta_inv(f) * sign ** (sum(f) % 2)
-
-    res = _torus_sum(n, r, depth, q_f, term)
-    vol = float(vol_gl(n, q_f))
-    return TruncResult(vol * res.value, vol * res.tail_estimate)
+    r, newform = _essential_on_torus(rep, q_f**2, depth)
+    return _torus_sum(n, r, depth, q_f, lambda f: newform(f) * sign ** (sum(f) % 2))
 
 
 def beta_closed(rep: GenericRep, q_f: int) -> complex:
@@ -114,17 +109,9 @@ def beta_spherical_truncated(sigma_n: SatakeSet, q_f: int, depth: int) -> TruncR
     n = len(sigma_n)
     sign = -1 if (n - 1) % 2 else 1
     spherical = _spherical_on_torus(sigma_n.params, sigma_n.base, depth)
-    delta_inv = _delta_inv_table(q_f)
-
-    def term(f: tuple[int, ...]) -> complex:
-        w = spherical(f + (0,))
-        if w == 0:
-            return 0.0
-        return w * delta_inv(f) * sign ** (sum(f) % 2)
-
-    res = _torus_sum(n - 1, n - 1, depth, q_f, term)
-    vol = float(vol_gl(n - 1, q_f))
-    return TruncResult(vol * res.value, vol * res.tail_estimate)
+    return _torus_sum(
+        n - 1, n - 1, depth, q_f, lambda f: spherical(f + (0,)) * sign ** (sum(f) % 2)
+    )
 
 
 def beta_spherical_closed(sigma_n: SatakeSet, q_f: int) -> complex:
@@ -142,19 +129,8 @@ def theta_truncated(sigma: SatakeSet, depth: int) -> TruncResult:
     """Norm of the normalized spherical vector of an unramified rank-k
     representation under the GL_{k-1} inner-product integral."""
     k = len(sigma)
-    q_e = sigma.base
-    spherical = _spherical_on_torus(sigma.params, q_e, depth)
-    delta_inv = _delta_inv_table(q_e)
-
-    def term(f: tuple[int, ...]) -> complex:
-        w = spherical(f + (0,))
-        if w == 0:
-            return 0.0
-        return abs(w) ** 2 * delta_inv(f)
-
-    res = _torus_sum(k - 1, k - 1, depth, q_e, term)
-    vol = float(vol_gl(k - 1, q_e))
-    return TruncResult(vol * res.value, vol * res.tail_estimate)
+    spherical = _spherical_on_torus(sigma.params, sigma.base, depth)
+    return _torus_sum(k - 1, k - 1, depth, sigma.base, lambda f: abs(spherical(f + (0,))) ** 2)
 
 
 def theta_closed(sigma: SatakeSet) -> complex:
@@ -183,20 +159,12 @@ def lambda_truncated(sigma_n: SatakeSet, rep: GenericRep, depth: int) -> TruncRe
             return gamma(f + (0,))
 
     spherical = _spherical_on_torus(sigma_n.params, q_e, depth)
-    delta_inv = _delta_inv_table(q_e)
 
-    def term(f: tuple[int, ...]) -> complex:
+    def integrand(f: tuple[int, ...]) -> complex:
         w1 = spherical(f)
-        if w1 == 0:
-            return 0.0
-        w2 = w_big(f)
-        if w2 == 0:
-            return 0.0
-        return w1 * w2 * delta_inv(f)
+        return w1 * w_big(f) if w1 != 0 else 0.0
 
-    res = _torus_sum(n, head, depth, q_e, term)
-    vol = float(vol_gl(n, q_e))
-    return TruncResult(vol * res.value, vol * res.tail_estimate)
+    return _torus_sum(n, head, depth, q_e, integrand)
 
 
 def lambda_closed(sigma_n: SatakeSet, rep: GenericRep) -> complex:

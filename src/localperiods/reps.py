@@ -37,12 +37,6 @@ class SatakeSet:
     def __iter__(self) -> Iterator[complex]:
         return iter(self.params)
 
-    def conj(self) -> "SatakeSet":
-        return SatakeSet(tuple(a.conjugate() for a in self.params), self.base)
-
-    def inverses(self) -> "SatakeSet":
-        return SatakeSet(tuple(1 / a for a in self.params), self.base)
-
 
 @dataclass(frozen=True)
 class UnramChar:

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -376,3 +377,49 @@ def test_bad_input_files_exit_2(name, capsys, tmp_path):
     code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+#: values that compute whittaker must reject: name -> (segments file or None, argv)
+WHITTAKER = ["compute", "whittaker", "--qf", "3"]
+BAD_VALUES = {
+    "overflowing-satake": (None, [*WHITTAKER, "--lambda", "2,0", "--satake", "1e200,1"]),
+    "nan-satake": (None, [*WHITTAKER, "--lambda", "1,0", "--satake", "nan,1"]),
+    "overflowing-alpha": (
+        {"segments": [{"type": "unram", "alpha": [1e200, 0], "k": 1},
+                      {"type": "unram", "alpha": [1.0, 0], "k": 1},
+                      {"type": "ram", "dim": 1, "cond": 1, "k": 1}]},
+        [*WHITTAKER, "--lambda", "3,0"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_VALUES))
+def test_whittaker_bad_values_exit_2(name, capsys, tmp_path):
+    rep, argv = BAD_VALUES[name]
+    if rep is not None:
+        seg = tmp_path / "rep.json"
+        seg.write_text(json.dumps(rep))
+        argv = [*argv, "--segments-file", str(seg)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("rejected input: ") and err.count("\n") == 1
+
+
+def test_run_theta_sums_each_draw_once(monkeypatch):
+    """run_theta takes each draw's ratio from its check's lhs, so the 10
+    draws evaluate 10 truncated sums, not 20."""
+    from localperiods import periods
+
+    calls = [0]
+    real = periods.theta_truncated
+
+    def counted(sigma, depth):
+        calls[0] += 1
+        return real(sigma, depth)
+
+    monkeypatch.setattr(periods, "theta_truncated", counted)
+    monkeypatch.setattr(cli, "theta_truncated", counted, raising=False)
+    cfg = cli.RunConfig(q_f=3, depth=5)
+    reports = cli.run_theta(cfg, random.Random(7))
+    assert calls[0] == 10
+    assert len(reports) == 14

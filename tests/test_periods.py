@@ -26,7 +26,7 @@ from localperiods.periods import (
 )
 from localperiods.report import STATUS_PASS, STATUS_SOFT
 from localperiods.reps import GenericRep, RamCusp, Segment, UnramChar
-from localperiods.symfunc import weakly_decreasing_tuples
+from localperiods.symfunc import delta_weight, weakly_decreasing_tuples
 from localperiods.volumes import vol_gl
 
 DEPTH = 40
@@ -257,20 +257,24 @@ class TestTails:
         assert ratio_spread([1.0, 2.0]) > 0.3
 
 
-def full_box_torus_sum(rank, head, depth, q, term):
+def full_box_torus_sum(rank, head, depth, q, integrand):
     """Reference summer: every weakly decreasing tuple in [-depth, depth]^rank,
-    ignoring the support head, with the shell taken by largest |f_i|."""
+    ignoring the support head, with the shell taken by largest |f_i|; each
+    nonzero integrand value is weighted by 1/delta_weight(f, q) per term, and
+    the sum and tail are scaled by vol_gl(rank, q)."""
     total = 0.0
     shell = 0.0
     for f in weakly_decreasing_tuples(rank, -depth, depth):
-        t = term(f)
-        if t == 0:
+        w = integrand(f)
+        if w == 0:
             continue
+        t = w * float(1 / delta_weight(f, q))
         total += t
         if f and max(abs(v) for v in f) == depth:
             shell += abs(t)
+    vol = float(vol_gl(rank, q))
     geo = 1.0 / (1.0 - float(q) ** -0.5)
-    return TruncResult(total, shell * geo)
+    return TruncResult(vol * total, vol * (shell * geo))
 
 
 def newform_reps(rng, n):

@@ -104,11 +104,6 @@ class TestSatakeSet:
         with pytest.raises(ValueError):
             SatakeSet((0.0, 1.0), 9)
 
-    def test_conj_and_inverses(self):
-        s = SatakeSet((1j, 2.0), 9)
-        assert s.conj().params == (-1j, 2.0)
-        assert s.inverses().params == (-1j, 0.5)
-
 
 class TestConjugateSelfdual:
     def test_rotation_pair(self):
