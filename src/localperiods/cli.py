@@ -449,6 +449,14 @@ _SUITE_OPTIONS: dict[str, tuple[str, ...]] = {
     "fl-rank1": ("p", "u", "c", "vmax"), "matrix-identities": ("p", "u"),
 }
 
+#: the options each compute target reads, by RunConfig field; weight is --lambda
+_PAIR_OPTIONS = ("q_f", "n", "c", "eps", "satake", "segments_file")
+_COMPUTE_OPTIONS: dict[str, tuple[str, ...]] = {
+    "lfactor": ("q_f", "satake", "satake2", "asai", "pair_dual", "s"),
+    "whittaker": ("q_f", "weight", "satake", "segments_file"),
+    "j-main": _PAIR_OPTIONS, "i-closed": _PAIR_OPTIONS,
+}
+
 
 # ---------------------------------------------------------------------------
 # compute targets
@@ -557,11 +565,16 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
     names = list(SUITES) if suite == "all" else [suite]
     if "main-theorem" in names and cfg.c is not None and cfg.c < 1:
         raise UsageError("main-theorem checks require c >= 1")
+    if suite == "volumes":
+        if (cfg.n is None) != (cfg.c is None):
+            raise UsageError("--n and --c go together")
+        if cfg.c is not None and cfg.c < 1:
+            raise UsageError("volume table requires c >= 1")
     reports: list[VerificationReport] = []
     for name in names:
         rng = random.Random(cfg.seed)
         reports.extend(SUITES[name](cfg, rng))
-    if suite in ("volumes", "all") and cfg.n is not None and cfg.c is not None and cfg.c >= 1:
+    if suite in ("volumes", "all") and cfg.n is not None and cfg.c is not None:
         left, _ = c1(cfg.n, cfg.c, cfg.q_f)
         print(f"c1 = {left}")
         print(f"C = {constant_c_main(cfg.n, cfg.c, cfg.q_f)}")
@@ -621,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--json", dest="json_path")
 
     p_compute = sub.add_parser("compute", help="evaluate a single quantity", allow_abbrev=False)
-    p_compute.add_argument("target", choices=["lfactor", "whittaker", "j-main", "i-closed"])
+    p_compute.add_argument("target", choices=list(_COMPUTE_OPTIONS))
     p_compute.add_argument("--asai", choices=["+", "-"])
     p_compute.add_argument("--pair-dual", action="store_true", dest="pair_dual")
     p_compute.add_argument("--lambda", dest="weight", type=str, help="comma-separated exponents")
@@ -651,12 +664,15 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         "segments_file": str, "json_path": str,
     }
     aliases = {"qf": "q_f", "json": "json_path"}
-    # verify parses every suite's options, and rejects those its suites ignore
+    # verify and compute parse the options of every suite or target, and
+    # reject those that the chosen ones ignore
     reads, reader = set(converters), repr(args.command)
     if args.command == "verify":
         names = SUITES if args.suite == "all" else [args.suite]
         reads = {"seed", "json_path"}.union(*(_SUITE_OPTIONS[name] for name in names))
         reader = f"'verify {args.suite}'"
+    elif args.command == "compute":
+        reads, reader = set(_COMPUTE_OPTIONS[args.target]), f"'compute {args.target}'"
     for key, raw in file_values.items():
         name = aliases.get(key, key)
         if name not in converters:
@@ -665,16 +681,18 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         if not hasattr(args, name) or name not in reads:
             raise UsageError(f"config key {key!r} is not read by {reader}")
         setattr(cfg, name, converters[name](raw))
-    for key, conv in converters.items():
+    flags = {"q_f": "qf", "weight": "lambda"}
+    for key in [*converters, "weight", "asai", "pair_dual"]:
         val = getattr(args, key, None)
-        if val is not None:
-            if key not in reads:
-                raise UsageError(f"--{'qf' if key == 'q_f' else key} is not read by {reader}")
-            setattr(cfg, key, conv(val) if isinstance(val, str) else val)
-    if getattr(args, "asai", None) is not None:
-        cfg.asai = args.asai
-    if getattr(args, "pair_dual", False):
-        cfg.pair_dual = True
+        if val is None or val is False:
+            continue
+        if key not in reads:
+            flag = flags.get(key, key.replace("_", "-"))
+            raise UsageError(f"--{flag} is not read by {reader}")
+        if key in converters and isinstance(val, str):
+            val = converters[key](val)
+        if key != "weight":  # compute whittaker reads --lambda from args
+            setattr(cfg, key, val)
     return cfg
 
 

@@ -11,7 +11,12 @@ Torus sums and the Macdonald series evaluate many weights at the same
 arguments, so _schur_table computes the powers, product and Vandermonde
 of the arguments (or their complete homogeneous values) once per sum and
 returns schur's values bit for bit; 2x2 and 3x3 determinants take
-unrolled copies of the elimination loop with the same operations.
+unrolled copies of the elimination loop with the same operations, and at
+2 and 3 distinct arguments the table indexes the power rows itself and
+calls those copies directly, one call per weight.  The modular exponent
+of a weight is a dot product with _modular_coefficients, which a sum at
+fixed rank builds once, so the torus evaluators key their weight caches
+by that exponent inline.
 """
 
 from __future__ import annotations
@@ -285,6 +290,9 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int
     nearly coincident arguments, the complete homogeneous values h_k for
     k <= max_part + len(xs), are computed once here, with the operations
     schur performs per call, so every value is bit-identical to schur's.
+    At 2 and 3 distinct arguments the returned function picks the power
+    rows of a weight by index and calls _det2 or _det3 directly, skipping
+    _det's size dispatch; other sizes build the rows through itemgetter.
     Weights with a part outside [0, max_part] go to schur itself.  The
     weight must be weakly decreasing; schur's check of that is not
     repeated here.
@@ -326,31 +334,40 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int
         # schur's central factor 1.0 stays: it can change the sign of a zero
         return 1.0 * (_det(list(map(row_at, powers))) / den)
 
-    return value
+    if coincident or m not in (2, 3):
+        return value
+    # The same row tuples as row_at's, picked by index and passed straight
+    # to _det2 or _det3; value keeps the weights that go to schur and the
+    # constant ones.
+    if m == 2:
+        x0, x1 = powers
+
+        def value2(parts: Sequence[int]) -> complex:
+            if len(parts) != 2 or parts[-1] < 0 or parts[0] > max_part or parts[0] == parts[-1]:
+                return value(parts)
+            a, b = parts
+            a += 1
+            return 1.0 * (_det2((x0[a], x0[b]), (x1[a], x1[b])) / den)
+
+        return value2
+    x0, x1, x2 = powers
+
+    def value3(parts: Sequence[int]) -> complex:
+        if len(parts) != 3 or parts[-1] < 0 or parts[0] > max_part or parts[0] == parts[-1]:
+            return value(parts)
+        a, b, c = parts
+        a, b = a + 2, b + 1
+        rows = (x0[a], x0[b], x0[c]), (x1[a], x1[b], x1[c]), (x2[a], x2[b], x2[c])
+        return 1.0 * (_det3(*rows) / den)
+
+    return value3
 
 
-def _modular_exponent(parts: Sequence[int]) -> int:
-    """The exponent e with delta(diag(pi^parts)) = q^e."""
-    m = len(parts)
-    # the coefficient of lambda_i is m + 1 - 2i, for i = 1..m
-    return -sum(map(mul, parts, range(m - 1, -m, -2)))
-
-
-def _per_modular_exponent(
-    weight: Callable[[Sequence[int]], float]
-) -> Callable[[Sequence[int]], float]:
-    """`weight`, a function of a weight tuple through its modular exponent
-    only (such as a float of delta_weight), evaluated once per exponent."""
-    values: dict[int, float] = {}
-
-    def cached(parts: Sequence[int]) -> float:
-        e = _modular_exponent(parts)
-        w = values.get(e)
-        if w is None:
-            w = values[e] = weight(parts)
-        return w
-
-    return cached
+def _modular_coefficients(m: int) -> range:
+    """The coefficients c_i = 2i - m - 1 (i = 1..m) with delta(diag(pi^f))
+    = q^e for e = sum_i c_i f_i.  A sum at fixed rank builds this range
+    once and computes each exponent e inline."""
+    return range(1 - m, m, 2)
 
 
 def delta_weight(parts: Sequence[int], q: RatLike, half: bool = False) -> Fraction:
@@ -364,7 +381,7 @@ def delta_weight(parts: Sequence[int], q: RatLike, half: bool = False) -> Fracti
     q = Fraction(q)
     if q <= 1:
         raise ValueError("q must exceed 1")
-    e = _modular_exponent(parts)
+    e = sum(map(mul, parts, _modular_coefficients(len(parts))))
     if not half:
         return q**e
     if e % 2 == 0:

@@ -277,11 +277,52 @@ def test_every_suite_lists_its_options():
     assert set(cli._SUITE_OPTIONS) == set(cli.SUITES)
 
 
+#: compute parses every target's options, but a target that ignores one
+#: rejects it: name -> (argv, the option named in the error)
+TARGET_UNREAD = {
+    "whittaker-s-eps": (["whittaker", "--lambda", "1", "--satake", "1", "--qf", "3",
+                         "--s", "0.5", "--eps", "1"], "--eps"),
+    "lfactor-lambda": (["lfactor", "--satake", "1", "--pair-dual", "--lambda", "3,1"], "--lambda"),
+    "lfactor-n-c": (["lfactor", "--satake", "1", "--pair-dual", "--n", "3", "--c", "2"], "--n"),
+    "whittaker-pair-dual": (["whittaker", "--lambda", "1", "--satake", "1", "--pair-dual"],
+                            "--pair-dual"),
+    "lfactor-segments": (["lfactor", "--satake", "1", "--asai", "+", "--segments-file", "x"],
+                         "--segments-file"),
+    "i-closed-asai": (["i-closed", "--n", "1", "--c", "1", "--asai", "+"], "--asai"),
+    "j-main-s-key": (["j-main", "--n", "1", "--c", "1", "--config", "{cfg}"], "config key 's'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TARGET_UNREAD))
+def test_options_the_target_ignores_exit_2(name, capsys, tmp_path):
+    argv, what = TARGET_UNREAD[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("s = 0.5\n")
+    code, stdout, err = run(capsys, "compute", *(a.format(cfg=cfg) for a in argv))
+    assert (code, stdout) == (2, "")
+    assert err == f"usage error: {what} is not read by 'compute {argv[0]}'\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["--n", "2", "--c", "0"], "volume table requires c >= 1"),
+    (["--n", "2"], "--n and --c go together"),
+    (["--c", "2"], "--n and --c go together"),
+], ids=["c-zero", "lone-n", "lone-c"])
+def test_verify_volumes_needs_n_and_c_together(argv, err, capsys, tmp_path):
+    out = tmp_path / "out.json"
+    code, stdout, stderr = run(capsys, "verify", "volumes", *argv, "--seed", "1",
+                               "--json", str(out))
+    assert (code, stdout, stderr) == (2, "", f"usage error: {err}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, want", [
     (["volumes", "--qf", "3", "--n", "1", "--c", "1", "--seed", "7"],
      {"q_f": 3, "n": 1, "c": 1, "seed": 7}),
     (["all", "--depth", "5", "--vmax", "2", "--p", "5", "--u", "2"],
      {"depth": 5, "vmax": 2, "p": 5, "u": 2}),
+    # main-theorem reads a lone --n, so verify all takes one
+    (["all", "--qf", "5", "--n", "2"], {"q_f": 5, "n": 2, "c": None}),
 ])
 def test_options_a_suite_reads_are_accepted(argv, want, capsys, monkeypatch):
     seen = []

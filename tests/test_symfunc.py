@@ -245,6 +245,52 @@ class TestSchurTable:
         assert built == [8 + 3]
 
 
+#: distinct arguments at ranks 2 and 3, each with the depth its box of
+#: weights and its Macdonald sum run to
+DIRECT_ARGS = [
+    ((0.7 - 0.2j, -0.3 + 0.6j), 30),
+    ((0.0, 0.5j), 30),
+    ((0.6j, -0.5, 0.3 - 0.7j), 20),
+    ((0.0, 0.6, -0.8j), 20),
+]
+
+
+class TestDirectSchurRoute:
+    """At 2 and 3 distinct arguments the table calls _det2 or _det3 itself,
+    without _det's size dispatch."""
+
+    @pytest.mark.parametrize("xs, depth", DIRECT_ARGS)
+    def test_values_without_det(self, xs, depth, monkeypatch):
+        box = list(partitions_in_box(len(xs), depth))
+        want = [bits(schur(lam, xs)) for lam in box]
+        want_sum = bits(per_call_macdonald_sum(xs, depth))
+
+        def no_det(rows):
+            raise AssertionError("_det is off the direct route")
+
+        monkeypatch.setattr(symfunc, "_det", no_det)
+        value = _schur_table(xs, depth)
+        assert [bits(value(lam)) for lam in box] == want
+        assert bits(macdonald_sum(xs, depth)) == want_sum
+
+    @pytest.mark.parametrize("xs, depth", DIRECT_ARGS)
+    def test_one_determinant_per_non_constant_weight(self, xs, depth, monkeypatch):
+        sizes = []
+        for name in ("_det2", "_det3"):
+            real = getattr(symfunc, name)
+
+            def counted(*rows, real=real):
+                sizes.append(len(rows))
+                return real(*rows)
+
+            monkeypatch.setattr(symfunc, name, counted)
+        value = _schur_table(xs, depth)
+        box = list(partitions_in_box(len(xs), depth))
+        for lam in box:
+            value(lam)
+        assert sizes == [len(xs)] * sum(lam[0] != lam[-1] for lam in box)
+
+
 class TestDeltaWeight:
     def test_zero_weight(self):
         assert delta_weight((0, 0, 0), 3) == 1
