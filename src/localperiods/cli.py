@@ -112,6 +112,7 @@ class RunConfig:
     s: float | None = None
     asai: str | None = None
     pair_dual: bool = False
+    weight: list[int] | None = None
     json_path: str | None = None
 
     @property
@@ -145,6 +146,11 @@ def parse_complex_list(text: str) -> list[complex]:
         except ValueError as exc:
             raise UsageError(f"cannot parse complex value {token!r}") from exc
     return out
+
+
+def exponent_list(text: str) -> list[int]:
+    """A comma-separated list of integers, such as the --lambda exponents."""
+    return [int(t) for t in text.split(",") if t.strip()]
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -487,7 +493,10 @@ def compute_lfactor(cfg: RunConfig) -> str:
     return f"L(s={s}) = {fmt_value(val)}\nfactors = {json.dumps(lf.to_json())}"
 
 
-def compute_whittaker(cfg: RunConfig, weight: list[int]) -> str:
+def compute_whittaker(cfg: RunConfig) -> str:
+    if not cfg.weight:
+        raise UsageError("--lambda (the exponent tuple) is required")
+    weight = cfg.weight
     if cfg.segments_file:
         rep = load_rep(cfg)
         val = ensure_finite(essential_value(rep, tuple(weight), cfg.q_e))
@@ -566,10 +575,7 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
     if "main-theorem" in names and cfg.c is not None and cfg.c < 1:
         raise UsageError("main-theorem checks require c >= 1")
     if suite == "volumes":
-        if (cfg.n is None) != (cfg.c is None):
-            raise UsageError("--n and --c go together")
-        if cfg.c is not None and cfg.c < 1:
-            raise UsageError("volume table requires c >= 1")
+        _check_volume_args(cfg, required=False)
     reports: list[VerificationReport] = []
     for name in names:
         rng = random.Random(cfg.seed)
@@ -581,12 +587,21 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
     return _emit(reports, cfg.json_path)
 
 
+def _check_volume_args(cfg: RunConfig, required: bool) -> None:
+    """The volume table reads --n and --c together, with c >= 1; unless
+    `required`, it may read neither."""
+    if cfg.n is None or cfg.c is None:
+        if required:
+            raise UsageError("--n and --c are required")
+        if cfg.n is not None or cfg.c is not None:
+            raise UsageError("--n and --c go together")
+    elif cfg.c < 1:
+        raise UsageError("volume table requires c >= 1")
+
+
 def cmd_volumes(cfg: RunConfig) -> int:
     cfg.validate()
-    if cfg.n is None or cfg.c is None:
-        raise UsageError("--n and --c are required")
-    if cfg.c < 1:
-        raise UsageError("volume table requires c >= 1")
+    _check_volume_args(cfg, required=True)
     n, c, q = cfg.n, cfg.c, cfg.q_f
     left, right = c1(n, c, q)
     rows = [
@@ -637,7 +652,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("target", choices=list(_COMPUTE_OPTIONS))
     p_compute.add_argument("--asai", choices=["+", "-"])
     p_compute.add_argument("--pair-dual", action="store_true", dest="pair_dual")
-    p_compute.add_argument("--lambda", dest="weight", type=str, help="comma-separated exponents")
+    p_compute.add_argument(
+        "--lambda", dest="weight", type=exponent_list, help="comma-separated exponents"
+    )
     add_shared(p_compute)
     p_compute.add_argument("--eps", type=int, choices=(0, 1))
     p_compute.add_argument("--satake", type=str)
@@ -691,8 +708,7 @@ def make_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"--{flag} is not read by {reader}")
         if key in converters and isinstance(val, str):
             val = converters[key](val)
-        if key != "weight":  # compute whittaker reads --lambda from args
-            setattr(cfg, key, val)
+        setattr(cfg, key, val)
     return cfg
 
 
@@ -710,10 +726,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.target == "lfactor":
                 print(compute_lfactor(cfg))
             elif args.target == "whittaker":
-                if not getattr(args, "weight", None):
-                    raise UsageError("--lambda (the exponent tuple) is required")
-                weight = [int(t) for t in args.weight.split(",") if t.strip()]
-                print(compute_whittaker(cfg, weight))
+                print(compute_whittaker(cfg))
             elif args.target == "j-main":
                 print(compute_j_main(cfg))
             elif args.target == "i-closed":

@@ -24,13 +24,12 @@ the per-call spherical_value and delta_weight.
 
 from __future__ import annotations
 
-from operator import mul
 from typing import Callable, NamedTuple
 
 from .lfactors import asai_lfactor, pair_dual_lfactor, rs_lfactor
 from .report import VerificationReport, hard_check, soft_check
 from .reps import GenericRep, SatakeSet
-from .symfunc import _modular_coefficients, delta_weight, partitions_in_box
+from .symfunc import _per_modular_exponent, delta_weight, partitions_in_box
 from .volumes import vol_gl
 from .whittaker import _essential_on_torus, _spherical_on_torus
 from .whittaker import essential_value  # noqa: F401  (bench/tests probe it in this namespace)
@@ -61,8 +60,7 @@ def _torus_sum(
     magnitude amplified by a geometric factor, scaled by the same volume."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    coefficients = _modular_coefficients(rank)
-    delta_inv: dict[int, float] = {}  # keyed by the modular exponent
+    delta_inv = _per_modular_exponent(rank, lambda f: float(1 / delta_weight(f, q)))
     total: complex = 0.0
     shell = 0.0
     zeros = (0,) * (rank - head)
@@ -71,11 +69,7 @@ def _torus_sum(
         w = integrand(f)
         if w == 0:
             continue
-        e = sum(map(mul, f, coefficients))
-        d = delta_inv.get(e)
-        if d is None:
-            d = delta_inv[e] = float(1 / delta_weight(f, q))
-        t = w * d
+        t = w * delta_inv(f)
         total += t
         if f and f[0] == depth:
             shell += abs(t)

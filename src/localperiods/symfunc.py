@@ -12,11 +12,10 @@ arguments, so _schur_table computes the powers, product and Vandermonde
 of the arguments (or their complete homogeneous values) once per sum and
 returns schur's values bit for bit; 2x2 and 3x3 determinants take
 unrolled copies of the elimination loop with the same operations, and at
-2 and 3 distinct arguments the table indexes the power rows itself and
-calls those copies directly, one call per weight.  The modular exponent
-of a weight is a dot product with _modular_coefficients, which a sum at
-fixed rank builds once, so the torus evaluators key their weight caches
-by that exponent inline.
+3 distinct arguments the table indexes the power rows itself and calls
+the 3x3 copy directly, one call per weight.  _per_modular_exponent gives
+the torus evaluators each modular weight once per distinct exponent,
+looked up by that exponent.
 """
 
 from __future__ import annotations
@@ -290,9 +289,9 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int
     nearly coincident arguments, the complete homogeneous values h_k for
     k <= max_part + len(xs), are computed once here, with the operations
     schur performs per call, so every value is bit-identical to schur's.
-    At 2 and 3 distinct arguments the returned function picks the power
-    rows of a weight by index and calls _det2 or _det3 directly, skipping
-    _det's size dispatch; other sizes build the rows through itemgetter.
+    At 3 distinct arguments the returned function picks the power rows of
+    a weight by index and calls _det3 directly, skipping _det's size
+    dispatch; other sizes build the rows through itemgetter.
     Weights with a part outside [0, max_part] go to schur itself.  The
     weight must be weakly decreasing; schur's check of that is not
     repeated here.
@@ -334,22 +333,11 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int
         # schur's central factor 1.0 stays: it can change the sign of a zero
         return 1.0 * (_det(list(map(row_at, powers))) / den)
 
-    if coincident or m not in (2, 3):
+    if coincident or m != 3:
         return value
     # The same row tuples as row_at's, picked by index and passed straight
-    # to _det2 or _det3; value keeps the weights that go to schur and the
-    # constant ones.
-    if m == 2:
-        x0, x1 = powers
-
-        def value2(parts: Sequence[int]) -> complex:
-            if len(parts) != 2 or parts[-1] < 0 or parts[0] > max_part or parts[0] == parts[-1]:
-                return value(parts)
-            a, b = parts
-            a += 1
-            return 1.0 * (_det2((x0[a], x0[b]), (x1[a], x1[b])) / den)
-
-        return value2
+    # to _det3; value keeps the weights that go to schur and the constant
+    # ones.
     x0, x1, x2 = powers
 
     def value3(parts: Sequence[int]) -> complex:
@@ -365,9 +353,27 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int
 
 def _modular_coefficients(m: int) -> range:
     """The coefficients c_i = 2i - m - 1 (i = 1..m) with delta(diag(pi^f))
-    = q^e for e = sum_i c_i f_i.  A sum at fixed rank builds this range
-    once and computes each exponent e inline."""
+    = q^e for e = sum_i c_i f_i."""
     return range(1 - m, m, 2)
+
+
+def _per_modular_exponent(
+    m: int, weight: Callable[[Sequence[int]], float]
+) -> Callable[[Sequence[int]], float]:
+    """`weight`, a function of a rank-m weight tuple through its modular
+    exponent only (such as a float of delta_weight), evaluated once per
+    exponent and looked up by it."""
+    coefficients = _modular_coefficients(m)
+    values: dict[int, float] = {}
+
+    def cached(parts: Sequence[int]) -> float:
+        e = sum(map(mul, parts, coefficients))
+        w = values.get(e)
+        if w is None:
+            w = values[e] = weight(parts)
+        return w
+
+    return cached
 
 
 def delta_weight(parts: Sequence[int], q: RatLike, half: bool = False) -> Fraction:

@@ -8,12 +8,11 @@ support are exactly zero.
 
 from __future__ import annotations
 
-from operator import mul
 from typing import Callable, Sequence
 
 from .reps import GenericRep
 from .symfunc import (
-    _modular_coefficients,
+    _per_modular_exponent,
     _schur_table,
     delta_weight,
     is_weakly_decreasing,
@@ -40,24 +39,19 @@ def _spherical_on_torus(
     """spherical_value at fixed parameters as a function of the exponent
     tuple alone.  The Schur values come from one _schur_table for parts up
     to max_part, and each half modular weight is computed once per
-    distinct modular exponent, looked up by that exponent, so every value
-    is bit-identical to spherical_value's."""
+    distinct modular exponent, so every value is bit-identical to
+    spherical_value's."""
     params = tuple(params)
     m = len(params)
     schur_at = _schur_table(params, max_part)
-    coefficients = _modular_coefficients(m)
-    half_weights: dict[int, float] = {}
+    half_weight = _per_modular_exponent(m, lambda f: float(delta_weight(f, q_e, half=True)))
 
     def value(exponents: Sequence[int]) -> complex:
         if len(exponents) != m:
             raise ValueError("exponent tuple length must equal the rank")
         if not is_weakly_decreasing(exponents):
             return 0.0
-        e = sum(map(mul, exponents, coefficients))
-        w = half_weights.get(e)
-        if w is None:
-            w = half_weights[e] = float(delta_weight(exponents, q_e, half=True))
-        return w * schur_at(exponents)
+        return half_weight(exponents) * schur_at(exponents)
 
     return value
 
@@ -83,8 +77,7 @@ def _essential_on_torus(
     essential_value as a function of the exponent tuple alone.  The
     unramified part and its _spherical_on_torus evaluator (tabulated for
     parts up to max_part) are built once here, not once per tuple, so a
-    torus sum over the returned function pays for them once, and the
-    determinant-size scale once per total degree."""
+    torus sum over the returned function pays for them once."""
     m = rep.rank
     if not rep.is_ramified():
         raise ValueError("representation is unramified; use spherical_value")
@@ -92,7 +85,6 @@ def _essential_on_torus(
         raise ValueError("rank must be >= 2")
     r, sigma_u = rep.unramified_part(q_e)
     spherical = _spherical_on_torus(sigma_u.params, q_e, max_part)
-    scales: dict[int, float] = {}
 
     def value(exponents: tuple[int, ...]) -> complex:
         head = exponents[:r]
@@ -101,9 +93,6 @@ def _essential_on_torus(
         if not is_weakly_decreasing(head) or (head and head[-1] < 0):
             return 0.0
         total = sum(head)
-        scale = scales.get(total)
-        if scale is None:
-            scale = scales[total] = float(q_e) ** (-(m - r) * total / 2)
-        return spherical(head) * scale
+        return spherical(head) * float(q_e) ** (-(m - r) * total / 2)
 
     return r, value

@@ -303,6 +303,14 @@ def test_options_the_target_ignores_exit_2(name, capsys, tmp_path):
     assert err == f"usage error: {what} is not read by 'compute {argv[0]}'\n"
 
 
+def test_whittaker_bad_lambda_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "whittaker", "--lambda", "1,x", "--satake", "1,1", "--qf", "3"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "argument --lambda: invalid exponent_list value: '1,x'" in err
+
+
 @pytest.mark.parametrize("argv, err", [
     (["--n", "2", "--c", "0"], "volume table requires c >= 1"),
     (["--n", "2"], "--n and --c go together"),

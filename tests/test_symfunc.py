@@ -248,16 +248,14 @@ class TestSchurTable:
 #: distinct arguments at ranks 2 and 3, each with the depth its box of
 #: weights and its Macdonald sum run to
 DIRECT_ARGS = [
-    ((0.7 - 0.2j, -0.3 + 0.6j), 30),
-    ((0.0, 0.5j), 30),
     ((0.6j, -0.5, 0.3 - 0.7j), 20),
     ((0.0, 0.6, -0.8j), 20),
 ]
 
 
 class TestDirectSchurRoute:
-    """At 2 and 3 distinct arguments the table calls _det2 or _det3 itself,
-    without _det's size dispatch."""
+    """At 3 distinct arguments the table calls _det3 itself, without _det's
+    size dispatch."""
 
     @pytest.mark.parametrize("xs, depth", DIRECT_ARGS)
     def test_values_without_det(self, xs, depth, monkeypatch):
@@ -275,20 +273,19 @@ class TestDirectSchurRoute:
 
     @pytest.mark.parametrize("xs, depth", DIRECT_ARGS)
     def test_one_determinant_per_non_constant_weight(self, xs, depth, monkeypatch):
-        sizes = []
-        for name in ("_det2", "_det3"):
-            real = getattr(symfunc, name)
+        calls = []
+        real = symfunc._det3
 
-            def counted(*rows, real=real):
-                sizes.append(len(rows))
-                return real(*rows)
+        def counted(*rows):
+            calls.append(len(rows))
+            return real(*rows)
 
-            monkeypatch.setattr(symfunc, name, counted)
+        monkeypatch.setattr(symfunc, "_det3", counted)
         value = _schur_table(xs, depth)
         box = list(partitions_in_box(len(xs), depth))
         for lam in box:
             value(lam)
-        assert sizes == [len(xs)] * sum(lam[0] != lam[-1] for lam in box)
+        assert calls == [3] * sum(lam[0] != lam[-1] for lam in box)
 
 
 class TestDeltaWeight:
