@@ -339,7 +339,7 @@ def run_fl_rank1(cfg: RunConfig, rng: random.Random) -> list[VerificationReport]
     reports = []
     for c in cs:
         reports.extend(fl_check_rank1(cfg.p, c, cfg.vmax, cfg.u))
-        reports.extend(group_transport_check(cfg.p, c, cfg.u, count=50, seed=cfg.seed))
+        reports.extend(group_transport_check(cfg.p, c, cfg.u, seed=cfg.seed))
     return reports
 
 
@@ -455,14 +455,6 @@ _SUITE_OPTIONS: dict[str, tuple[str, ...]] = {
     "fl-rank1": ("p", "u", "c", "vmax"), "matrix-identities": ("p", "u"),
 }
 
-#: the options each compute target reads, by RunConfig field; weight is --lambda
-_PAIR_OPTIONS = ("q_f", "n", "c", "eps", "satake", "segments_file")
-_COMPUTE_OPTIONS: dict[str, tuple[str, ...]] = {
-    "lfactor": ("q_f", "satake", "satake2", "asai", "pair_dual", "s"),
-    "whittaker": ("q_f", "weight", "satake", "segments_file"),
-    "j-main": _PAIR_OPTIONS, "i-closed": _PAIR_OPTIONS,
-}
-
 
 # ---------------------------------------------------------------------------
 # compute targets
@@ -477,18 +469,16 @@ def fmt_value(z: complex) -> str:
 def compute_lfactor(cfg: RunConfig) -> str:
     if not cfg.satake:
         raise UsageError("--satake is required")
-    s = cfg.s if cfg.s is not None else 1.0
-    if cfg.asai is not None:
-        sign = 1 if cfg.asai == "+" else -1
-        lf = asai_lfactor(SatakeSet(tuple(cfg.satake), cfg.q_e), sign)
-    elif cfg.pair_dual:
-        lf = pair_dual_lfactor(SatakeSet(tuple(cfg.satake), cfg.q_e))
-    elif cfg.satake2:
-        lf = rs_lfactor(
-            SatakeSet(tuple(cfg.satake), cfg.q_e), SatakeSet(tuple(cfg.satake2), cfg.q_e)
-        )
-    else:
+    if [cfg.asai is not None, cfg.pair_dual, bool(cfg.satake2)].count(True) != 1:
         raise UsageError("choose one of --asai/--pair-dual/--satake2")
+    s = cfg.s if cfg.s is not None else 1.0
+    sigma = SatakeSet(tuple(cfg.satake), cfg.q_e)
+    if cfg.asai is not None:
+        lf = asai_lfactor(sigma, 1 if cfg.asai == "+" else -1)
+    elif cfg.pair_dual:
+        lf = pair_dual_lfactor(sigma)
+    else:
+        lf = rs_lfactor(sigma, SatakeSet(tuple(cfg.satake2), cfg.q_e))
     val = lf.value(s)
     return f"L(s={s}) = {fmt_value(val)}\nfactors = {json.dumps(lf.to_json())}"
 
@@ -497,6 +487,8 @@ def compute_whittaker(cfg: RunConfig) -> str:
     if not cfg.weight:
         raise UsageError("--lambda (the exponent tuple) is required")
     weight = cfg.weight
+    if cfg.satake and cfg.segments_file:
+        raise UsageError("choose one of --satake/--segments-file")
     if cfg.segments_file:
         rep = load_rep(cfg)
         val = ensure_finite(essential_value(rep, tuple(weight), cfg.q_e))
@@ -544,6 +536,17 @@ def compute_i_closed(cfg: RunConfig) -> str:
     return f"I = {fmt_value(i_closed(d))}"
 
 
+#: each compute target's function and the options it reads, by RunConfig
+#: field; weight is --lambda
+_PAIR_OPTIONS = ("q_f", "n", "c", "eps", "satake", "segments_file")
+_COMPUTE_TARGETS: dict[str, tuple[Callable[[RunConfig], str], tuple[str, ...]]] = {
+    "lfactor": (compute_lfactor, ("q_f", "satake", "satake2", "asai", "pair_dual", "s")),
+    "whittaker": (compute_whittaker, ("q_f", "weight", "satake", "segments_file")),
+    "j-main": (compute_j_main, _PAIR_OPTIONS),
+    "i-closed": (compute_i_closed, _PAIR_OPTIONS),
+}
+
+
 # ---------------------------------------------------------------------------
 # entry points
 
@@ -570,7 +573,6 @@ def _emit(reports: list[VerificationReport], json_path: str | None) -> int:
 
 
 def cmd_verify(cfg: RunConfig, suite: str) -> int:
-    cfg.validate()
     names = list(SUITES) if suite == "all" else [suite]
     if "main-theorem" in names and cfg.c is not None and cfg.c < 1:
         raise UsageError("main-theorem checks require c >= 1")
@@ -600,7 +602,6 @@ def _check_volume_args(cfg: RunConfig, required: bool) -> None:
 
 
 def cmd_volumes(cfg: RunConfig) -> int:
-    cfg.validate()
     _check_volume_args(cfg, required=True)
     n, c, q = cfg.n, cfg.c, cfg.q_f
     left, right = c1(n, c, q)
@@ -649,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--json", dest="json_path")
 
     p_compute = sub.add_parser("compute", help="evaluate a single quantity", allow_abbrev=False)
-    p_compute.add_argument("target", choices=list(_COMPUTE_OPTIONS))
+    p_compute.add_argument("target", choices=list(_COMPUTE_TARGETS))
     p_compute.add_argument("--asai", choices=["+", "-"])
     p_compute.add_argument("--pair-dual", action="store_true", dest="pair_dual")
     p_compute.add_argument(
@@ -689,7 +690,7 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         reads = {"seed", "json_path"}.union(*(_SUITE_OPTIONS[name] for name in names))
         reader = f"'verify {args.suite}'"
     elif args.command == "compute":
-        reads, reader = set(_COMPUTE_OPTIONS[args.target]), f"'compute {args.target}'"
+        reads, reader = set(_COMPUTE_TARGETS[args.target][1]), f"'compute {args.target}'"
     for key, raw in file_values.items():
         name = aliases.get(key, key)
         if name not in converters:
@@ -717,28 +718,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = make_config(args)
+        cfg.validate()
         if args.command == "verify":
             return cmd_verify(cfg, args.suite)
         if args.command == "volumes":
             return cmd_volumes(cfg)
-        if args.command == "compute":
-            cfg.validate()
-            if args.target == "lfactor":
-                print(compute_lfactor(cfg))
-            elif args.target == "whittaker":
-                print(compute_whittaker(cfg))
-            elif args.target == "j-main":
-                print(compute_j_main(cfg))
-            elif args.target == "i-closed":
-                print(compute_i_closed(cfg))
-            return 0
+        compute, _ = _COMPUTE_TARGETS[args.target]
+        print(compute(cfg))
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ParityError, PoleError, OverflowError, ValueError) as exc:
         print(f"rejected input: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

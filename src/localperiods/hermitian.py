@@ -301,14 +301,15 @@ def cayley_inv(g: EMat, xi: QuadExt) -> EMat:
     return (g - one * xi) @ (g + one * xi).inv()
 
 
-def norm_one_units(u: int, height: int = 3):
-    """Small-height norm-one elements z/conj(z), 1 first; the Cayley
-    parameters xi that the cayley-lattice-stability checks draw from."""
+def norm_one_units(u: int):
+    """The norm-one elements z/conj(z) and conj(z)/z for z = a + b sqrt(u)
+    with 1 <= a, b <= 3, 1 first; the Cayley parameters xi that the
+    cayley-lattice-stability checks draw from."""
     seen = set()
     out = [QuadExt.of(1, u)]
     seen.add((Fraction(1), Fraction(0)))
-    for a in range(1, height + 1):
-        for b in range(1, height + 1):
+    for a in range(1, 4):
+        for b in range(1, 4):
             z = QuadExt(Fraction(a), Fraction(b), u)
             if z.norm() == 0:
                 continue

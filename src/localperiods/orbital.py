@@ -170,13 +170,12 @@ def fl_check_rank1(p: int, c: int, vmax: int, u: int = -1) -> list[VerificationR
     return reports
 
 
-def group_transport_check(
-    p: int, c: int, u: int = -1, count: int = 50, seed: int = 0
-) -> list[VerificationReport]:
+def group_transport_check(p: int, c: int, u: int = -1, seed: int = 0) -> list[VerificationReport]:
     """Spot-check of the group-side reduction: whenever the Cayley
     denominator det(1 - x) is a unit, x lies in the depth-c congruence
     lattice exactly when its Cayley image lies in the depth-c congruence
-    group.  Instances mix lattice members with non-integral elements."""
+    group.  Instances mix lattice members with non-integral elements; 50
+    are checked, from at most 10,000 draws."""
     validate_field_context(p, u)
     rng = random.Random(seed)
     j = herm_form_j(1, c, p, u)
@@ -184,7 +183,7 @@ def group_transport_check(
     root = QuadExt.sqrt_u(u)
     reports: list[VerificationReport] = []
     attempts = 0
-    while len(reports) < count and attempts < 200 * count:
+    while len(reports) < 50 and attempts < 10_000:
         attempts += 1
         # anti-hermitian for diag(1, p^c): purely imaginary diagonal and
         # b = -p^c conj(z); occasional p-denominators on z leave the lattice

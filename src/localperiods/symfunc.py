@@ -8,12 +8,13 @@ values over partitions serves as the series side of the closed product
 identity checked by the verification suites.
 
 Torus sums and the Macdonald series evaluate many weights at the same
-arguments, so _schur_table computes the powers, product and Vandermonde
-of the arguments (or their complete homogeneous values) once per sum and
-returns schur's values bit for bit; 2x2 and 3x3 determinants take
-unrolled copies of the elimination loop with the same operations, and at
-3 distinct arguments the table indexes the power rows itself and calls
-the 3x3 copy directly, one call per weight.  _per_modular_exponent gives
+distinct arguments, so _schur_table computes the powers, product and
+Vandermonde of the arguments once per sum and returns schur's
+bialternant values bit for bit; at nearly coincident arguments it hands
+every weight to schur itself.  2x2 and 3x3 determinants take unrolled
+copies of the elimination loop with the same operations, and at 3
+distinct arguments the table indexes the power rows itself and calls the
+3x3 copy directly, one call per weight.  _per_modular_exponent gives
 the torus evaluators each modular weight once per distinct exponent,
 looked up by that exponent.
 """
@@ -227,16 +228,10 @@ def schur_jacobi_trudi(parts: Sequence[int], xs: Sequence[complex]) -> complex:
         lam.pop()
     if not lam:
         return 1.0
-    if len(lam) > len(xs):
-        return 0.0
-    return _jacobi_trudi_det(lam, complete_homogeneous(lam[0] + len(lam), xs))
-
-
-def _jacobi_trudi_det(lam: Sequence[int], h: Sequence[complex]) -> complex:
-    """det(h_{lambda_i - i + j}) for a partition with no zero parts, read
-    from h = [h_0, h_1, ...] with h_k = 0 for k < 0.  h must reach index
-    lambda_1 + len(lambda) - 1; h_k does not depend on the length of h."""
     ell = len(lam)
+    if ell > len(xs):
+        return 0.0
+    h = complete_homogeneous(lam[0] + ell, xs)
 
     def h_at(k: int) -> complex:
         return h[k] if 0 <= k < len(h) else 0.0
@@ -284,17 +279,16 @@ def schur(parts: Sequence[int], xs: Sequence[complex]) -> complex:
 def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int]], complex]:
     """schur(parts, xs) as a function of a weakly decreasing weight alone.
 
-    The coincidence test, the product of the arguments and either the
-    powers x_i^k for k < max_part + len(xs) and the Vandermonde or, at
-    nearly coincident arguments, the complete homogeneous values h_k for
-    k <= max_part + len(xs), are computed once here, with the operations
-    schur performs per call, so every value is bit-identical to schur's.
-    At 3 distinct arguments the returned function picks the power rows of
-    a weight by index and calls _det3 directly, skipping _det's size
-    dispatch; other sizes build the rows through itemgetter.
-    Weights with a part outside [0, max_part] go to schur itself.  The
-    weight must be weakly decreasing; schur's check of that is not
-    repeated here.
+    At distinct arguments the powers x_i^k for k < max_part + len(xs),
+    the Vandermonde and the product of the arguments are computed once
+    here, with the operations schur performs per call, so every value is
+    bit-identical to schur's bialternant.  At 3 distinct arguments the
+    returned function picks the power rows of a weight by index and calls
+    _det3 directly, skipping _det's size dispatch; other sizes build the
+    rows through itemgetter.  Nearly coincident arguments, a vanishing
+    Vandermonde, overflowing powers and weights with a part outside
+    [0, max_part] go to schur itself.  The weight must be weakly
+    decreasing; schur's check of that is not repeated here.
     """
     xs = tuple(xs)
     m = len(xs)
@@ -305,14 +299,12 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int
     if m == 0:
         return per_call
     try:
-        coincident = _coincident(xs)
-        if coincident:
-            h = complete_homogeneous(max_part + m, xs)
-        else:
-            den = _vandermonde(xs)
-            if den == 0:
-                return per_call
-            powers = [[x**k for k in range(max_part + m)] for x in xs]
+        if _coincident(xs):
+            return per_call
+        den = _vandermonde(xs)
+        if den == 0:
+            return per_call
+        powers = [[x**k for k in range(max_part + m)] for x in xs]
     except OverflowError:
         return per_call
     prod = _product(xs)
@@ -326,14 +318,11 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int
             if parts[0] == 0:
                 return 1.0
             return 0.0 if has_zero else prod ** parts[0]
-        if coincident:
-            # schur's route through schur_jacobi_trudi, zero parts dropped
-            return 1.0 * _jacobi_trudi_det(parts[: m - parts.count(0)], h)
         row_at = itemgetter(*[p + o for p, o in zip(parts, offsets)])
         # schur's central factor 1.0 stays: it can change the sign of a zero
         return 1.0 * (_det(list(map(row_at, powers))) / den)
 
-    if coincident or m != 3:
+    if m != 3:
         return value
     # The same row tuples as row_at's, picked by index and passed straight
     # to _det3; value keeps the weights that go to schur and the constant

@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_module_entry_point_runs_a_suite():
+    """python -m localperiods imports the whole CLI chain from a fresh
+    interpreter; the package root itself imports no module."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "localperiods", "verify", "c1", "--seed", "1"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "100 checks: 100 pass, 0 fail, 0 soft, 0 rejected"
 
 
 class TestParsing:
@@ -301,6 +320,32 @@ def test_options_the_target_ignores_exit_2(name, capsys, tmp_path):
     code, stdout, err = run(capsys, "compute", *(a.format(cfg=cfg) for a in argv))
     assert (code, stdout) == (2, "")
     assert err == f"usage error: {what} is not read by 'compute {argv[0]}'\n"
+
+
+#: option pairs of which compute would read only one: name -> (argv, error)
+REP = {"segments": [{"type": "unram", "alpha": [1.0, 0.0], "k": 1},
+                    {"type": "ram", "dim": 1, "cond": 1, "k": 1}]}
+LFACTOR_KIND = "choose one of --asai/--pair-dual/--satake2"
+EXCLUSIVE = {
+    "lfactor-asai-pair-dual": (["lfactor", "--satake", "1", "--asai", "+", "--pair-dual"],
+                               LFACTOR_KIND),
+    "lfactor-asai-satake2": (["lfactor", "--satake", "1", "--asai", "+", "--satake2", "0.5"],
+                             LFACTOR_KIND),
+    "lfactor-pair-dual-satake2": (["lfactor", "--satake", "1", "--pair-dual", "--satake2", "0.5"],
+                                  LFACTOR_KIND),
+    "whittaker-satake-segments": (["whittaker", "--lambda", "1", "--satake", "5,7",
+                                   "--segments-file", "{rep}"],
+                                  "choose one of --satake/--segments-file"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXCLUSIVE))
+def test_options_of_which_compute_reads_one_exit_2(name, capsys, tmp_path):
+    argv, what = EXCLUSIVE[name]
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps(REP))
+    code, stdout, err = run(capsys, "compute", *(a.format(rep=rep) for a in argv), "--qf", "3")
+    assert (code, stdout, err) == (2, "", f"usage error: {what}\n")
 
 
 def test_whittaker_bad_lambda_exits_2(capsys):

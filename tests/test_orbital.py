@@ -167,7 +167,7 @@ class TestFlRank1:
     def test_group_transport(self):
         outcomes = set()
         for c in (0, 1, 2):
-            reports = group_transport_check(P, c, count=50, seed=1)
+            reports = group_transport_check(P, c, seed=1)
             assert len(reports) == 50
             assert all(r.status == STATUS_PASS for r in reports)
             outcomes |= {bool(r.lhs.real) for r in reports}

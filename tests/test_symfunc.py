@@ -229,21 +229,6 @@ class TestSchurTable:
         xs = (0.5, 0.5 + COINCIDENCE_SPREAD / 2)
         assert bits(_schur_table(xs, 4)((3, 1))) == bits(schur_jacobi_trudi((3, 1), xs))
 
-    def test_nearly_coincident_arguments_build_h_once(self, monkeypatch):
-        built = []
-        complete_homogeneous = symfunc.complete_homogeneous
-
-        def counting(max_degree, xs):
-            built.append(max_degree)
-            return complete_homogeneous(max_degree, xs)
-
-        monkeypatch.setattr(symfunc, "complete_homogeneous", counting)
-        xs = (0.3 - 0.4j, 0.3 - 0.4j + 1e-13, 0.2)
-        value = _schur_table(xs, 8)
-        for lam in partitions_in_box(3, 8):
-            value(lam)
-        assert built == [8 + 3]
-
 
 #: distinct arguments at ranks 2 and 3, each with the depth its box of
 #: weights and its Macdonald sum run to
