@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 
 from .assembly import (
     PairData,
-    ParityError,
     _j_main_terms,
     i_assembled,
     i_closed,
@@ -102,7 +101,6 @@ class RunConfig:
     u: int = -1
     n: int | None = None
     c: int | None = None
-    eps: int | None = None
     satake: list[complex] = field(default_factory=list)
     satake2: list[complex] = field(default_factory=list)
     segments_file: str | None = None
@@ -446,12 +444,11 @@ SUITES: dict[str, Callable[[RunConfig, random.Random], list[VerificationReport]]
     "matrix-identities": run_matrix_identities,
 }
 
-#: the RunConfig fields each suite reads besides seed and json_path; volumes
-#: reads q_f, n and c only for the c1 and C lines that cmd_verify prints
+#: the RunConfig fields each suite reads besides seed and json_path
 _SUITE_OPTIONS: dict[str, tuple[str, ...]] = {
-    "macdonald": (), "c1": (), "asai-cancel": ("q_f",),
+    "macdonald": (), "c1": (), "asai-cancel": ("q_f",), "volumes": (),
     "beta": ("q_f", "depth"), "theta": ("q_f", "depth"), "lambda": ("q_f", "depth"),
-    "volumes": ("q_f", "n", "c"), "main-theorem": ("q_f", "n", "c", "depth"),
+    "main-theorem": ("q_f", "n", "c", "depth"),
     "fl-rank1": ("p", "u", "c", "vmax"), "matrix-identities": ("p", "u"),
 }
 
@@ -503,14 +500,13 @@ def compute_whittaker(cfg: RunConfig) -> str:
 def _pair_data(cfg: RunConfig) -> PairData:
     if cfg.n is None or cfg.c is None:
         raise UsageError("--n and --c are required")
-    eps = cfg.eps if cfg.eps is not None else cfg.c % 2
     if not cfg.satake:
         raise UsageError("--satake (the unramified-side parameters) is required")
     rep = load_rep(cfg)
     return PairData(
         n=cfg.n,
         c=cfg.c,
-        eps=eps,
+        eps=cfg.c % 2,
         q_f=cfg.q_f,
         sigma_n=SatakeSet(tuple(cfg.satake), cfg.q_e),
         rep=rep,
@@ -538,7 +534,7 @@ def compute_i_closed(cfg: RunConfig) -> str:
 
 #: each compute target's function and the options it reads, by RunConfig
 #: field; weight is --lambda
-_PAIR_OPTIONS = ("q_f", "n", "c", "eps", "satake", "segments_file")
+_PAIR_OPTIONS = ("q_f", "n", "c", "satake", "segments_file")
 _COMPUTE_TARGETS: dict[str, tuple[Callable[[RunConfig], str], tuple[str, ...]]] = {
     "lfactor": (compute_lfactor, ("q_f", "satake", "satake2", "asai", "pair_dual", "s")),
     "whittaker": (compute_whittaker, ("q_f", "weight", "satake", "segments_file")),
@@ -576,33 +572,18 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
     names = list(SUITES) if suite == "all" else [suite]
     if "main-theorem" in names and cfg.c is not None and cfg.c < 1:
         raise UsageError("main-theorem checks require c >= 1")
-    if suite == "volumes":
-        _check_volume_args(cfg, required=False)
     reports: list[VerificationReport] = []
     for name in names:
         rng = random.Random(cfg.seed)
         reports.extend(SUITES[name](cfg, rng))
-    if suite in ("volumes", "all") and cfg.n is not None and cfg.c is not None:
-        left, _ = c1(cfg.n, cfg.c, cfg.q_f)
-        print(f"c1 = {left}")
-        print(f"C = {constant_c_main(cfg.n, cfg.c, cfg.q_f)}")
     return _emit(reports, cfg.json_path)
 
 
-def _check_volume_args(cfg: RunConfig, required: bool) -> None:
-    """The volume table reads --n and --c together, with c >= 1; unless
-    `required`, it may read neither."""
-    if cfg.n is None or cfg.c is None:
-        if required:
-            raise UsageError("--n and --c are required")
-        if cfg.n is not None or cfg.c is not None:
-            raise UsageError("--n and --c go together")
-    elif cfg.c < 1:
-        raise UsageError("volume table requires c >= 1")
-
-
 def cmd_volumes(cfg: RunConfig) -> int:
-    _check_volume_args(cfg, required=True)
+    if cfg.n is None or cfg.c is None:
+        raise UsageError("--n and --c are required")
+    if cfg.c < 1:
+        raise UsageError("volume table requires c >= 1")
     n, c, q = cfg.n, cfg.c, cfg.q_f
     left, right = c1(n, c, q)
     rows = [
@@ -624,92 +605,97 @@ def cmd_volumes(cfg: RunConfig) -> int:
     return 0
 
 
+#: each option once, by RunConfig field: its flag and the argparse keywords
+#: that convert its value, from the command line and a config file alike
+_OPTIONS: dict[str, tuple[str, dict]] = {
+    "q_f": ("--qf", {"type": int}),
+    "p": ("--p", {"type": int}),
+    "u": ("--u", {"type": int}),
+    "n": ("--n", {"type": int}),
+    "c": ("--c", {"type": int}),
+    "depth": ("--depth", {"type": int}),
+    "seed": ("--seed", {"type": int}),
+    "vmax": ("--vmax", {"type": int}),
+    "s": ("--s", {"type": float}),
+    "satake": ("--satake", {"type": parse_complex_list}),
+    "satake2": ("--satake2", {"type": parse_complex_list}),
+    "segments_file": ("--segments-file", {}),
+    "json_path": ("--json", {}),
+    "weight": ("--lambda", {"type": exponent_list, "help": "comma-separated exponents"}),
+    "asai": ("--asai", {"choices": ["+", "-"]}),
+    "pair_dual": ("--pair-dual", {"action": "store_true"}),
+}
+
+
+def _reads(command: str) -> dict[str | None, set[str]]:
+    """The options that each choice of a subcommand reads; `verify all`
+    reads those of every suite, and `volumes` has the one choice None."""
+    if command == "verify":
+        reads = {name: {"seed", "json_path", *opts} for name, opts in _SUITE_OPTIONS.items()}
+        return {"all": set().union(*reads.values()), **reads}
+    if command == "compute":
+        return {name: set(opts) for name, (_, opts) in _COMPUTE_TARGETS.items()}
+    return {None: {"q_f", "n", "c"}}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="localperiods",
         description="verification suites and calculators for local period identities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # each subcommand parses only the options it reads, and only by their
-    # full names: an abbreviation such as --s would otherwise reach --seed
-    def add_shared(p: argparse.ArgumentParser) -> None:
+    for command, positional, help_text in (
+        ("verify", "suite", "run a verification suite"),
+        ("compute", "target", "evaluate a single quantity"),
+        ("volumes", None, "print the exact constants table"),
+    ):
+        # each subcommand parses only the options that one of its choices
+        # reads, and only by their full names: an abbreviation such as --s
+        # would otherwise reach --seed
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        reads = _reads(command)
+        if positional:
+            p.add_argument(positional, choices=list(reads))
         p.add_argument("--config", help="flat key = value config file; flags override")
-        p.add_argument("--qf", type=int, dest="q_f")
-        p.add_argument("--n", type=int)
-        p.add_argument("--c", type=int)
-
-    p_verify = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
-    p_verify.add_argument("suite", choices=["all", *SUITES])
-    add_shared(p_verify)
-    p_verify.add_argument("--p", type=int)
-    p_verify.add_argument("--u", type=int)
-    p_verify.add_argument("--depth", type=int)
-    p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--vmax", type=int)
-    p_verify.add_argument("--json", dest="json_path")
-
-    p_compute = sub.add_parser("compute", help="evaluate a single quantity", allow_abbrev=False)
-    p_compute.add_argument("target", choices=list(_COMPUTE_TARGETS))
-    p_compute.add_argument("--asai", choices=["+", "-"])
-    p_compute.add_argument("--pair-dual", action="store_true", dest="pair_dual")
-    p_compute.add_argument(
-        "--lambda", dest="weight", type=exponent_list, help="comma-separated exponents"
-    )
-    add_shared(p_compute)
-    p_compute.add_argument("--eps", type=int, choices=(0, 1))
-    p_compute.add_argument("--satake", type=str)
-    p_compute.add_argument("--satake2", type=str)
-    p_compute.add_argument("--segments-file", dest="segments_file")
-    p_compute.add_argument("--s", type=float)
-
-    p_vol = sub.add_parser("volumes", help="print the exact constants table", allow_abbrev=False)
-    add_shared(p_vol)
-
+        parsed = set().union(*reads.values())
+        for name, (flag, kw) in _OPTIONS.items():
+            if name in parsed:
+                p.add_argument(flag, dest=name, **kw)
     return parser
 
 
 def make_config(args: argparse.Namespace) -> RunConfig:
+    # a config key is the flag's name, or the RunConfig field behind --qf or
+    # --json; a flag that takes no value has no key
+    keys = {flag[2:].replace("-", "_"): name for name, (flag, kw) in _OPTIONS.items()
+            if "action" not in kw}
+    keys.update(q_f="q_f", json_path="json_path")
+    choice = getattr(args, "suite", None) or getattr(args, "target", None)
+    reads = _reads(args.command)[choice]
+    reader = repr(f"{args.command} {choice}" if choice else args.command)
     cfg = RunConfig()
-    file_values: dict[str, str] = {}
-    if getattr(args, "config", None):
-        file_values = load_config_file(args.config)
-    converters = {
-        "q_f": int, "p": int, "u": int, "n": int, "c": int, "eps": int,
-        "depth": int, "seed": int, "vmax": int,
-        "s": float,
-        "satake": parse_complex_list, "satake2": parse_complex_list,
-        "segments_file": str, "json_path": str,
-    }
-    aliases = {"qf": "q_f", "json": "json_path"}
-    # verify and compute parse the options of every suite or target, and
-    # reject those that the chosen ones ignore
-    reads, reader = set(converters), repr(args.command)
-    if args.command == "verify":
-        names = SUITES if args.suite == "all" else [args.suite]
-        reads = {"seed", "json_path"}.union(*(_SUITE_OPTIONS[name] for name in names))
-        reader = f"'verify {args.suite}'"
-    elif args.command == "compute":
-        reads, reader = set(_COMPUTE_TARGETS[args.target][1]), f"'compute {args.target}'"
-    for key, raw in file_values.items():
-        name = aliases.get(key, key)
-        if name not in converters:
+    for key, raw in (load_config_file(args.config) if args.config else {}).items():
+        if key not in keys:
             raise UsageError(f"unknown config key {key!r}")
-        # the subcommand's parser sets an attribute for each option it reads
-        if not hasattr(args, name) or name not in reads:
+        name = keys[key]
+        if name not in reads:
             raise UsageError(f"config key {key!r} is not read by {reader}")
-        setattr(cfg, name, converters[name](raw))
-    flags = {"q_f": "qf", "weight": "lambda"}
-    for key in [*converters, "weight", "asai", "pair_dual"]:
-        val = getattr(args, key, None)
+        kw = _OPTIONS[name][1]
+        try:
+            val = kw.get("type", str)(raw)
+        except ValueError as exc:
+            raise UsageError(f"config key {key!r}: {exc}") from exc
+        if "choices" in kw and val not in kw["choices"]:
+            choices = ", ".join(map(repr, kw["choices"]))
+            raise UsageError(f"config key {key!r}: invalid choice: {raw!r} (choose from {choices})")
+        setattr(cfg, name, val)
+    for name, (flag, _) in _OPTIONS.items():
+        val = getattr(args, name, None)
         if val is None or val is False:
             continue
-        if key not in reads:
-            flag = flags.get(key, key.replace("_", "-"))
-            raise UsageError(f"--{flag} is not read by {reader}")
-        if key in converters and isinstance(val, str):
-            val = converters[key](val)
-        setattr(cfg, key, val)
+        if name not in reads:
+            raise UsageError(f"{flag} is not read by {reader}")
+        setattr(cfg, name, val)
     return cfg
 
 
@@ -729,7 +715,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ParityError, PoleError, OverflowError, ValueError) as exc:
+    except (PoleError, OverflowError, ValueError) as exc:
         print(f"rejected input: {exc}", file=sys.stderr)
         return 2
 

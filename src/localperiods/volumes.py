@@ -51,10 +51,7 @@ def vol_kprime_c(n: int, c: int, q: int) -> Fraction:
         raise ValueError("formula requires c >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    out = zeta1(q) * Fraction(1, q ** (c * (n + 1)))
-    for i in range(1, n + 1):
-        out *= 1 - Fraction(1, q**i)
-    return out
+    return vol_gl_formula(n, q) / q ** (c * (n + 1))
 
 
 def vol_unitary_w(m: int, q: int) -> Fraction:

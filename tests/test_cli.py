@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -39,17 +40,14 @@ class TestParsing:
         assert parse_complex_list("0.5+0.5i") == [0.5 + 0.5j]
 
     def test_bad_token_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "compute", "lfactor", "--satake", "xyz", "--qf", "3")
-        assert code == 2 and "usage error" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "lfactor", "--satake", "xyz", "--qf", "3"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "argument --satake: " in err
 
 
 class TestVerify:
-    def test_volumes_prints_constants(self, capsys):
-        code, out, _ = run(capsys, "verify", "volumes", "--qf", "3", "--n", "1", "--c", "1")
-        assert code == 0
-        assert "c1 = 9" in out
-        assert "C = 1/9" in out
-
     def test_fl_rank1_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "fl-rank1", "--p", "3", "--c", "1")
         assert code == 0
@@ -60,8 +58,8 @@ class TestVerify:
         assert code == 2
 
     def test_qf_must_exceed_n(self, capsys):
-        code, _, err = run(capsys, "verify", "volumes", "--qf", "3", "--n", "3", "--c", "1")
-        assert code == 2
+        code, _, err = run(capsys, "volumes", "--qf", "3", "--n", "3", "--c", "1")
+        assert code == 2 and "--qf must exceed --n" in err
 
     def test_c1_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "c1")
@@ -178,24 +176,6 @@ class TestCompute:
         assert code == 0
         assert "0.0219478737997" in out  # 16/729
 
-    def test_j_main_parity_mismatch(self, capsys, tmp_path):
-        seg = tmp_path / "rep.json"
-        seg.write_text(
-            json.dumps(
-                {
-                    "segments": [
-                        {"type": "unram", "alpha": [1.0, 0.0], "k": 1},
-                        {"type": "ram", "dim": 1, "cond": 1, "k": 1},
-                    ]
-                }
-            )
-        )
-        code, _, err = run(
-            capsys, "compute", "j-main", "--qf", "3", "--n", "1", "--c", "1", "--eps", "0",
-            "--satake", "1", "--segments-file", str(seg),
-        )
-        assert code == 2 and "rejected" in err
-
 
 class TestConfigFile:
     def test_file_values_and_flag_override(self, capsys, tmp_path):
@@ -228,7 +208,7 @@ UNREAD_FLAGS = {
                      "--json"),
     "verify-satake": (["verify", "c1", "--satake", "1"], "--satake"),
     "verify-s": (["verify", "c1", "--s", "0.3"], "--s"),
-    "verify-eps": (["verify", "c1", "--eps", "1"], "--eps"),
+    "verify-lambda": (["verify", "c1", "--lambda", "1"], "--lambda"),
     "compute-seed": (["compute", "lfactor", "--satake", "1", "--asai", "+", "--seed", "3"],
                      "--seed"),
     "volumes-depth": (["volumes", "--n", "1", "--c", "1", "--depth", "5"], "--depth"),
@@ -251,7 +231,7 @@ UNREAD_KEYS = {
     "volumes-seed": (["volumes", "--n", "1", "--c", "1"], "seed"),
     "volumes-json": (["volumes", "--n", "1", "--c", "1"], "json"),
     "verify-satake": (["verify", "c1"], "satake"),
-    "verify-eps": (["verify", "c1"], "eps"),
+    "verify-asai": (["verify", "c1"], "asai"),
     "compute-depth": (["compute", "lfactor", "--satake", "1", "--asai", "+"], "depth"),
 }
 
@@ -293,14 +273,20 @@ def test_options_the_suite_ignores_exit_2(name, capsys, tmp_path):
 
 
 def test_every_suite_lists_its_options():
+    """Every option that a command reads is a row of the option table, every
+    row is read by some command, and every row is a RunConfig field."""
     assert set(cli._SUITE_OPTIONS) == set(cli.SUITES)
+    commands = ("verify", "compute", "volumes")
+    read = set().union(*(reads for cmd in commands for reads in cli._reads(cmd).values()))
+    assert read == set(cli._OPTIONS)
+    assert read <= {f.name for f in dataclasses.fields(cli.RunConfig)}
 
 
 #: compute parses every target's options, but a target that ignores one
 #: rejects it: name -> (argv, the option named in the error)
 TARGET_UNREAD = {
-    "whittaker-s-eps": (["whittaker", "--lambda", "1", "--satake", "1", "--qf", "3",
-                         "--s", "0.5", "--eps", "1"], "--eps"),
+    "whittaker-s-n": (["whittaker", "--lambda", "1", "--satake", "1", "--qf", "3",
+                       "--s", "0.5", "--n", "1"], "--n"),
     "lfactor-lambda": (["lfactor", "--satake", "1", "--pair-dual", "--lambda", "3,1"], "--lambda"),
     "lfactor-n-c": (["lfactor", "--satake", "1", "--pair-dual", "--n", "3", "--c", "2"], "--n"),
     "whittaker-pair-dual": (["whittaker", "--lambda", "1", "--satake", "1", "--pair-dual"],
@@ -356,22 +342,45 @@ def test_whittaker_bad_lambda_exits_2(capsys):
     assert "argument --lambda: invalid exponent_list value: '1,x'" in err
 
 
-@pytest.mark.parametrize("argv, err", [
-    (["--n", "2", "--c", "0"], "volume table requires c >= 1"),
-    (["--n", "2"], "--n and --c go together"),
-    (["--c", "2"], "--n and --c go together"),
-], ids=["c-zero", "lone-n", "lone-c"])
-def test_verify_volumes_needs_n_and_c_together(argv, err, capsys, tmp_path):
+@pytest.mark.parametrize("flag", ["--n", "--c", "--qf"])
+def test_verify_volumes_reads_no_options(flag, capsys, tmp_path):
     out = tmp_path / "out.json"
-    code, stdout, stderr = run(capsys, "verify", "volumes", *argv, "--seed", "1",
+    code, stdout, stderr = run(capsys, "verify", "volumes", flag, "3", "--seed", "1",
                                "--json", str(out))
-    assert (code, stdout, stderr) == (2, "", f"usage error: {err}\n")
+    assert (code, stdout) == (2, "")
+    assert stderr == f"usage error: {flag} is not read by 'verify volumes'\n"
     assert not out.exists()
 
 
+#: config values convert as their flags do: name -> (argv, config text, stdout
+#: or the usage error)
+CONFIG_VALUES = {
+    "qf-not-int": (["volumes", "--n", "1", "--c", "1"], "qf = x\n",
+                   "config key 'qf': invalid literal for int() with base 10: 'x'"),
+    "asai-bad-choice": (["compute", "lfactor", "--satake", "1"], "asai = *\n",
+                        "config key 'asai': invalid choice: '*' (choose from '+', '-')"),
+    "satake-bad-token": (["compute", "lfactor", "--asai", "+"], "satake = xyz\n",
+                         "config key 'satake': cannot parse complex value 'xyz'"),
+    "asai": (["compute", "lfactor"], "asai = +\nsatake = 1\n", "L(s=1.0) = 1.5\n"),
+    "lambda": (["compute", "whittaker", "--satake", "1,1"], "lambda = 1,0\n",
+               "W0([1, 0]) = 0.666666666667\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_VALUES))
+def test_config_values_convert_as_flags(name, capsys, tmp_path):
+    argv, text, want = CONFIG_VALUES[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    if want.endswith("\n"):
+        assert (code, out.splitlines(keepends=True)[0], err) == (0, want, "")
+    else:
+        assert (code, out, err) == (2, "", f"usage error: {want}\n")
+
+
 @pytest.mark.parametrize("argv, want", [
-    (["volumes", "--qf", "3", "--n", "1", "--c", "1", "--seed", "7"],
-     {"q_f": 3, "n": 1, "c": 1, "seed": 7}),
+    (["volumes", "--seed", "7"], {"seed": 7}),
     (["all", "--depth", "5", "--vmax", "2", "--p", "5", "--u", "2"],
      {"depth": 5, "vmax": 2, "p": 5, "u": 2}),
     # main-theorem reads a lone --n, so verify all takes one
