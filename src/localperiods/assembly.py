@@ -12,27 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lfactors import asai_lfactor, pair_dual_lfactor, rs_lfactor
+from .lfactors import _square_base_root, asai_lfactor, pair_dual_lfactor, rs_lfactor
 from .numerics import ensure_finite
 from .periods import beta_closed, beta_truncated, lambda_closed, lambda_truncated
 from .reps import GenericRep, SatakeSet
 from .volumes import c1, constant_c_main, l_eta, vol_gl, vol_gl_formula, vol_kprime_c
 
 
-class ParityError(ValueError):
-    """The conductor and the hermitian-slot parity disagree."""
-
-
 @dataclass(frozen=True)
 class PairData:
-    """Complete arithmetic context of one verification instance: ranks,
-    conductor, parity slot, residue size, the unramified parameter set and
-    the ramified representation it pairs with."""
+    """Complete arithmetic context of one verification instance: the
+    unramified parameter set sigma_n and the ramified representation rep it
+    pairs with.  The rank n = len(sigma_n), the conductor c of rep, the
+    extension residue size q_e (the base of sigma_n) and the base-field
+    residue size q_f are derived; q_f rejects a base that is not a square."""
 
-    n: int
-    c: int
-    eps: int
-    q_f: int
     sigma_n: SatakeSet
     rep: GenericRep
 
@@ -41,31 +35,29 @@ class PairData:
             raise ValueError("n must be >= 1")
         if self.c < 1:
             raise ValueError("c must be >= 1")
-        if self.eps not in (0, 1):
-            raise ValueError("eps must be 0 or 1")
         if self.q_f <= self.n:
             raise ValueError("q_f must exceed n")
-        if len(self.sigma_n) != self.n:
-            raise ValueError("sigma_n must have n parameters")
-        if self.sigma_n.base != self.q_f**2:
-            raise ValueError("sigma_n must live over the extension residue size")
         if self.rep.rank != self.n + 1:
             raise ValueError("rep must have rank n + 1")
-        if self.rep.conductor() != self.c:
-            raise ValueError(
-                f"conductor mismatch: rep has {self.rep.conductor()}, context says {self.c}"
-            )
+
+    @property
+    def n(self) -> int:
+        return len(self.sigma_n)
+
+    @property
+    def c(self) -> int:
+        return self.rep.conductor()
 
     @property
     def q_e(self) -> int:
-        return self.q_f**2
+        return self.sigma_n.base
 
     @property
-    def parity_ok(self) -> bool:
-        return (self.c - self.eps) % 2 == 0
+    def q_f(self) -> int:
+        return _square_base_root(self.sigma_n.base)
 
     def sigma_u(self) -> SatakeSet:
-        return self.rep.unramified_part(self.q_e)[1]
+        return self.rep.unramified_part(self.q_e)
 
 
 def _l_quotient_pre_cancellation(d: PairData) -> complex:
@@ -74,8 +66,11 @@ def _l_quotient_pre_cancellation(d: PairData) -> complex:
     sigma_u = d.sigma_u()
     eps_n = -1 if (d.n - 1) % 2 else 1          # sign (-1)^(n-1) for sigma_n
     eps_u = -1 if d.n % 2 else 1                # sign (-1)^n for sigma_u
-    num = rs_lfactor(d.sigma_n, sigma_u).value(0.5) if len(sigma_u) else 1.0
+    num = rs_lfactor(d.sigma_n, sigma_u).value(0.5)
     num *= asai_lfactor(d.sigma_n, eps_n).value(1).conjugate()
+    # an empty L-factor is the float 1.0, but a complex times 1.0 is a full
+    # complex product that can flip the sign of a zero part, so complex
+    # products here and in j_main skip the factors of an empty sigma_u
     if len(sigma_u):
         num *= asai_lfactor(sigma_u, eps_u).value(1).conjugate()
     den = pair_dual_lfactor(d.sigma_n).value(1)
@@ -112,9 +107,7 @@ def i_assembled(d: PairData, depth: int | None = None) -> complex:
     vol_kprime = vol_gl(d.n, d.q_e) * vol_kprime_c(d.n, d.c, d.q_e)
     # |c_n|^-2 and |c_{n+1}|^-2 from the norm-one normalization
     cn_sq_inv = float(vol_gl_formula(d.n - 1, d.q_e)) * pair_dual_lfactor(d.sigma_n).value(1)
-    cn1_sq_inv = float(vol_gl(d.n, d.q_e))
-    if len(sigma_u):
-        cn1_sq_inv *= pair_dual_lfactor(sigma_u).value(1)
+    cn1_sq_inv = float(vol_gl(d.n, d.q_e)) * pair_dual_lfactor(sigma_u).value(1)
     if depth is not None:
         lam = lambda_truncated(d.sigma_n, d.rep, depth).value
         beta_big = beta_truncated(d.rep, d.q_f, depth).value
@@ -139,7 +132,7 @@ def _j_main_terms(d: PairData) -> tuple[Fraction, int, int, complex, complex, co
     sigma_u = d.sigma_u()
     eps_n = -1 if d.n % 2 else 1                # sign (-1)^n
     eps_u = -1 if (d.n + 1) % 2 else 1          # sign (-1)^(n+1)
-    l_rs = rs_lfactor(d.sigma_n, sigma_u).value(0.5) if len(sigma_u) else 1.0
+    l_rs = rs_lfactor(d.sigma_n, sigma_u).value(0.5)
     l_n = asai_lfactor(d.sigma_n, eps_n).value(1)
     l_u = asai_lfactor(sigma_u, eps_u).value(1) if len(sigma_u) else None
     return constant_c_main(d.n, d.c, d.q_f), eps_n, eps_u, l_rs, l_n, l_u
@@ -148,8 +141,6 @@ def _j_main_terms(d: PairData) -> tuple[Fraction, int, int, complex, complex, co
 def j_main(d: PairData) -> complex:
     """The main closed formula: the explicit constant times the central
     pairing value over the two twisted tensor edge values."""
-    if not d.parity_ok:
-        raise ParityError(f"c={d.c} and eps={d.eps} have different parities")
     c_const, _, _, num, den, l_u = _j_main_terms(d)
     if l_u is not None:
         den *= l_u

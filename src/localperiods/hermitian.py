@@ -258,14 +258,9 @@ def in_bmk(x: EMat, c: int, p: int) -> bool:
     return qe_valuation(x.entry(n, n) - 1, p) >= c
 
 
-def _det_is_unit(g: EMat, p: int) -> bool:
-    d = g.det()
-    return (not d.is_zero()) and qe_valuation(d, p) == 0
-
-
 def in_kprime(g: EMat, c: int, p: int) -> bool:
     """Depth-c mirahoric subgroup: congruence block shape and unit determinant."""
-    return in_bmk(g, c, p) and _det_is_unit(g, p)
+    return in_bmk(g, c, p) and qe_valuation(g.det(), p) == 0
 
 
 def in_k_s(s: EMat, c: int, p: int) -> bool:

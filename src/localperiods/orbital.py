@@ -197,8 +197,7 @@ def group_transport_check(p: int, c: int, u: int = -1, seed: int = 0) -> list[Ve
             ],
             u,
         )
-        den = (EMat.identity(2, u) - x).det()
-        if den.is_zero() or qe_valuation(den, p) != 0:
+        if qe_valuation((EMat.identity(2, u) - x).det(), p) != 0:
             continue
         g = cayley(x, one)
         in_lattice = in_k_tilde_lie(x, c, p, j)

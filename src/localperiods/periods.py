@@ -94,13 +94,9 @@ def beta_closed(rep: GenericRep, q_f: int) -> complex:
     """Closed form of the same period: the GL_n lattice volume times the
     twisted tensor factor of the unramified part at the edge point, with
     sign (-1)^n."""
-    q_e = q_f**2
     n = rep.rank - 1
-    _, sigma_u = rep.unramified_part(q_e)
-    if len(sigma_u) == 0:
-        return float(vol_gl(n, q_f))
     sign = -1 if n % 2 else 1
-    return float(vol_gl(n, q_f)) * asai_lfactor(sigma_u, sign).value(1)
+    return float(vol_gl(n, q_f)) * asai_lfactor(rep.unramified_part(q_f**2), sign).value(1)
 
 
 def beta_spherical_truncated(sigma_n: SatakeSet, q_f: int, depth: int) -> TruncResult:
@@ -153,7 +149,7 @@ def lambda_truncated(sigma_n: SatakeSet, rep: GenericRep, depth: int) -> TruncRe
         head, w_big = _essential_on_torus(rep, q_e, depth)
     else:
         head = n
-        gamma = _spherical_on_torus(rep.unramified_part(q_e)[1].params, q_e, depth)
+        gamma = _spherical_on_torus(rep.unramified_part(q_e).params, q_e, depth)
 
         def w_big(f: tuple[int, ...]) -> complex:
             return gamma(f + (0,))
@@ -170,11 +166,8 @@ def lambda_truncated(sigma_n: SatakeSet, rep: GenericRep, depth: int) -> TruncRe
 def lambda_closed(sigma_n: SatakeSet, rep: GenericRep) -> complex:
     """Closed form: GL_n lattice volume over the extension times the pairing
     factor of sigma_n with the unramified part, at the center."""
-    q_e = sigma_n.base
-    _, sigma_u = rep.unramified_part(q_e)
-    if len(sigma_u) == 0:
-        return float(vol_gl(len(sigma_n), q_e))
-    return float(vol_gl(len(sigma_n), q_e)) * rs_lfactor(sigma_n, sigma_u).value(0.5)
+    sigma_u = rep.unramified_part(sigma_n.base)
+    return float(vol_gl(len(sigma_n), sigma_n.base)) * rs_lfactor(sigma_n, sigma_u).value(0.5)
 
 
 # ---------------------------------------------------------------------------

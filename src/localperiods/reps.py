@@ -5,7 +5,7 @@ symmetry predicates."""
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 from .numerics import ensure_finite
@@ -98,7 +98,7 @@ class Segment:
 class GenericRep:
     """Generic representation given by its multiset of segments."""
 
-    segments: tuple[Segment, ...] = field(default_factory=tuple)
+    segments: tuple[Segment, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -115,13 +115,13 @@ class GenericRep:
     def is_ramified(self) -> bool:
         return self.conductor() > 0
 
-    def unramified_part(self, q_e: int) -> tuple[int, SatakeSet]:
-        """Number of unramified-character supports and their parameters,
-        ordered by decreasing real part of the exponent t with alpha = q_e^-t
-        (i.e. by increasing modulus), ties broken deterministically."""
+    def unramified_part(self, q_e: int) -> SatakeSet:
+        """The parameters of the unramified-character supports, ordered by
+        decreasing real part of the exponent t with alpha = q_e^-t (i.e. by
+        increasing modulus), ties broken deterministically."""
         alphas = [seg.base.alpha for seg in self.segments if isinstance(seg.base, UnramChar)]
         alphas.sort(key=lambda a: (abs(a), cmath.phase(a), a.real, a.imag))
-        return len(alphas), SatakeSet(tuple(alphas), q_e)
+        return SatakeSet(tuple(alphas), q_e)
 
     def to_json(self) -> dict:
         segs = []

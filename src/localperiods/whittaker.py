@@ -83,7 +83,8 @@ def _essential_on_torus(
         raise ValueError("representation is unramified; use spherical_value")
     if m < 2:
         raise ValueError("rank must be >= 2")
-    r, sigma_u = rep.unramified_part(q_e)
+    sigma_u = rep.unramified_part(q_e)
+    r = len(sigma_u)
     spherical = _spherical_on_torus(sigma_u.params, q_e, max_part)
 
     def value(exponents: tuple[int, ...]) -> complex:

@@ -88,9 +88,7 @@ def test_03_essential_vector_pairing_identity():
         rep = random_ramified_rep(rng, 4, rng.randint(0, 3), rng.randint(1, 2))
         sigma = satake(unit_circle(rng, 3), 25)
         got = lambda_truncated(sigma, rep, depth).value
-        _, sigma_u = rep.unramified_part(25)
-        lval = rs_lfactor(sigma, sigma_u).value(0.5) if len(sigma_u) else 1.0
-        ratios.append(got / lval)
+        ratios.append(got / rs_lfactor(sigma, rep.unramified_part(25)).value(0.5))
     spread = ratio_spread(ratios)
     ok = ok and spread <= 1e-7
     soft_constant = sum(ratios) / len(ratios)
@@ -148,12 +146,8 @@ def test_07_main_theorem_algebra():
         q_f = 3 if n < 3 else rng.choice([5, 7])
         c = rng.randint(1, 4)
         d = PairData(
-            n=n,
-            c=c,
-            eps=c % 2,
-            q_f=q_f,
-            sigma_n=satake(conj_selfdual_unit(rng, n), q_f**2),
-            rep=random_ramified_rep(rng, n + 1, rng.randint(0, n), c),
+            satake(conj_selfdual_unit(rng, n), q_f**2),
+            random_ramified_rep(rng, n + 1, rng.randint(0, n), c),
         )
         lhs, rhs = j_main(d), j_via_bridge(d)
         err = abs(lhs - rhs) / max(abs(lhs), abs(rhs))

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import random
 
 import pytest
@@ -6,14 +7,13 @@ import pytest
 from helpers import satake
 from localperiods.assembly import (
     PairData,
-    ParityError,
     i_assembled,
     i_closed,
     j_main,
     j_via_bridge,
 )
 from localperiods.draws import conj_selfdual_unit, random_ramified_rep, unit_circle
-from localperiods.lfactors import asai_lfactor, rs_lfactor
+from localperiods.lfactors import asai_lfactor, pair_dual_lfactor, rs_lfactor
 from localperiods.reps import GenericRep, RamCusp, SatakeSet, Segment, UnramChar
 from localperiods.volumes import constant_c_main
 
@@ -23,49 +23,37 @@ DEPTH = 40
 def pair_data(rng, n, c, q_f, r=None):
     r = rng.randint(0, n) if r is None else r
     return PairData(
-        n=n,
-        c=c,
-        eps=c % 2,
-        q_f=q_f,
-        sigma_n=satake(conj_selfdual_unit(rng, n), q_f**2),
-        rep=random_ramified_rep(rng, n + 1, r, c),
+        satake(conj_selfdual_unit(rng, n), q_f**2), random_ramified_rep(rng, n + 1, r, c)
     )
 
 
 def trivial_pair(n=1, c=1, q_f=3):
     return PairData(
-        n=n,
-        c=c,
-        eps=c % 2,
-        q_f=q_f,
-        sigma_n=satake((1.0,) * n, q_f**2),
-        rep=GenericRep(
-            tuple(Segment(UnramChar(1.0)) for _ in range(n)) + (Segment(RamCusp(1, c)),)
-        ),
+        satake((1.0,) * n, q_f**2),
+        GenericRep(tuple(Segment(UnramChar(1.0)) for _ in range(n)) + (Segment(RamCusp(1, c)),)),
     )
 
 
 class TestPairData:
+    def test_derived_context(self):
+        d = trivial_pair(n=2, c=3, q_f=5)
+        assert [f.name for f in dataclasses.fields(PairData)] == ["sigma_n", "rep"]
+        assert (d.n, d.c, d.q_f, d.q_e) == (2, 3, 5, 25)
+
     def test_conductor_mismatch(self):
-        rng = random.Random(1)
-        with pytest.raises(ValueError):
-            PairData(1, 2, 0, 3, satake((1.0,), 9), random_ramified_rep(rng, 2, 1, 1))
+        unramified = GenericRep((Segment(UnramChar(1.0)), Segment(UnramChar(1.0))))
+        with pytest.raises(ValueError, match="c must be >= 1"):
+            PairData(satake((1.0,), 9), unramified)
 
     def test_residue_size_bound(self):
         rng = random.Random(2)
         with pytest.raises(ValueError):
-            PairData(3, 1, 1, 3, satake(unit_circle(rng, 3), 9), random_ramified_rep(rng, 4, 1, 1))
+            PairData(satake(unit_circle(rng, 3), 9), random_ramified_rep(rng, 4, 1, 1))
 
     def test_base_mismatch(self):
         rng = random.Random(3)
-        with pytest.raises(ValueError):
-            PairData(1, 1, 1, 3, satake((1.0,), 4), random_ramified_rep(rng, 2, 1, 1))
-
-    def test_parity_flag(self):
-        d = trivial_pair(c=1)
-        assert d.parity_ok
-        d2 = PairData(1, 1, 0, 3, d.sigma_n, d.rep)
-        assert not d2.parity_ok
+        with pytest.raises(ValueError, match="not the square of a residue size"):
+            PairData(satake((1.0,), 8), random_ramified_rep(rng, 2, 1, 1))
 
 
 class TestIClosed:
@@ -85,7 +73,7 @@ class TestIClosed:
         rng = random.Random(7)
         d = pair_data(rng, 2, 1, 5)
         perm = SatakeSet(tuple(reversed(d.sigma_n.params)), d.sigma_n.base)
-        d2 = PairData(d.n, d.c, d.eps, d.q_f, perm, d.rep)
+        d2 = PairData(perm, d.rep)
         assert abs(i_closed(d) - i_closed(d2)) < 1e-14
 
 
@@ -122,12 +110,6 @@ class TestJMain:
         assert constant_c_main(1, 1, 3) == pytest.approx(1 / 9)
         assert abs(j_main(d) - 4 / 27) < 1e-13
 
-    def test_parity_mismatch_rejected(self):
-        d = trivial_pair(c=1)
-        bad = PairData(1, 1, 0, 3, d.sigma_n, d.rep)
-        with pytest.raises(ParityError):
-            j_main(bad)
-
     def test_real_positive(self):
         rng = random.Random(17)
         for _ in range(10):
@@ -162,16 +144,17 @@ class TestBridge:
         rng = random.Random(21)
         sigma = satake((cmath.exp(0.4j),), 9)  # not stable under inversion pairing
         rep = GenericRep((Segment(UnramChar(cmath.exp(0.9j))), Segment(RamCusp(1, 1))))
-        d = PairData(1, 1, 1, 3, sigma, rep)
+        d = PairData(sigma, rep)
         lhs, rhs = j_main(d), j_via_bridge(d)
         assert abs(lhs - rhs) > 1e-3 * max(abs(lhs), abs(rhs))
 
 
 class TestUnramifiedDegeneration:
     def test_quotient_reduces_to_adjoint_shape(self):
-        # with every support unramified the two quotient shapes coincide by
-        # construction; the overall constant stays outside the hypotheses and
-        # is deliberately not asserted
+        # with every support unramified the post-cancellation quotient equals
+        # the pre-cancellation shape, since PD = As^+ * As^- at
+        # conjugate-self-dual unit parameters; the overall constant stays
+        # outside the hypotheses and is deliberately not asserted
         rng = random.Random(25)
         n = 2
         q_e = 25
@@ -179,14 +162,17 @@ class TestUnramifiedDegeneration:
         gamma = conj_selfdual_unit(rng, n + 1)
         rep = GenericRep(tuple(Segment(UnramChar(a)) for a in gamma))
         assert rep.conductor() == 0
-        r, sigma_u = rep.unramified_part(q_e)
+        sigma_u = rep.unramified_part(q_e)
         key = lambda z: (z.real, z.imag)
-        assert r == n + 1 and sorted(sigma_u.params, key=key) == sorted(gamma, key=key)
+        assert len(sigma_u) == n + 1 and sorted(sigma_u.params, key=key) == sorted(gamma, key=key)
         eps_n = -1 if n % 2 else 1
         quotient = rs_lfactor(sigma_n, sigma_u).value(0.5) / (
             asai_lfactor(sigma_n, eps_n).value(1) * asai_lfactor(sigma_u, -eps_n).value(1)
         )
-        adjoint_shape = rs_lfactor(sigma_n, sigma_u).value(0.5) / (
-            asai_lfactor(sigma_n, eps_n).value(1) * asai_lfactor(sigma_u, -eps_n).value(1)
+        adjoint_shape = (
+            rs_lfactor(sigma_n, sigma_u).value(0.5)
+            * asai_lfactor(sigma_n, -eps_n).value(1)
+            * asai_lfactor(sigma_u, eps_n).value(1)
+            / (pair_dual_lfactor(sigma_n).value(1) * pair_dual_lfactor(sigma_u).value(1))
         )
         assert cmath.isclose(quotient, adjoint_shape)

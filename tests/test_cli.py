@@ -2,6 +2,8 @@ import dataclasses
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -149,7 +151,7 @@ class TestCompute:
             )
         )
         code, out, _ = run(
-            capsys, "compute", "j-main", "--qf", "3", "--n", "1", "--c", "1",
+            capsys, "compute", "j-main", "--qf", "3",
             "--satake", "1", "--segments-file", str(seg),
         )
         assert code == 0
@@ -170,7 +172,7 @@ class TestCompute:
             )
         )
         code, out, _ = run(
-            capsys, "compute", "i-closed", "--qf", "3", "--n", "1", "--c", "1",
+            capsys, "compute", "i-closed", "--qf", "3",
             "--satake", "1", "--segments-file", str(seg),
         )
         assert code == 0
@@ -212,6 +214,9 @@ UNREAD_FLAGS = {
     "compute-seed": (["compute", "lfactor", "--satake", "1", "--asai", "+", "--seed", "3"],
                      "--seed"),
     "volumes-depth": (["volumes", "--n", "1", "--c", "1", "--depth", "5"], "--depth"),
+    # the pair targets derive n and c from --satake and the segments file
+    "j-main-n": (["compute", "j-main", "--n", "1", "--satake", "1", "--qf", "3"], "--n"),
+    "i-closed-c": (["compute", "i-closed", "--c", "1", "--satake", "1", "--qf", "3"], "--c"),
 }
 
 
@@ -283,18 +288,20 @@ def test_every_suite_lists_its_options():
 
 
 #: compute parses every target's options, but a target that ignores one
-#: rejects it: name -> (argv, the option named in the error)
+#: rejects it: name -> (argv, the option named in the error); compute parses
+#: no --n or --c, so argparse rejects those as unrecognized arguments
 TARGET_UNREAD = {
     "whittaker-s-n": (["whittaker", "--lambda", "1", "--satake", "1", "--qf", "3",
-                       "--s", "0.5", "--n", "1"], "--n"),
+                       "--s", "0.5", "--n", "1"], "unrecognized arguments: --n 1"),
     "lfactor-lambda": (["lfactor", "--satake", "1", "--pair-dual", "--lambda", "3,1"], "--lambda"),
-    "lfactor-n-c": (["lfactor", "--satake", "1", "--pair-dual", "--n", "3", "--c", "2"], "--n"),
+    "lfactor-n-c": (["lfactor", "--satake", "1", "--pair-dual", "--n", "3", "--c", "2"],
+                    "unrecognized arguments: --n 3 --c 2"),
     "whittaker-pair-dual": (["whittaker", "--lambda", "1", "--satake", "1", "--pair-dual"],
                             "--pair-dual"),
     "lfactor-segments": (["lfactor", "--satake", "1", "--asai", "+", "--segments-file", "x"],
                          "--segments-file"),
-    "i-closed-asai": (["i-closed", "--n", "1", "--c", "1", "--asai", "+"], "--asai"),
-    "j-main-s-key": (["j-main", "--n", "1", "--c", "1", "--config", "{cfg}"], "config key 's'"),
+    "i-closed-asai": (["i-closed", "--asai", "+"], "--asai"),
+    "j-main-s-key": (["j-main", "--config", "{cfg}"], "config key 's'"),
 }
 
 
@@ -303,9 +310,16 @@ def test_options_the_target_ignores_exit_2(name, capsys, tmp_path):
     argv, what = TARGET_UNREAD[name]
     cfg = tmp_path / "run.cfg"
     cfg.write_text("s = 0.5\n")
-    code, stdout, err = run(capsys, "compute", *(a.format(cfg=cfg) for a in argv))
+    try:
+        code = main(["compute", *(a.format(cfg=cfg) for a in argv)])
+    except SystemExit as exc:
+        code = exc.code
+    stdout, err = capsys.readouterr()
     assert (code, stdout) == (2, "")
-    assert err == f"usage error: {what} is not read by 'compute {argv[0]}'\n"
+    if what.startswith("unrecognized"):
+        assert err.endswith(f"localperiods: error: {what}\n")
+    else:
+        assert err == f"usage error: {what} is not read by 'compute {argv[0]}'\n"
 
 
 #: option pairs of which compute would read only one: name -> (argv, error)
@@ -361,6 +375,9 @@ CONFIG_VALUES = {
                         "config key 'asai': invalid choice: '*' (choose from '+', '-')"),
     "satake-bad-token": (["compute", "lfactor", "--asai", "+"], "satake = xyz\n",
                          "config key 'satake': cannot parse complex value 'xyz'"),
+    # the error names the token as typed, before 'i' is read as the imaginary unit
+    "satake-inf": (["compute", "lfactor", "--asai", "+", "--qf", "3"], "satake = inf\n",
+                   "config key 'satake': cannot parse complex value 'inf'"),
     "asai": (["compute", "lfactor"], "asai = +\nsatake = 1\n", "L(s=1.0) = 1.5\n"),
     "lambda": (["compute", "whittaker", "--satake", "1,1"], "lambda = 1,0\n",
                "W0([1, 0]) = 0.666666666667\n"),
@@ -409,8 +426,8 @@ REP1 = {"segments": [{"type": "unram", "alpha": [1.0, 0.0], "k": 1},
                      {"type": "ram", "dim": 1, "cond": 1, "k": 1}]}
 REP2 = {"segments": [{"type": "unram", "alpha": [0.6, 0.8], "k": 1},
                      {"type": "ram", "dim": 2, "cond": 1, "k": 1}]}
-N1 = ["--qf", "3", "--n", "1", "--c", "1", "--satake", "1"]
-N2 = ["--qf", "5", "--n", "2", "--c", "1", "--satake", "0.6+0.8i,0.6-0.8i"]
+N1 = ["--qf", "3", "--satake", "1"]
+N2 = ["--qf", "5", "--satake", "0.6+0.8i,0.6-0.8i"]
 
 #: name -> (argv, segments file or None, the exact stdout)
 STDOUT_PINS = {
@@ -526,3 +543,35 @@ def test_run_theta_sums_each_draw_once(monkeypatch):
     reports = cli.run_theta(cfg, random.Random(7))
     assert calls[0] == 10
     assert len(reports) == 14
+
+
+#: the README's "Command line" section, up to the next heading
+README_CLI = (Path(__file__).resolve().parents[1] / "README.md").read_text().split(
+    "## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_command_lines_are_accepted():
+    """Every example command in the README parses and validates; none runs."""
+    block = README_CLI.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("localperiods ")]
+    assert len(lines) >= 5
+    for line in lines:
+        args = cli.build_parser().parse_args(shlex.split(line)[1:])
+        cli.make_config(args).validate()
+
+
+def test_readme_option_tables_match_what_each_choice_reads():
+    """The README's verify and compute tables list exactly the options that
+    each suite and target reads; verify's --seed and --json are stated apart."""
+    tables: dict[str, dict[str, set[str]]] = {}
+    for first, second in re.findall(r"^ *\| (.+?) \| (.+?) \|$", README_CLI, re.M):
+        if second == "options":
+            table = tables.setdefault({"suite": "verify", "target": "compute"}[first], {})
+            continue
+        for name in re.findall(r"`([^`]+)`", first):
+            table[name] = set(re.findall(r"--[\w-]+", second))
+    flags = {name: flag for name, (flag, _) in cli._OPTIONS.items()}
+    for command, shared in (("verify", {"--seed", "--json"}), ("compute", set())):
+        reads = {choice: {flags[o] for o in opts} - shared
+                 for choice, opts in cli._reads(command).items() if choice != "all"}
+        assert tables[command] == reads

@@ -64,18 +64,15 @@ class TestConductor:
 class TestUnramifiedPart:
     def test_all_ramified_is_empty(self):
         rep = GenericRep((ram(2, 1), ram(1, 3)))
-        r, sigma = rep.unramified_part(9)
-        assert r == 0 and len(sigma) == 0
+        assert len(rep.unramified_part(9)) == 0
 
     def test_extraction(self):
         rep = GenericRep((unram(0.5j), ram(1, 2)))
-        r, sigma = rep.unramified_part(9)
-        assert r == 1 and sigma.params == (0.5j,)
+        assert rep.unramified_part(9).params == (0.5j,)
 
     def test_ordering_by_modulus(self):
         rep = GenericRep((unram(2.0), unram(0.25)))
-        _, sigma = rep.unramified_part(9)
-        assert sigma.params == (0.25, 2.0)
+        assert rep.unramified_part(9).params == (0.25, 2.0)
 
     def test_invariant_under_permutation(self):
         rng = random.Random(5)
@@ -90,13 +87,12 @@ class TestUnramifiedPart:
         rep = GenericRep(
             tuple(unram(a) for a in conj_selfdual_unit(rng, 3)) + (ram(1, 1),)
         )
-        _, sigma = rep.unramified_part(9)
+        sigma = rep.unramified_part(9)
         assert all(abs(abs(a) - 1) < 1e-12 for a in sigma)
 
     def test_segment_length_does_not_duplicate_parameter(self):
         rep = GenericRep((unram(1.0, k=2), ram(1, 1)))
-        r, sigma = rep.unramified_part(9)
-        assert r == 1 and sigma.params == (1 + 0j,)
+        assert rep.unramified_part(9).params == (1 + 0j,)
 
 
 class TestSatakeSet:

@@ -68,7 +68,7 @@ class TestTorusEvaluators:
         for m in (2, 3, 4):
             for r in range(m):
                 rep = random_ramified_rep(rng, m, r, cond=1)
-                _, sigma_u = rep.unramified_part(9)
+                sigma_u = rep.unramified_part(9)
                 got_r, value = _essential_on_torus(rep, 9, 4)
                 assert got_r == r
                 for f in itertools.product(range(-1, 6), repeat=m - 1):
@@ -127,7 +127,7 @@ class TestEssentialValue:
             rep = random_ramified_rep(rng, m, r, cond=rng.randint(1, 3))
             head = tuple(sorted((rng.randint(0, 3) for _ in range(r)), reverse=True))
             f = head + (0,) * (m - 1 - r)
-            _, sigma_u = rep.unramified_part(q_e)
+            sigma_u = rep.unramified_part(q_e)
             delta_half = 1.0
             for i, fi in enumerate(head, start=1):
                 delta_half *= float(q_e) ** (-fi * (r + 1 - 2 * i) / 2)
