@@ -10,6 +10,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -63,6 +64,7 @@ from .numerics import (
 from .orbital import fl_check_rank1, group_transport_check
 from .periods import (
     check_beta,
+    check_beta_spherical,
     check_lambda,
     check_theta,
     lambda_truncated,
@@ -71,13 +73,13 @@ from .periods import (
 from .report import (
     STATUS_FAIL,
     STATUS_PASS,
+    STATUS_REJECTED,
     TOLERANCES,
     VerificationReport,
     exact_check,
     hard_check,
-    soft_check,
 )
-from .reps import GenericRep, SatakeSet
+from .reps import GenericRep, SatakeSet, selfdual_unit_defect
 from .symfunc import macdonald_closed, macdonald_sum
 from .volumes import (
     c1,
@@ -191,8 +193,8 @@ def load_rep(cfg: RunConfig) -> GenericRep:
 def _ratio_pair(
     name: str, params: dict, ratios: list[complex], constant: Fraction
 ) -> list[VerificationReport]:
-    """Hard check that the ratios agree across the draws, and soft check of
-    their mean against the constant they should all equal."""
+    """Hard checks that the ratios agree across the draws and that their
+    mean equals the constant they should all equal."""
     params = {**params, "draws": len(ratios)}
     spread = ratio_spread(ratios)
     check = f"{name}-ratio-independence"
@@ -200,7 +202,7 @@ def _ratio_pair(
     mean = sum(ratios) / len(ratios)
     return [
         VerificationReport(check, params, complex(spread), 0j, spread, status),
-        soft_check(f"{name}-constant", dict(params), mean, complex(float(constant))),
+        hard_check(f"{name}-constant", dict(params), mean, complex(float(constant))),
     ]
 
 
@@ -225,6 +227,12 @@ def run_beta(cfg: RunConfig, rng: random.Random) -> list[VerificationReport]:
                 rep_report = check_beta(rep, cfg.q_f, cfg.depth)
                 rep_report.params.update({"n": n, "r": r, "draw": k})
                 reports.append(rep_report)
+    for n in range(1, 4):
+        for k in range(5):
+            sigma_n = SatakeSet(unit_circle(rng, n), cfg.q_e)
+            sph_report = check_beta_spherical(sigma_n, cfg.q_f, cfg.depth)
+            sph_report.params.update({"n": n, "draw": k})
+            reports.append(sph_report)
     return reports
 
 
@@ -236,7 +244,7 @@ def run_theta(cfg: RunConfig, rng: random.Random) -> list[VerificationReport]:
             sigma = SatakeSet(unit_circle(rng, k_rank), cfg.q_e)
             reports.append(check_theta(sigma, cfg.depth))
             ratios.append(reports[-1].lhs / pair_dual_lfactor(sigma).value(1))
-        reports.extend(_ratio_pair("theta", {"k": k_rank}, ratios, vol_gl(k_rank - 1, cfg.q_e)))
+        reports.extend(_ratio_pair("theta", {"k": k_rank}, ratios, vol_gl(k_rank, cfg.q_e)))
     return reports
 
 
@@ -494,11 +502,23 @@ def compute_whittaker(cfg: RunConfig) -> str:
 def _pair_data(cfg: RunConfig) -> PairData:
     if not cfg.satake:
         raise UsageError("--satake (the unramified-side parameters) is required")
-    return PairData(SatakeSet(tuple(cfg.satake), cfg.q_e), load_rep(cfg))
+    n, rep = len(cfg.satake), load_rep(cfg)
+    if cfg.q_f <= n:
+        raise UsageError(f"--qf {cfg.q_f} must exceed n = {n}, the number of --satake values")
+    if rep.rank != n + 1:
+        raise UsageError(f"segments file {cfg.segments_file!r} has rank {rep.rank}, "
+                         f"but {n} --satake values need rank {n + 1}")
+    return PairData(SatakeSet(tuple(cfg.satake), cfg.q_e), rep)
 
 
 def compute_j_main(cfg: RunConfig) -> str:
     d = _pair_data(cfg)
+    # the formula's hypothesis, on both sides of the pair
+    sides = (("--satake", d.sigma_n), ("--segments-file unramified characters", d.sigma_u()))
+    for where, sigma in sides:
+        defect = selfdual_unit_defect(sigma)
+        if defect:
+            raise UsageError(f"{where}: {defect}")
     j = j_main(d)
     c_const, eps_n, eps_u, l_rs, l_n, l_u = _j_main_terms(d)
     lines = [
@@ -533,23 +553,19 @@ _COMPUTE_TARGETS: dict[str, tuple[Callable[[RunConfig], str], tuple[str, ...]]] 
 
 def _emit(reports: list[VerificationReport], json_path: str | None) -> int:
     reports.sort(key=lambda r: (r.check, json.dumps(r.params, sort_keys=True, default=str)))
-    counts = {"pass": 0, "fail": 0, "soft-discrepancy": 0, "rejected-input": 0}
-    for rep in reports:
-        counts[rep.status] = counts.get(rep.status, 0) + 1
+    counts = Counter(rep.status for rep in reports)
     for rep in reports:
         if rep.status != STATUS_PASS:
             print(rep)
-    print(
-        f"{len(reports)} checks: {counts['pass']} pass, {counts['fail']} fail, "
-        f"{counts['soft-discrepancy']} soft, {counts['rejected-input']} rejected"
-    )
+    print(f"{len(reports)} checks: {counts[STATUS_PASS]} pass, {counts[STATUS_FAIL]} fail, "
+          f"{counts[STATUS_REJECTED]} rejected")
     if json_path:
         payload = [rep.to_json() for rep in reports]
         try:
             Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         except OSError as exc:
             raise UsageError(f"cannot write --json report {json_path!r}: {exc.strerror}") from exc
-    return 1 if any(rep.is_hard_failure for rep in reports) else 0
+    return 1 if counts[STATUS_FAIL] else 0
 
 
 def cmd_verify(cfg: RunConfig, suite: str) -> int:

@@ -12,7 +12,7 @@ from typing import Any
 
 from .numerics import ensure_finite
 from .report import VerificationReport, hard_check, rejected
-from .reps import SatakeSet, is_conjugate_selfdual
+from .reps import SatakeSet, selfdual_unit_defect
 
 POLE_EPS = 1e-12
 
@@ -107,10 +107,9 @@ def asai_cancellation_check(sigma: SatakeSet, n_parity: int) -> VerificationRepo
         "base": sigma.base,
         "n_parity": n_parity % 2,
     }
-    if not is_conjugate_selfdual(sigma):
-        return rejected("asai-cancel", params, "parameters not conjugate-self-dual")
-    if any(abs(abs(a) - 1) > 1e-9 for a in sigma):
-        return rejected("asai-cancel", params, "parameters not on the unit circle")
+    defect = selfdual_unit_defect(sigma)
+    if defect:
+        return rejected("asai-cancel", params, defect)
     eps = -1 if n_parity % 2 else 1
     lhs = asai_lfactor(sigma, -eps).value(1).conjugate() / pair_dual_lfactor(sigma).value(1)
     rhs = 1 / asai_lfactor(sigma, eps).value(1)

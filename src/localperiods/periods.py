@@ -27,9 +27,9 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .lfactors import asai_lfactor, pair_dual_lfactor, rs_lfactor
-from .report import VerificationReport, hard_check, soft_check
+from .report import VerificationReport, hard_check
 from .reps import GenericRep, SatakeSet
-from .symfunc import _per_modular_exponent, delta_weight, partitions_in_box
+from .symfunc import _per_modular_exponent, _product, delta_weight, partitions_in_box
 from .volumes import vol_gl
 from .whittaker import _essential_on_torus, _spherical_on_torus
 from .whittaker import essential_value  # noqa: F401  (bench/tests probe it in this namespace)
@@ -111,14 +111,15 @@ def beta_spherical_truncated(sigma_n: SatakeSet, q_f: int, depth: int) -> TruncR
 
 
 def beta_spherical_closed(sigma_n: SatakeSet, q_f: int) -> complex:
-    """Literature closed form compared against in soft mode: the GL_{n-1}
-    lattice volume times the twisted tensor factor at the edge, sign
-    (-1)^(n-1)."""
+    """Closed form of the same period: the GL_{n-1} lattice volume times the
+    twisted tensor factor at the edge, sign (-1)^(n-1), times the factor
+    (1 - det(sigma_n) q_F^(-n)) that drops the partitions of length n from
+    the Littlewood series (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.4; the full series is I.5, Example 4)."""
     n = len(sigma_n)
-    if n == 0:
-        return 1.0
     sign = -1 if (n - 1) % 2 else 1
-    return float(vol_gl(n - 1, q_f)) * asai_lfactor(sigma_n, sign).value(1)
+    length_term = 1 - _product(sigma_n.params) * float(q_f) ** -n
+    return float(vol_gl(n - 1, q_f)) * asai_lfactor(sigma_n, sign).value(1) * length_term
 
 
 def theta_truncated(sigma: SatakeSet, depth: int) -> TruncResult:
@@ -130,10 +131,14 @@ def theta_truncated(sigma: SatakeSet, depth: int) -> TruncResult:
 
 
 def theta_closed(sigma: SatakeSet) -> complex:
-    """Reference closed form: GL_{k-1} lattice volume times the
-    conjugate-pairing factor at the edge point."""
+    """Closed form of the norm integral: GL_{k-1} lattice volume times the
+    conjugate-pairing factor at the edge point times the factor
+    (1 - |det sigma|^2 q_E^(-k)) that drops the partitions of length k from
+    the Cauchy series of sigma against its conjugate (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.4)."""
     k = len(sigma)
-    return float(vol_gl(k - 1, sigma.base)) * pair_dual_lfactor(sigma).value(1)
+    length_term = 1 - abs(_product(sigma.params)) ** 2 * float(sigma.base) ** -k
+    return float(vol_gl(k - 1, sigma.base)) * pair_dual_lfactor(sigma).value(1) * length_term
 
 
 def lambda_truncated(sigma_n: SatakeSet, rep: GenericRep, depth: int) -> TruncResult:
@@ -183,8 +188,9 @@ def check_beta(rep: GenericRep, q_f: int, depth: int) -> VerificationReport:
 
 
 def check_beta_spherical(sigma_n: SatakeSet, q_f: int, depth: int) -> VerificationReport:
-    """Soft check: measured constant against the literature normalization is
-    recorded, never patched."""
+    """Hard check of the spherical period against beta_spherical_closed,
+    whose factor (1 - det(sigma_n) q_F^(-n)) drops the length-n partitions
+    that the GL_{n-1} torus does not reach (Macdonald I.4)."""
     got = beta_spherical_truncated(sigma_n, q_f, depth)
     want = beta_spherical_closed(sigma_n, q_f)
     params = {
@@ -192,11 +198,13 @@ def check_beta_spherical(sigma_n: SatakeSet, q_f: int, depth: int) -> Verificati
         "satake": [[a.real, a.imag] for a in sigma_n],
         "depth": depth,
     }
-    return soft_check("beta-spherical", params, got.value, want, tail_estimate=got.tail_estimate)
+    return hard_check("beta-spherical", params, got.value, want, tail_estimate=got.tail_estimate)
 
 
 def check_theta(sigma: SatakeSet, depth: int) -> VerificationReport:
-    """Soft check of the norm integral against the reference constant."""
+    """Hard check of the norm integral against theta_closed, whose factor
+    (1 - |det sigma|^2 q_E^(-k)) drops the length-k partitions that the
+    GL_{k-1} torus does not reach (Macdonald I.4)."""
     got = theta_truncated(sigma, depth)
     want = theta_closed(sigma)
     params = {
@@ -204,7 +212,7 @@ def check_theta(sigma: SatakeSet, depth: int) -> VerificationReport:
         "satake": [[a.real, a.imag] for a in sigma],
         "depth": depth,
     }
-    return soft_check("theta", params, got.value, want, tail_estimate=got.tail_estimate)
+    return hard_check("theta", params, got.value, want, tail_estimate=got.tail_estimate)
 
 
 def check_lambda(sigma_n: SatakeSet, rep: GenericRep, depth: int) -> VerificationReport:

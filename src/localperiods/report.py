@@ -8,7 +8,6 @@ from typing import Any
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
-STATUS_SOFT = "soft-discrepancy"
 STATUS_REJECTED = "rejected-input"
 
 #: relative tolerance of each float check family, by check name; the exact
@@ -44,12 +43,7 @@ class VerificationReport:
     rhs: complex = 0j
     rel_err: float = 0.0
     status: str = STATUS_PASS
-    discrepancy_factor: complex | None = None
     tail_estimate: float | None = None
-
-    @property
-    def is_hard_failure(self) -> bool:
-        return self.status == STATUS_FAIL
 
     def to_json(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -60,21 +54,12 @@ class VerificationReport:
             "rel_err": self.rel_err,
             "status": self.status,
         }
-        if self.discrepancy_factor is not None:
-            out["discrepancy_factor"] = [
-                self.discrepancy_factor.real,
-                self.discrepancy_factor.imag,
-            ]
         if self.tail_estimate is not None:
             out["tail_estimate"] = self.tail_estimate
         return out
 
     def __str__(self) -> str:
-        tag = self.status.upper()
-        extra = ""
-        if self.discrepancy_factor is not None:
-            extra = f" discrepancy={self.discrepancy_factor:.12g}"
-        return f"[{tag}] {self.check} {self.params} rel_err={self.rel_err:.3e}{extra}"
+        return f"[{self.status.upper()}] {self.check} {self.params} rel_err={self.rel_err:.3e}"
 
 
 def hard_check(
@@ -98,25 +83,6 @@ def exact_check(
     rel_err is 0.0 on a pass and 1.0 on a failure."""
     return VerificationReport(check, params, complex(lhs), complex(rhs), 0.0 if ok else 1.0,
                               STATUS_PASS if ok else STATUS_FAIL)
-
-
-def soft_check(
-    check: str,
-    params: dict[str, Any],
-    lhs: complex,
-    rhs: complex,
-    tail_estimate: float | None = None,
-) -> VerificationReport:
-    """Comparison verified only up to a recorded multiplicative constant:
-    never a hard failure, but any deviation beyond the check's tolerance in
-    TOLERANCES is preserved in the report."""
-    err = rel_error(lhs, rhs)
-    if err <= TOLERANCES[check]:
-        return VerificationReport(check, params, complex(lhs), complex(rhs), err, STATUS_PASS,
-                                  tail_estimate=tail_estimate)
-    factor = complex(lhs) / complex(rhs) if rhs != 0 else complex("inf")
-    return VerificationReport(check, params, complex(lhs), complex(rhs), err, STATUS_SOFT,
-                              discrepancy_factor=factor, tail_estimate=tail_estimate)
 
 
 def rejected(check: str, params: dict[str, Any], reason: str) -> VerificationReport:

@@ -182,3 +182,13 @@ def is_conjugate_selfdual(s: SatakeSet | Sequence[complex]) -> bool:
     inv = [1 / a for a in params]
     adj = [[abs(a - b) <= SELFDUAL_REL_TOL * max(abs(a), abs(b)) for b in inv] for a in params]
     return _perfect_matching(adj)
+
+
+def selfdual_unit_defect(s: SatakeSet) -> str | None:
+    """Why s is not conjugate-self-dual on the unit circle, the hypothesis
+    of the edge-point identities, or None when it is."""
+    if not is_conjugate_selfdual(s):
+        return "parameters not conjugate-self-dual"
+    if any(abs(abs(a) - 1) > 1e-9 for a in s):
+        return "parameters not on the unit circle"
+    return None

@@ -3,6 +3,7 @@ comparison, and generators built on the shared draws in localperiods.draws."""
 
 from __future__ import annotations
 
+import math
 import random
 import struct
 from fractions import Fraction
@@ -141,6 +142,19 @@ def h_pair_series(xs, ys, t: complex, terms: int = 400) -> complex:
     hx = complete_homogeneous(terms, xs)
     hy = complete_homogeneous(terms, ys)
     return sum(hx[f] * hy[f] * t**f for f in range(terms + 1))
+
+
+def beta_spherical_literature(sigma: SatakeSet, q_f: int, sign: int) -> complex:
+    """The spherical period's closed form written out: the literature form
+    vol(GL_{n-1}(O_F)) L(1, As^sign), an integral over the whole unipotent
+    quotient of GL_n, times 1 - det(sigma) q_F^-n, which drops the length-n
+    partitions that the GL_{n-1} torus does not reach."""
+    from localperiods.lfactors import asai_lfactor
+    from localperiods.volumes import vol_gl
+
+    n = len(sigma)
+    length_term = 1 - math.prod(sigma.params) * float(q_f) ** -n
+    return float(vol_gl(n - 1, q_f)) * asai_lfactor(sigma, sign).value(1) * length_term
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from localperiods import cli
+from helpers import beta_spherical_literature
+from localperiods import cli, report
+from localperiods.assembly import PairData, j_via_bridge
 from localperiods.cli import main, parse_complex_list
+from localperiods.reps import GenericRep, SatakeSet
 
 
 def run(capsys, *argv):
@@ -33,7 +36,7 @@ def test_module_entry_point_runs_a_suite():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "100 checks: 100 pass, 0 fail, 0 soft, 0 rejected"
+    assert proc.stdout.splitlines()[-1] == "100 checks: 100 pass, 0 fail, 0 rejected"
 
 
 class TestParsing:
@@ -74,17 +77,35 @@ class TestVerify:
         assert "[FAIL] c1-identity" in out and "rel_err=1.000e+00" in out
         assert "100 checks: 0 pass, 100 fail" in out
 
-    def test_soft_discrepancies_do_not_fail(self, capsys, tmp_path):
-        out_file = tmp_path / "theta.json"
-        code, out, _ = run(
-            capsys, "verify", "theta", "--qf", "3", "--depth", "25",
-            "--seed", "2", "--json", str(out_file),
-        )
-        assert code == 0
-        reports = json.loads(out_file.read_text())
-        statuses = {r["status"] for r in reports}
-        assert "soft-discrepancy" in statuses
-        assert "fail" not in statuses
+    def test_scaled_theta_integrand_fails(self, capsys, monkeypatch):
+        """5% more norm integrand fails each theta record and each constant
+        derived from them; the two spreads do not see a common factor."""
+        from localperiods import periods
+
+        real = periods._torus_sum
+
+        def scaled(rank, head, depth, q, integrand):
+            return real(rank, head, depth, q, lambda f: 1.05 * integrand(f))
+
+        monkeypatch.setattr(periods, "_torus_sum", scaled)
+        code, out, _ = run(capsys, "verify", "theta", "--qf", "3")
+        assert code == 1
+        assert out.count("[FAIL] theta ") == 10 and out.count("[FAIL] theta-constant ") == 2
+        assert out.splitlines()[-1] == "14 checks: 2 pass, 12 fail, 0 rejected"
+
+    def test_flipped_sign_in_beta_spherical_closed_fails(self, capsys, monkeypatch):
+        """The spherical period's closed form with the twisted tensor sign
+        flipped fails every beta-spherical record and no beta record."""
+        from localperiods import periods
+
+        def flipped(sigma_n, q_f):
+            return beta_spherical_literature(sigma_n, q_f, 1 if (len(sigma_n) - 1) % 2 else -1)
+
+        monkeypatch.setattr(periods, "beta_spherical_closed", flipped)
+        code, out, _ = run(capsys, "verify", "beta", "--qf", "3", "--depth", "25")
+        assert code == 1
+        assert out.count("[FAIL] beta-spherical ") == 15
+        assert out.splitlines()[-1] == "65 checks: 50 pass, 15 fail, 0 rejected"
 
     def test_json_output_is_deterministic(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -421,11 +442,15 @@ def test_removed_tolerance_flags_exit_2(capsys, flag):
 
 
 #: segment files for the pinned compute targets: rank 2 with one unramified
-#: character, and rank 3 with one unramified character off the real axis
+#: character; rank 3 with one unramified character off the real axis, which
+#: is not conjugate-self-dual; and rank 3 with a conjugate-self-dual pair
 REP1 = {"segments": [{"type": "unram", "alpha": [1.0, 0.0], "k": 1},
                      {"type": "ram", "dim": 1, "cond": 1, "k": 1}]}
 REP2 = {"segments": [{"type": "unram", "alpha": [0.6, 0.8], "k": 1},
                      {"type": "ram", "dim": 2, "cond": 1, "k": 1}]}
+REP3 = {"segments": [{"type": "unram", "alpha": [0.8, 0.6], "k": 1},
+                     {"type": "unram", "alpha": [0.8, -0.6], "k": 1},
+                     {"type": "ram", "dim": 1, "cond": 2, "k": 1}]}
 N1 = ["--qf", "3", "--satake", "1"]
 N2 = ["--qf", "5", "--satake", "0.6+0.8i,0.6-0.8i"]
 
@@ -438,13 +463,14 @@ STDOUT_PINS = {
         "L(1, As^[+1], unramified part) = 1.5\n"
         "J = 0.148148148148\n"
     )),
-    "j-main-n2": (["compute", "j-main", *N2], REP2, (
-        "C = 2496/390625\n"
-        "L(1/2, pairing) = 1.14583333333+0.208333333333i\n"
+    "j-main-n2": (["compute", "j-main", *N2], REP3, (
+        "C = 2496/48828125\n"
+        "L(1/2, pairing) = 1.46575984991\n"
         "L(1, As^[+1], unramified side) = 1.30208333333\n"
-        "L(1, As^[-1], unramified part) = 0.875-0.125i\n"
-        "J = 0.0061341696+0.0020447232i\n"
+        "L(1, As^[-1], unramified part) = 0.765931372549\n"
+        "J = 7.51291916488e-05\n"
     )),
+    # i-closed has no self-duality hypothesis
     "i-closed-n1": (["compute", "i-closed", *N1], REP1, "I = 0.0219478737997\n"),
     "i-closed-n2": (["compute", "i-closed", *N2], REP2, "I = 5.87938073149e-05\n"),
     "volumes": (["volumes", "--qf", "3", "--n", "2", "--c", "1"], None, (
@@ -474,29 +500,59 @@ def test_stdout_is_pinned(name, capsys, tmp_path):
     assert (code, out, err) == (0, want, "")
 
 
-#: bad input files: name -> (files to write under tmp_path, argv with {tmp})
+def test_j_main_pin_matches_the_bridge():
+    """The pinned rank-3 J is the main formula at conjugate-self-dual
+    parameters on the unit circle, where it equals the bridge route."""
+    argv, rep, want = STDOUT_PINS["j-main-n2"]
+    d = PairData(SatakeSet(tuple(parse_complex_list(argv[-1])), 25), GenericRep.from_json(rep))
+    j = complex(want.rsplit("J = ", 1)[1].strip().replace("i", "j"))
+    assert abs(j - j_via_bridge(d)) <= 1e-9 * abs(j)
+
+
+#: bad input files and pairs: name -> (files to write under tmp_path, argv
+#: with {tmp}, what the error names)
 I_CLOSED = ["compute", "i-closed", *N1]
+J_MAIN = ["compute", "j-main", "--segments-file", "{tmp}/rep.json"]
 BAD_INPUTS = {
-    "segments-missing": ({}, [*I_CLOSED, "--segments-file", "{tmp}/missing.json"]),
-    "segments-directory": ({}, [*I_CLOSED, "--segments-file", "{tmp}"]),
+    "segments-missing": ({}, [*I_CLOSED, "--segments-file", "{tmp}/missing.json"],
+                         "segments file"),
+    "segments-directory": ({}, [*I_CLOSED, "--segments-file", "{tmp}"], "segments file"),
     "segments-no-alpha": ({"rep.json": '{"segments": [{"type": "unram"}]}'},
-                          [*I_CLOSED, "--segments-file", "{tmp}/rep.json"]),
-    "segments-no-key": ({"rep.json": '{"foo": 1}'}, [*I_CLOSED, "--segments-file", "{tmp}/rep.json"]),
-    "segments-a-list": ({"rep.json": "[1, 2]"}, [*I_CLOSED, "--segments-file", "{tmp}/rep.json"]),
-    "config-missing": ({}, ["volumes", "--config", "{tmp}/missing.cfg"]),
+                          [*I_CLOSED, "--segments-file", "{tmp}/rep.json"], "segments file"),
+    "segments-no-key": ({"rep.json": '{"foo": 1}'}, [*I_CLOSED, "--segments-file", "{tmp}/rep.json"],
+                        "segments file"),
+    "segments-a-list": ({"rep.json": "[1, 2]"}, [*I_CLOSED, "--segments-file", "{tmp}/rep.json"],
+                        "segments file"),
+    "config-missing": ({}, ["volumes", "--config", "{tmp}/missing.cfg"], "config file"),
     # the checks run first; the report cannot be written after them
-    "json-unwritable": ({}, ["verify", "c1", "--json", "{tmp}/no/dir/out.json"]),
+    "json-unwritable": ({}, ["verify", "c1", "--json", "{tmp}/no/dir/out.json"], "--json"),
+    # j-main's formula needs conjugate-self-dual parameters on the unit
+    # circle on both sides; i-closed does not
+    "j-main-unramified-part-not-selfdual": ({"rep.json": json.dumps(REP2)}, [*J_MAIN, *N2],
+                                            "--segments-file"),
+    "j-main-satake-not-selfdual": ({"rep.json": json.dumps(REP1)},
+                                   [*J_MAIN, "--qf", "3", "--satake", "0.6+0.8i"], "--satake"),
+    "j-main-satake-off-circle": ({"rep.json": json.dumps(REP3)},
+                                 [*J_MAIN, "--qf", "5", "--satake", "2,0.5"], "--satake"),
+    # a pair of which the flags give n = 3 values: q_f must exceed n, and
+    # the segments file must have rank n + 1
+    "pair-qf-not-above-n": ({"rep.json": json.dumps(REP1)},
+                            [*J_MAIN, "--qf", "3", "--satake", "1,1,1"], "--qf"),
+    "pair-rank-mismatch": ({"rep.json": json.dumps(REP1)},
+                           ["compute", "i-closed", "--segments-file", "{tmp}/rep.json",
+                            "--qf", "5", "--satake", "1,1,1"], "has rank 2, but 3 --satake"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
 def test_bad_input_files_exit_2(name, capsys, tmp_path):
-    files, argv = BAD_INPUTS[name]
+    files, argv, named = BAD_INPUTS[name]
     for fname, text in files.items():
         (tmp_path / fname).write_text(text)
     code, _, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert named in err
 
 
 #: values that compute whittaker must reject: name -> (segments file or None, argv)
@@ -575,3 +631,15 @@ def test_readme_option_tables_match_what_each_choice_reads():
         reads = {choice: {flags[o] for o in opts} - shared
                  for choice, opts in cli._reads(command).items() if choice != "all"}
         assert tables[command] == reads
+
+
+def test_readme_report_format_matches_the_report_module():
+    """The README's status list is report's STATUS_* constants, and its
+    report example uses only keys that to_json writes."""
+    listed = README_CLI.split("with `status` one of ", 1)[1].split(".", 1)[0]
+    constants = {value for name, value in vars(report).items() if name.startswith("STATUS_")}
+    assert set(re.findall(r"`([^`]+)`", listed)) == constants
+    example = README_CLI.split("verification reports serialize as", 1)[1].split("```", 2)[1]
+    keys = set(re.findall(r'"(\w+)":', example))
+    written = report.VerificationReport("check", tail_estimate=0.0).to_json()
+    assert keys and keys <= set(written)

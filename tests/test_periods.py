@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import h_pair_series, satake
+from helpers import beta_spherical_literature, h_pair_series, satake
 from localperiods import periods, whittaker
 from localperiods.draws import conj_selfdual_unit, random_ramified_rep, unit_circle
 from localperiods.lfactors import pair_dual_lfactor, rs_lfactor
@@ -24,7 +24,7 @@ from localperiods.periods import (
     theta_closed,
     theta_truncated,
 )
-from localperiods.report import STATUS_PASS, STATUS_SOFT
+from localperiods.report import STATUS_PASS
 from localperiods.reps import GenericRep, RamCusp, Segment, UnramChar
 from localperiods.symfunc import delta_weight, weakly_decreasing_tuples
 from localperiods.volumes import vol_gl
@@ -99,25 +99,23 @@ class TestBetaSpherical:
         got = beta_spherical_truncated(satake((1.0, 1.0), 9), 3, DEPTH)
         assert abs(got.value - 9 / 16) < 1e-12
 
-    def test_soft_constant_is_the_missing_length_term(self):
-        # measured/reference = 1 - q^-n * prod(alpha): recorded, not patched
+    def test_closed_form_is_the_literature_form_times_the_length_term(self):
+        # on and off the unit circle, so that det(sigma) is not always 1 in
+        # modulus
         rng = random.Random(41)
-        for n in (2, 3):
-            alphas = unit_circle(rng, n)
-            sigma = satake(alphas, 9)
-            got = beta_spherical_truncated(sigma, 3, DEPTH).value
-            ref = beta_spherical_closed(sigma, 3)
-            prod = 1.0
-            for a in alphas:
-                prod *= a
-            want_ratio = 1 - prod * 3.0**-n
-            assert abs(got / ref - want_ratio) < 1e-10
+        for n in (1, 2, 3):
+            for alphas in (unit_circle(rng, n), tuple(0.7 * a for a in unit_circle(rng, n))):
+                sigma = satake(alphas, 9)
+                want = beta_spherical_literature(sigma, 3, -1 if (n - 1) % 2 else 1)
+                report = check_beta_spherical(sigma, 3, DEPTH)
+                assert report.status == STATUS_PASS, (n, alphas)
+                assert abs(report.rhs - want) <= 1e-12 * abs(want), (n, alphas)
 
-    def test_soft_report_records_discrepancy(self):
+    def test_check_report_passes_rank_two_trivial(self):
+        # vol(GL_1) L(1, As^-)(1 - 1/9) = (81/128)(8/9) = 9/16
         report = check_beta_spherical(satake((1.0, 1.0), 9), 3, DEPTH)
-        assert report.status == STATUS_SOFT
-        assert report.discrepancy_factor is not None
-        assert abs(report.discrepancy_factor - (1 - 1 / 9)) < 1e-10
+        assert report.status == STATUS_PASS
+        assert abs(report.rhs - 9 / 16) < 1e-12
 
 
 class TestTheta:
@@ -151,13 +149,21 @@ class TestTheta:
             want = float(vol_gl(k - 1, 9)) * (1 - 9.0**-k)
             assert abs(ratios[0] - want) < 1e-9
 
-    def test_soft_report(self):
+    def test_closed_form_is_the_literature_form_times_the_length_term(self):
+        # the literature form vol(GL_{k-1}) L(1, sigma x conj-dual) times the
+        # factor 1 - |det sigma|^2 q_E^-k of the length-k partitions, on and
+        # off the unit circle
         rng = random.Random(53)
-        sigma = satake(unit_circle(rng, 2), 9)
-        report = check_theta(sigma, DEPTH)
-        assert report.status == STATUS_SOFT
-        assert abs(report.discrepancy_factor - (1 - 1 / 81)) < 1e-9
-        assert abs(report.rhs - theta_closed(sigma)) < 1e-12
+        for k in (2, 3):
+            for alphas in (unit_circle(rng, k), tuple(1.3 * a for a in unit_circle(rng, k))):
+                sigma = satake(alphas, 9)
+                det = math.prod(alphas)
+                want = (float(vol_gl(k - 1, 9)) * pair_dual_lfactor(sigma).value(1)
+                        * (1 - abs(det) ** 2 * 9.0**-k))
+                report = check_theta(sigma, DEPTH)
+                assert report.status == STATUS_PASS, (k, alphas)
+                assert abs(report.rhs - want) <= 1e-12 * abs(want), (k, alphas)
+                assert report.rhs == theta_closed(sigma)
 
 
 class TestLambda:
