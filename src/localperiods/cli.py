@@ -508,6 +508,9 @@ def _pair_data(cfg: RunConfig) -> PairData:
     if rep.rank != n + 1:
         raise UsageError(f"segments file {cfg.segments_file!r} has rank {rep.rank}, "
                          f"but {n} --satake values need rank {n + 1}")
+    if rep.conductor() < 1:
+        raise UsageError(f"segments file {cfg.segments_file!r} has conductor {rep.conductor()}, "
+                         "but the pair needs a ramified representation (conductor >= 1)")
     return PairData(SatakeSet(tuple(cfg.satake), cfg.q_e), rep)
 
 

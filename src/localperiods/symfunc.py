@@ -12,11 +12,13 @@ distinct arguments, so _schur_table computes the powers, product and
 Vandermonde of the arguments once per sum and returns schur's
 bialternant values bit for bit; at nearly coincident arguments it hands
 every weight to schur itself.  2x2 and 3x3 determinants take unrolled
-copies of the elimination loop with the same operations, and at 3
-distinct arguments the table indexes the power rows itself and calls the
-3x3 copy directly, one call per weight.  _per_modular_exponent gives
-the torus evaluators each modular weight once per distinct exponent,
-looked up by that exponent.
+copies of the elimination loop with the same operations.  The 3x3 copy
+runs in column stages, and at 3 distinct arguments the table keeps the
+stages of the current first part (its first pivot, and its second pivot
+and swept last column per second and per last part), so that a weight
+in a run of one first part pays only the last step of the elimination.
+_per_modular_exponent gives the torus evaluators each modular weight
+once per distinct exponent, looked up by that exponent.
 """
 
 from __future__ import annotations
@@ -123,47 +125,91 @@ def _det2(row0: Sequence[complex], row1: Sequence[complex]) -> complex:
 def _det3(
     row0: Sequence[complex], row1: Sequence[complex], row2: Sequence[complex]
 ) -> complex:
-    """_det of a 3x3 matrix, unrolled like _det2."""
-    a00, a01, a02 = row0
-    a10, a11, a12 = row1
-    a20, a21, a22 = row2
+    """_det of a 3x3 matrix, unrolled like _det2 and split by column: the
+    first pivot reads column 0 alone, and the first sweep then leaves
+    columns 1 and 2 apart, the second pivot reading column 1 and the last
+    step column 2.  _schur_table reuses each stage across the weights that
+    share its column."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = row0, row1, row2
+    first = _det3_first(a00, a10, a20)
+    if first is None:
+        return 0.0
+    swept1 = _det3_sweep(first, (a01, a11, a21))
+    swept2 = _det3_sweep(first, (a02, a12, a22))
+    second = _det3_second(first, swept1)
+    if second is None:
+        return 0.0
+    return _det3_last(second, swept2)
+
+
+#: the first pivot of _det3: the row order after its swap, the running
+#: determinant and the two multipliers of the sweep
+_First = tuple[tuple[int, int, int], complex, complex, complex]
+#: the second pivot of _det3: the running determinant, whether the two
+#: lower rows swap, and the last multiplier
+_Second = tuple[complex, bool, complex]
+
+
+def _det3_first(a00: complex, a10: complex, a20: complex) -> _First | None:
+    """_det3's first pivot from column 0 alone, or None where the
+    determinant is 0."""
     det: complex = 1.0
+    order = 0, 1, 2
     try:
         m0, m1, m2 = abs(a00), abs(a10), abs(a20)
     except OverflowError:
         m0, m1, m2 = _modulus(a00), _modulus(a10), _modulus(a20)
     if m1 > m0:
         if m2 > m1:
-            a00, a01, a02, a20, a21, a22 = a20, a21, a22, a00, a01, a02
+            order, a00, a20 = (2, 1, 0), a20, a00
         else:
-            a00, a01, a02, a10, a11, a12 = a10, a11, a12, a00, a01, a02
+            order, a00, a10 = (1, 0, 2), a10, a00
         det = -det
     elif m2 > m0:
-        a00, a01, a02, a20, a21, a22 = a20, a21, a22, a00, a01, a02
+        order, a00, a20 = (2, 1, 0), a20, a00
         det = -det
     if a00 == 0:
-        return 0.0
+        return None
     det *= a00
     inv = 1.0 / a00
-    f = a10 * inv
-    if f != 0:
-        a11 -= f * a01
-        a12 -= f * a02
-    f = a20 * inv
-    if f != 0:
-        a21 -= f * a01
-        a22 -= f * a02
+    return order, det, a10 * inv, a20 * inv
+
+
+def _det3_sweep(first: _First, column: Sequence[complex]) -> tuple[complex, complex]:
+    """The two lower entries of a later column after the first sweep."""
+    (i, j, k), _, f1, f2 = first
+    top, a1, a2 = column[i], column[j], column[k]
+    if f1 != 0:
+        a1 -= f1 * top
+    if f2 != 0:
+        a2 -= f2 * top
+    return a1, a2
+
+
+def _det3_second(first: _First, swept1: tuple[complex, complex]) -> _Second | None:
+    """_det3's second pivot from the swept column 1 alone, or None where
+    the determinant is 0."""
+    det = first[1]
+    a11, a21 = swept1
     try:
         swap = abs(a21) > abs(a11)
     except OverflowError:
         swap = _modulus(a21) > _modulus(a11)
     if swap:
-        a11, a12, a21, a22 = a21, a22, a11, a12
+        a11, a21 = a21, a11
         det = -det
     if a11 == 0:
-        return 0.0
+        return None
     det *= a11
-    f = a21 * (1.0 / a11)
+    return det, swap, a21 * (1.0 / a11)
+
+
+def _det3_last(second: _Second, swept2: tuple[complex, complex]) -> complex:
+    """_det3's value from its second pivot and the swept column 2."""
+    det, swap, f = second
+    a12, a22 = swept2
+    if swap:
+        a12, a22 = a22, a12
     if f != 0:
         a22 -= f * a12
     if a22 == 0:
@@ -283,9 +329,11 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int
     the Vandermonde and the product of the arguments are computed once
     here, with the operations schur performs per call, so every value is
     bit-identical to schur's bialternant.  At 3 distinct arguments the
-    returned function picks the power rows of a weight by index and calls
-    _det3 directly, skipping _det's size dispatch; other sizes build the
-    rows through itemgetter.  Nearly coincident arguments, a vanishing
+    returned function runs _det3's column stages itself and keeps those
+    of the current first part for the weights that follow with the same
+    first part; the values do not depend on the order of the calls.
+    Other sizes build the rows through itemgetter and call _det.  Nearly
+    coincident arguments, a vanishing
     Vandermonde, overflowing powers and weights with a part outside
     [0, max_part] go to schur itself.  The weight must be weakly
     decreasing; schur's check of that is not repeated here.
@@ -324,18 +372,39 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int
 
     if m != 3:
         return value
-    # The same row tuples as row_at's, picked by index and passed straight
-    # to _det3; value keeps the weights that go to schur and the constant
-    # ones.
-    x0, x1, x2 = powers
+    # A weight (a, b, c) has the power columns x^(a+2), x^(b+1) and x^c, so
+    # _det3's first pivot depends on a alone, its second on (a, b) and its
+    # swept column 2 on (a, c).  The table holds the stages of one first
+    # part at a time, the pairs keyed by b and by c: the sums take their
+    # weights in runs of one first part, and holding every pair would take
+    # memory quadratic in max_part.  value keeps the weights that go to
+    # schur and the constant ones.
+    columns = list(zip(*powers))
+    held, first = -1, None
+    seconds: dict[int, _Second | None] = {}
+    sweeps: dict[int, tuple[complex, complex]] = {}
 
     def value3(parts: Sequence[int]) -> complex:
+        nonlocal held, first
         if len(parts) != 3 or parts[-1] < 0 or parts[0] > max_part or parts[0] == parts[-1]:
             return value(parts)
         a, b, c = parts
-        a, b = a + 2, b + 1
-        rows = (x0[a], x0[b], x0[c]), (x1[a], x1[b], x1[c]), (x2[a], x2[b], x2[c])
-        return 1.0 * (_det3(*rows) / den)
+        if a != held:
+            held, first = a, _det3_first(*columns[a + 2])
+            seconds.clear()
+            sweeps.clear()
+        # schur's central factor 1.0 stays: it can change the sign of a zero
+        if first is None:
+            return 1.0 * (0.0 / den)
+        try:
+            swept2 = sweeps[c]
+        except KeyError:
+            swept2 = sweeps[c] = _det3_sweep(first, columns[c])
+        try:
+            second = seconds[b]
+        except KeyError:
+            second = seconds[b] = _det3_second(first, _det3_sweep(first, columns[b + 1]))
+        return 1.0 * ((0.0 if second is None else _det3_last(second, swept2)) / den)
 
     return value3
 

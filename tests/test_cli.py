@@ -451,6 +451,9 @@ REP2 = {"segments": [{"type": "unram", "alpha": [0.6, 0.8], "k": 1},
 REP3 = {"segments": [{"type": "unram", "alpha": [0.8, 0.6], "k": 1},
                      {"type": "unram", "alpha": [0.8, -0.6], "k": 1},
                      {"type": "ram", "dim": 1, "cond": 2, "k": 1}]}
+#: rank 2 with two unramified characters and no ramified segment: conductor 0
+REP0 = {"segments": [{"type": "unram", "alpha": [1.0, 0.0], "k": 1},
+                     {"type": "unram", "alpha": [-1.0, 0.0], "k": 1}]}
 N1 = ["--qf", "3", "--satake", "1"]
 N2 = ["--qf", "5", "--satake", "0.6+0.8i,0.6-0.8i"]
 
@@ -541,6 +544,12 @@ BAD_INPUTS = {
     "pair-rank-mismatch": ({"rep.json": json.dumps(REP1)},
                            ["compute", "i-closed", "--segments-file", "{tmp}/rep.json",
                             "--qf", "5", "--satake", "1,1,1"], "has rank 2, but 3 --satake"),
+    # the pair needs a ramified representation
+    "j-main-conductor-0": ({"rep.json": json.dumps(REP0)}, [*J_MAIN, *N1],
+                           "rep.json' has conductor 0"),
+    "i-closed-conductor-0": ({"rep.json": json.dumps(REP0)},
+                             [*I_CLOSED, "--segments-file", "{tmp}/rep.json"],
+                             "rep.json' has conductor 0"),
 }
 
 

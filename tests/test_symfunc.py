@@ -219,6 +219,21 @@ class TestSchurTable:
         for lam in weakly_decreasing_tuples(len(xs), -1, max_part + 1):
             assert outcome(value, lam) == outcome(schur, lam, xs), lam
 
+    @given(
+        st.lists(
+            st.one_of(st.just(0j), st.complex_numbers(max_magnitude=3.0)), min_size=3, max_size=3
+        ),
+        st.integers(0, 12),
+        st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_bit_identical_in_any_call_order(self, xs, max_part, data):
+        # the rank-3 table keeps _det3's stages from one call for the next
+        box = data.draw(st.permutations(list(partitions_in_box(3, max_part))))
+        value = _schur_table(xs, max_part)
+        for lam in box:
+            assert outcome(value, lam) == outcome(schur, lam, xs), lam
+
     def test_overflowing_powers_go_to_schur(self):
         xs = (1e200, 2e200)
         value = _schur_table(xs, 3)
@@ -235,12 +250,14 @@ class TestSchurTable:
 DIRECT_ARGS = [
     ((0.6j, -0.5, 0.3 - 0.7j), 20),
     ((0.0, 0.6, -0.8j), 20),
+    # x^k underflows to 0 from k = 28 on: a zero first pivot
+    ((0.0, 1.5e-12, -1.5e-12j), 30),
 ]
 
 
 class TestDirectSchurRoute:
-    """At 3 distinct arguments the table calls _det3 itself, without _det's
-    size dispatch."""
+    """At 3 distinct arguments the table runs _det3's column stages itself,
+    without _det or _det3, and keeps those of the current first part."""
 
     @pytest.mark.parametrize("xs, depth", DIRECT_ARGS)
     def test_values_without_det(self, xs, depth, monkeypatch):
@@ -257,20 +274,34 @@ class TestDirectSchurRoute:
         assert bits(macdonald_sum(xs, depth)) == want_sum
 
     @pytest.mark.parametrize("xs, depth", DIRECT_ARGS)
-    def test_one_determinant_per_non_constant_weight(self, xs, depth, monkeypatch):
-        calls = []
-        real = symfunc._det3
+    def test_first_stage_once_per_first_part(self, xs, depth, monkeypatch):
+        calls = [0]
+        real = symfunc._det3_first
 
-        def counted(*rows):
-            calls.append(len(rows))
-            return real(*rows)
+        def counted(*column):
+            calls[0] += 1
+            return real(*column)
 
-        monkeypatch.setattr(symfunc, "_det3", counted)
+        def no_det3(*rows):
+            raise AssertionError("_det3 is off the direct route")
+
+        monkeypatch.setattr(symfunc, "_det3_first", counted)
+        monkeypatch.setattr(symfunc, "_det3", no_det3)
         value = _schur_table(xs, depth)
         box = list(partitions_in_box(len(xs), depth))
         for lam in box:
             value(lam)
-        assert calls == [3] * sum(lam[0] != lam[-1] for lam in box)
+        assert calls[0] == len({lam[0] for lam in box if lam[0] != lam[-1]})
+
+    @pytest.mark.parametrize("xs, depth", DIRECT_ARGS)
+    def test_bits_do_not_depend_on_call_order(self, xs, depth):
+        box = list(partitions_in_box(len(xs), depth))
+        want = {lam: bits(schur(lam, xs)) for lam in box}
+        shuffled = box[:]
+        random.Random(17).shuffle(shuffled)
+        for order in (box, box[::-1], shuffled):
+            value = _schur_table(xs, depth)
+            assert [bits(value(lam)) for lam in order] == [want[lam] for lam in order]
 
 
 class TestDeltaWeight:
