@@ -358,78 +358,72 @@ def run_matrix_identities(cfg: RunConfig, rng: random.Random) -> list[Verificati
         x = random_integral_emat(rng, m + 1, u)
         record("det-stack", idx, det_stack_identity_check(x), {"m": m})
 
-    done = 0
-    while done < 100:
-        n = rng.randint(1, 2)
-        c = rng.randint(0, 2)
+    def hundred(
+        check: str, max_n: int, min_c: int, draw: Callable[[int, int], bool | None]
+    ) -> None:
+        """Records draw(n, c) under check for n in [1, max_n] and c in
+        [min_c, 2] drawn at random, until 100 are recorded; a draw that
+        returns None is drawn again."""
+        done = 0
+        while done < 100:
+            n, c = rng.randint(1, max_n), rng.randint(min_c, 2)
+            ok = draw(n, c)
+            if ok is not None:
+                record(check, done, ok, {"n": n, "c": c})
+                done += 1
+
+    def cayley_unitarity_equivariance(n: int, c: int) -> bool | None:
         x = random_anti_hermitian(rng, n, c, p, u)
         try:
             g = cayley(x, QuadExt.of(1, u))
         except ZeroDivisionError:
-            continue
+            return None
         ok = in_group_u(g, herm_form_j(n, c, p, u))
         h = random_integral_emat(rng, n + 1, u, span=2)
         try:
             h_inv = h.inv()
         except ZeroDivisionError:
-            pass
-        else:
-            # det(1 - h x h^-1) = det(1 - x) != 0, so this Cayley transform exists
-            ok = ok and cayley(h @ x @ h_inv, QuadExt.of(1, u)) == h @ g @ h_inv
-        record("cayley-unitarity-equivariance", done, ok, {"n": n, "c": c})
-        done += 1
+            return ok
+        # det(1 - h x h^-1) = det(1 - x) != 0, so this Cayley transform exists
+        return ok and cayley(h @ x @ h_inv, QuadExt.of(1, u)) == h @ g @ h_inv
 
+    hundred("cayley-unitarity-equivariance", 2, 0, cayley_unitarity_equivariance)
     xis = norm_one_units(u)
-    done = 0
-    while done < 100:
-        n = rng.randint(1, 2)
-        c = rng.randint(0, 2)
+
+    def cayley_lattice_stability(n: int, c: int) -> bool | None:
         one = EMat.identity(n + 1, u)
         factors = []
         for _ in range(2):
             x = random_anti_hermitian(rng, n, c, p, u)
-            if not x.is_integral(p):
-                break
-            if qe_valuation((one - x).det(), p) != 0:
-                break
+            if not x.is_integral(p) or qe_valuation((one - x).det(), p) != 0:
+                return None
             factors.append(cayley(x, QuadExt.of(1, u)))
-        if len(factors) < 2:
-            continue
         g = factors[0] @ factors[1]
         if not in_bmk_tilde(g, c, p):
-            continue
+            return None
         xi = rng.choice(xis)
         if qe_valuation((g + one * xi).det(), p) != 0:
-            continue
-        back = cayley_inv(g, xi)
-        record("cayley-lattice-stability", done, in_bmk_tilde(back, c, p), {"n": n, "c": c})
-        done += 1
+            return None
+        return in_bmk_tilde(cayley_inv(g, xi), c, p)
 
+    hundred("cayley-lattice-stability", 2, 0, cayley_lattice_stability)
     root = QuadExt.sqrt_u(u)
-    done = 0
-    while done < 100:
-        n = rng.randint(1, 3)
-        c = rng.randint(0, 2)
+
+    def transfer_factor_iota(n: int, c: int) -> bool | None:
         y = random_integral_emat(rng, n + 1, u, span=3) * root
         y = y - y.conj()  # entrywise trace-zero model element
         try:
-            lhs = transfer_factor(iota_c(y, c, p), p)
-            rhs = transfer_factor(y, p)
+            return transfer_factor(iota_c(y, c, p), p) == transfer_factor(y, p)
         except ValueError:
-            continue
-        record("transfer-factor-iota", done, lhs == rhs, {"n": n, "c": c})
-        done += 1
+            return None
 
-    done = 0
-    while done < 100:
-        n = rng.randint(1, 2)
-        c = rng.randint(1, 2)
+    hundred("transfer-factor-iota", 3, 0, transfer_factor_iota)
+
+    def r_map_congruence(n: int, c: int) -> bool | None:
         g = random_kprime_element(rng, n, c, p, u)
-        if g is None:
-            continue
-        record("r-map-congruence", done, in_k_s(r_map(g), c, p), {"n": n, "c": c})
-        done += 1
+        return None if g is None else in_k_s(r_map(g), c, p)
 
+    hundred("r-map-congruence", 2, 1, r_map_congruence)
     return reports
 
 

@@ -10,15 +10,15 @@ identity checked by the verification suites.
 Torus sums and the Macdonald series evaluate many weights at the same
 distinct arguments, so _schur_table computes the powers, product and
 Vandermonde of the arguments once per sum and returns schur's
-bialternant values bit for bit; at nearly coincident arguments it hands
-every weight to schur itself.  2x2 and 3x3 determinants take unrolled
-copies of the elimination loop with the same operations.  The 3x3 copy
-runs in column stages, and at 3 distinct arguments the table keeps the
-stages of the current first part (its first pivot, and its second pivot
-and swept last column per second and per last part), so that a weight
-in a run of one first part pays only the last step of the elimination.
-_per_modular_exponent gives the torus evaluators each modular weight
-once per distinct exponent, looked up by that exponent.
+bialternant values bit for bit; at nearly coincident arguments, and at
+4 or more arguments, it hands every weight to schur itself.  schur's
+determinants take one pivoted elimination loop, _det.  At ranks 2 and 3
+the table runs that loop's operations in column stages and keeps the
+stages of the current first part (the pivot of its first column, and at
+rank 3 the last pivot and the swept last column per second and per last
+part), so that a weight in a run of one first part pays only the last
+step of the elimination.  _per_modular_exponent gives the torus evaluators each
+modular weight once per distinct exponent, looked up by that exponent.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import cmath
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from operator import ge, itemgetter, mul
+from operator import ge, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .numerics import RatLike, fraction_sqrt
@@ -58,17 +58,12 @@ def _modulus(z: complex) -> float:
 def _det(rows: Sequence[Sequence[complex]]) -> complex:
     """Determinant by Gaussian elimination with partial pivoting.
 
-    Sizes 2 and 3 take unrolled copies of the loop that perform the same
-    floating-point operations in the same order, so every size gives the
-    loop's value bit for bit.  A pivot search whose abs() overflows is
-    redone with _modulus, which ranks such an entry as infinite; only
-    matrices on which abs() raises take that route.
+    A pivot search whose abs() overflows is redone with _modulus, which
+    ranks such an entry as infinite; only matrices on which abs() raises
+    take that route.  _schur_table runs this loop's operations at sizes 2
+    and 3 in the column stages below.
     """
     m = len(rows)
-    if m == 2:
-        return _det2(*rows)
-    if m == 3:
-        return _det3(*rows)
     if m == 0:
         return 1.0
     a = [list(row) for row in rows]
@@ -98,60 +93,23 @@ def _det(rows: Sequence[Sequence[complex]]) -> complex:
     return det * a[m - 1][m - 1]
 
 
-def _det2(row0: Sequence[complex], row1: Sequence[complex]) -> complex:
-    """_det of a 2x2 matrix, unrolled.  Entries left of the pivot column
-    are not updated since the loop never reads them again."""
-    a00, a01 = row0
-    a10, a11 = row1
-    det: complex = 1.0
-    try:
-        swap = abs(a10) > abs(a00)  # max() keeps the first maximum
-    except OverflowError:
-        swap = _modulus(a10) > _modulus(a00)
-    if swap:
-        a00, a01, a10, a11 = a10, a11, a00, a01
-        det = -det
-    if a00 == 0:
-        return 0.0
-    det *= a00
-    f = a10 * (1.0 / a00)
-    if f != 0:
-        a11 -= f * a01
-    if a11 == 0:
-        return 0.0
-    return det * a11
+# _det's loop on 2 and 3 rows, split by column with the same operations in
+# the same order.  On 3 rows _first_pivot reads column 0 and _sweep
+# eliminates it from a later column; on the last 2 rows, of 2 or of 3,
+# _last_pivot reads the next column and _last_step the last one.  Entries
+# left of the pivot column are not updated since the loop never reads
+# them again.
 
-
-def _det3(
-    row0: Sequence[complex], row1: Sequence[complex], row2: Sequence[complex]
-) -> complex:
-    """_det of a 3x3 matrix, unrolled like _det2 and split by column: the
-    first pivot reads column 0 alone, and the first sweep then leaves
-    columns 1 and 2 apart, the second pivot reading column 1 and the last
-    step column 2.  _schur_table reuses each stage across the weights that
-    share its column."""
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = row0, row1, row2
-    first = _det3_first(a00, a10, a20)
-    if first is None:
-        return 0.0
-    swept1 = _det3_sweep(first, (a01, a11, a21))
-    swept2 = _det3_sweep(first, (a02, a12, a22))
-    second = _det3_second(first, swept1)
-    if second is None:
-        return 0.0
-    return _det3_last(second, swept2)
-
-
-#: the first pivot of _det3: the row order after its swap, the running
+#: _first_pivot's result: the row order after its swap, the running
 #: determinant and the two multipliers of the sweep
 _First = tuple[tuple[int, int, int], complex, complex, complex]
-#: the second pivot of _det3: the running determinant, whether the two
-#: lower rows swap, and the last multiplier
-_Second = tuple[complex, bool, complex]
+#: _last_pivot's result: the running determinant, whether the two rows
+#: swap, and the last multiplier
+_Last = tuple[complex, bool, complex]
 
 
-def _det3_first(a00: complex, a10: complex, a20: complex) -> _First | None:
-    """_det3's first pivot from column 0 alone, or None where the
+def _first_pivot(a00: complex, a10: complex, a20: complex) -> _First | None:
+    """The first pivot of 3 rows from column 0 alone, or None where the
     determinant is 0."""
     det: complex = 1.0
     order = 0, 1, 2
@@ -159,7 +117,7 @@ def _det3_first(a00: complex, a10: complex, a20: complex) -> _First | None:
         m0, m1, m2 = abs(a00), abs(a10), abs(a20)
     except OverflowError:
         m0, m1, m2 = _modulus(a00), _modulus(a10), _modulus(a20)
-    if m1 > m0:
+    if m1 > m0:  # max() keeps the first maximum
         if m2 > m1:
             order, a00, a20 = (2, 1, 0), a20, a00
         else:
@@ -175,7 +133,7 @@ def _det3_first(a00: complex, a10: complex, a20: complex) -> _First | None:
     return order, det, a10 * inv, a20 * inv
 
 
-def _det3_sweep(first: _First, column: Sequence[complex]) -> tuple[complex, complex]:
+def _sweep(first: _First, column: Sequence[complex]) -> tuple[complex, complex]:
     """The two lower entries of a later column after the first sweep."""
     (i, j, k), _, f1, f2 = first
     top, a1, a2 = column[i], column[j], column[k]
@@ -186,11 +144,10 @@ def _det3_sweep(first: _First, column: Sequence[complex]) -> tuple[complex, comp
     return a1, a2
 
 
-def _det3_second(first: _First, swept1: tuple[complex, complex]) -> _Second | None:
-    """_det3's second pivot from the swept column 1 alone, or None where
-    the determinant is 0."""
-    det = first[1]
-    a11, a21 = swept1
+def _last_pivot(det: complex, column: tuple[complex, complex]) -> _Last | None:
+    """The pivot of the last 2 rows from their next column and the running
+    determinant det, or None where the determinant is 0."""
+    a11, a21 = column
     try:
         swap = abs(a21) > abs(a11)
     except OverflowError:
@@ -204,10 +161,10 @@ def _det3_second(first: _First, swept1: tuple[complex, complex]) -> _Second | No
     return det, swap, a21 * (1.0 / a11)
 
 
-def _det3_last(second: _Second, swept2: tuple[complex, complex]) -> complex:
-    """_det3's value from its second pivot and the swept column 2."""
-    det, swap, f = second
-    a12, a22 = swept2
+def _last_step(last: _Last, column: tuple[complex, complex]) -> complex:
+    """The determinant from the last pivot and the last column."""
+    det, swap, f = last
+    a12, a22 = column
     if swap:
         a12, a22 = a22, a12
     if f != 0:
@@ -325,18 +282,17 @@ def schur(parts: Sequence[int], xs: Sequence[complex]) -> complex:
 def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int]], complex]:
     """schur(parts, xs) as a function of a weakly decreasing weight alone.
 
-    At distinct arguments the powers x_i^k for k < max_part + len(xs),
-    the Vandermonde and the product of the arguments are computed once
-    here, with the operations schur performs per call, so every value is
-    bit-identical to schur's bialternant.  At 3 distinct arguments the
-    returned function runs _det3's column stages itself and keeps those
-    of the current first part for the weights that follow with the same
-    first part; the values do not depend on the order of the calls.
-    Other sizes build the rows through itemgetter and call _det.  Nearly
-    coincident arguments, a vanishing
-    Vandermonde, overflowing powers and weights with a part outside
-    [0, max_part] go to schur itself.  The weight must be weakly
-    decreasing; schur's check of that is not repeated here.
+    At 1 to 3 distinct arguments the powers x_i^k for k < max_part +
+    len(xs), the Vandermonde and the product of the arguments are computed
+    once here, with the operations schur performs per call, so every value
+    is bit-identical to schur's bialternant.  At ranks 2 and 3 the returned
+    function runs _det's column stages itself and keeps the pivots of the
+    current first part for the weights that follow with the same first
+    part; the values do not depend on the order of the calls.  Nearly
+    coincident arguments, a vanishing Vandermonde, overflowing powers,
+    weights with a part outside [0, max_part] and ranks 4 and up go to
+    schur itself.  The weight must be weakly decreasing; schur's check of
+    that is not repeated here.
     """
     xs = tuple(xs)
     m = len(xs)
@@ -344,7 +300,7 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int
     def per_call(parts: Sequence[int]) -> complex:
         return schur(parts, xs)
 
-    if m == 0:
+    if not 1 <= m <= 3:
         return per_call
     try:
         if _coincident(xs):
@@ -357,32 +313,42 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int
         return per_call
     prod = _product(xs)
     has_zero = any(x == 0 for x in xs)
-    offsets = range(m - 1, -1, -1)
 
     def value(parts: Sequence[int]) -> complex:
+        """Constant weights, and those that go to schur."""
         if len(parts) != m or parts[-1] < 0 or parts[0] > max_part:
             return per_call(parts)
-        if parts[0] == parts[-1]:
-            if parts[0] == 0:
-                return 1.0
-            return 0.0 if has_zero else prod ** parts[0]
-        row_at = itemgetter(*[p + o for p, o in zip(parts, offsets)])
-        # schur's central factor 1.0 stays: it can change the sign of a zero
-        return 1.0 * (_det(list(map(row_at, powers))) / den)
+        if parts[0] == 0:
+            return 1.0
+        return 0.0 if has_zero else prod ** parts[0]
 
-    if m != 3:
+    if m == 1:
         return value
-    # A weight (a, b, c) has the power columns x^(a+2), x^(b+1) and x^c, so
-    # _det3's first pivot depends on a alone, its second on (a, b) and its
-    # swept column 2 on (a, c).  The table holds the stages of one first
-    # part at a time, the pairs keyed by b and by c: the sums take their
-    # weights in runs of one first part, and holding every pair would take
-    # memory quadratic in max_part.  value keeps the weights that go to
-    # schur and the constant ones.
+    # A weight (a, b) has the power columns x^(a+1) and x^b, and a weight
+    # (a, b, c) the columns x^(a+2), x^(b+1) and x^c.  So the pivot of the
+    # first column depends on a alone, and at rank 3 the last pivot on
+    # (a, b) and the swept last column on (a, c).  The table holds the
+    # stages of one first part at a time, the rank-3 pairs keyed by b and
+    # by c: the sums take their weights in runs of one first part, and
+    # holding every pair would take memory quadratic in max_part.
     columns = list(zip(*powers))
-    held, first = -1, None
-    seconds: dict[int, _Second | None] = {}
+    held = -1
+    pivot: _Last | None = None
+    first: _First | None = None
+    lasts: dict[int, _Last | None] = {}
     sweeps: dict[int, tuple[complex, complex]] = {}
+
+    # schur's central factor 1.0 stays below: it can change the sign of a zero
+    def value2(parts: Sequence[int]) -> complex:
+        nonlocal held, pivot
+        if len(parts) != 2 or parts[-1] < 0 or parts[0] > max_part or parts[0] == parts[-1]:
+            return value(parts)
+        a, b = parts
+        if a != held:
+            held, pivot = a, _last_pivot(1.0, columns[a + 1])
+        if pivot is None:
+            return 1.0 * (0.0 / den)
+        return 1.0 * (_last_step(pivot, columns[b]) / den)
 
     def value3(parts: Sequence[int]) -> complex:
         nonlocal held, first
@@ -390,23 +356,22 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int
             return value(parts)
         a, b, c = parts
         if a != held:
-            held, first = a, _det3_first(*columns[a + 2])
-            seconds.clear()
+            held, first = a, _first_pivot(*columns[a + 2])
+            lasts.clear()
             sweeps.clear()
-        # schur's central factor 1.0 stays: it can change the sign of a zero
         if first is None:
             return 1.0 * (0.0 / den)
         try:
-            swept2 = sweeps[c]
+            swept = sweeps[c]
         except KeyError:
-            swept2 = sweeps[c] = _det3_sweep(first, columns[c])
+            swept = sweeps[c] = _sweep(first, columns[c])
         try:
-            second = seconds[b]
+            last = lasts[b]
         except KeyError:
-            second = seconds[b] = _det3_second(first, _det3_sweep(first, columns[b + 1]))
-        return 1.0 * ((0.0 if second is None else _det3_last(second, swept2)) / den)
+            last = lasts[b] = _last_pivot(first[1], _sweep(first, columns[b + 1]))
+        return 1.0 * ((0.0 if last is None else _last_step(last, swept)) / den)
 
-    return value3
+    return value2 if m == 2 else value3
 
 
 def _modular_coefficients(m: int) -> range:

@@ -12,7 +12,7 @@ from localperiods.draws import random_anti_hermitian, random_integral_emat, rand
 from localperiods.hermitian import EMat, herm_form_j, in_group_u
 from localperiods.numerics import QuadExt
 from localperiods.reps import SatakeSet
-from localperiods.symfunc import _modulus, schur
+from localperiods.symfunc import schur
 
 
 # ---------------------------------------------------------------------------
@@ -53,38 +53,6 @@ def ssyt_schur(lam, xs):
     return total
 
 
-def loop_det(rows):
-    """Determinant by the generic pivoted elimination loop of
-    symfunc._det, kept here as the reference its unrolled sizes must match
-    bit for bit."""
-    m = len(rows)
-    if m == 0:
-        return 1.0
-    a = [list(row) for row in rows]
-    det = 1.0
-    for col in range(m - 1):
-        try:
-            piv = max(range(col, m), key=lambda r: abs(a[r][col]))
-        except OverflowError:
-            piv = max(range(col, m), key=lambda r: _modulus(a[r][col]))
-        if a[piv][col] == 0:
-            return 0.0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1.0 / a[col][col]
-        for r in range(col + 1, m):
-            f = a[r][col] * inv
-            if f == 0:
-                continue
-            for c in range(col, m):
-                a[r][c] -= f * a[col][c]
-    if a[m - 1][m - 1] == 0:
-        return 0.0
-    return det * a[m - 1][m - 1]
-
-
 def recursive_weakly_decreasing(length, lo, hi):
     """Weakly decreasing tuples with entries in [lo, hi] by the recursive
     generator symfunc.weakly_decreasing_tuples replaced, kept here as the
@@ -119,6 +87,13 @@ def bits(value):
     that signed zeros and NaNs compare exactly."""
     z = complex(value)
     return type(value), struct.pack("<dd", z.real, z.imag)
+
+
+def nan_blind_bits(value):
+    """bits(), but with a NaN part read as NaN whatever its sign and payload."""
+    z = complex(value)
+    parts = ("nan" if math.isnan(p) else struct.pack("<d", p) for p in (z.real, z.imag))
+    return type(value), *parts
 
 
 def outcome(fn, *args):
