@@ -26,6 +26,7 @@ from .assembly import (
 )
 from .draws import (
     conj_selfdual_unit,
+    off_unit_circle,
     random_anti_hermitian,
     random_integral_emat,
     random_kprime_element,
@@ -245,6 +246,14 @@ def run_theta(cfg: RunConfig, rng: random.Random) -> list[VerificationReport]:
             reports.append(check_theta(sigma, cfg.depth))
             ratios.append(reports[-1].lhs / pair_dual_lfactor(sigma).value(1))
         reports.extend(_ratio_pair("theta", {"k": k_rank}, ratios, vol_gl(k_rank, cfg.q_e)))
+    # Off the unit circle |det sigma| differs from 1, so that these draws see
+    # the length factor of theta_closed; their ratios depend on |det sigma|
+    # through it, so they stay out of the ratio family.
+    off = random.Random(rng.getrandbits(64))
+    for k_rank in (2, 3):
+        for _ in range(3):
+            sigma = SatakeSet(off_unit_circle(off, k_rank, cfg.q_e), cfg.q_e)
+            reports.append(check_theta(sigma, cfg.depth))
     return reports
 
 

@@ -1,6 +1,6 @@
 """Seeded random draws shared by the verification suites and the tests:
-Satake parameters on the unit circle, ramified representations, and
-integral exact matrices.  Each draw consumes the generator in a fixed
+Satake parameters on and off the unit circle, ramified representations,
+and integral exact matrices.  Each draw consumes the generator in a fixed
 order, so a seed pins every value it returns."""
 
 from __future__ import annotations
@@ -17,6 +17,17 @@ from .reps import GenericRep, RamCusp, Segment, UnramChar
 
 def unit_circle(rng: random.Random, m: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * math.pi * rng.random()) for _ in range(m))
+
+
+def off_unit_circle(rng: random.Random, m: int, q: int) -> tuple[complex, ...]:
+    """m parameters of modulus q^(s t_i), with one sign s = +-1 for the
+    whole draw and each t_i in [0.1, 0.2], at uniform angles: the modulus
+    of their product is q^(s sum t_i), at least a factor q^(m/10) away
+    from 1."""
+    s = rng.choice((1, -1))
+    return tuple(
+        q ** (s * rng.uniform(0.1, 0.2)) * cmath.exp(2j * math.pi * rng.random()) for _ in range(m)
+    )
 
 
 def conj_selfdual_unit(rng: random.Random, m: int) -> tuple[complex, ...]:

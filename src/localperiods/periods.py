@@ -15,21 +15,26 @@ spherical ones.  Off that support the integrands vanish identically by the
 torus-value support conditions, so a sum at depth d has exactly
 C(d + head, head) terms.
 
-Each sum builds its Whittaker evaluators (_spherical_on_torus,
-_essential_on_torus) and _torus_sum its inverse-modular-weight table once,
-so the Schur powers, the Vandermonde and each modular weight are computed
-once per sum rather than once per term; the values are bit-identical to
-the per-call spherical_value and delta_weight.
+Each truncated period builds one integrand from the Whittaker factors of
+its parameter sets (_spherical_on_torus, _essential_on_torus): Schur
+tables, half modular weights by modular exponent and determinant-size
+powers by total exponent, all built once per sum.  Per term the integrand
+tests its support once and takes one modular exponent, from which it
+derives the exponent of every other rank it needs; _torus_sum takes the
+inverse modular weight from its own table.  Each value multiplies the
+factors in the order of spherical_value and essential_value, so the sums
+are bit-identical to sums over those reference evaluators.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .lfactors import asai_lfactor, pair_dual_lfactor, rs_lfactor
 from .report import VerificationReport, hard_check
 from .reps import GenericRep, SatakeSet
-from .symfunc import _per_modular_exponent, _product, delta_weight, partitions_in_box
+from .symfunc import _Memo, _modular_coefficients, _modular_weight, _product, partitions_in_box
 from .volumes import vol_gl
 from .whittaker import _essential_on_torus, _spherical_on_torus
 from .whittaker import essential_value  # noqa: F401  (bench/tests probe it in this namespace)
@@ -54,13 +59,18 @@ def _torus_sum(
 
     f runs over the rank-length tuples whose first `head` entries are weakly
     decreasing in [0, depth] and whose other entries are zero, in descending
-    lexicographic order.  A zero integrand value is skipped before weighting;
-    1/delta(f) >= 1 on that support, so no nonzero value weights to zero.
-    The tail estimate is the outermost shell's (f_1 = depth) total weighted
-    magnitude amplified by a geometric factor, scaled by the same volume."""
+    lexicographic order.  So every f the integrand receives is weakly
+    decreasing with parts in [0, depth], and an integrand may assume it: on
+    such a tuple, "the parts after the first h are zero and the first h are
+    nonnegative" is f[-1] >= 0 together with f[h] == 0 for h < rank.  A
+    zero integrand value is skipped before weighting; 1/delta(f) >= 1 on
+    that support, so no nonzero value weights to zero.  The tail estimate
+    is the outermost shell's (f_1 = depth) total weighted magnitude
+    amplified by a geometric factor, scaled by the same volume."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    delta_inv = _per_modular_exponent(rank, lambda f: float(1 / delta_weight(f, q)))
+    coefficients = _modular_coefficients(rank)
+    delta_inv = _Memo(lambda e: float(1 / _modular_weight(e, q)))
     total: complex = 0.0
     shell = 0.0
     zeros = (0,) * (rank - head)
@@ -69,7 +79,7 @@ def _torus_sum(
         w = integrand(f)
         if w == 0:
             continue
-        t = w * delta_inv(f)
+        t = w * delta_inv[sum(map(mul, f, coefficients))]
         total += t
         if f and f[0] == depth:
             shell += abs(t)
@@ -85,9 +95,18 @@ def beta_truncated(rep: GenericRep, q_f: int, depth: int) -> TruncResult:
     if not rep.is_ramified():
         raise ValueError("representation is unramified; use beta_spherical_truncated")
     n = rep.rank - 1
-    sign = -1 if n % 2 else 1
-    r, newform = _essential_on_torus(rep, q_f**2, depth)
-    return _torus_sum(n, r, depth, q_f, lambda f: newform(f) * sign ** (sum(f) % 2))
+    r, (half, schur), size = _essential_on_torus(rep, q_f**2, depth)
+    coefficients = _modular_coefficients(r)
+    parity = (1, -1 if n % 2 else 1)  # the sign (-1)^n to the power |f|
+
+    def integrand(f: tuple[int, ...]) -> complex:
+        if f[-1] < 0 or r < n and f[r]:
+            return 0.0
+        total = sum(f)
+        e = sum(map(mul, f, coefficients))  # of the head alone
+        return half[e] * schur(f[:r]) * size[total] * parity[total % 2]
+
+    return _torus_sum(n, r, depth, q_f, integrand)
 
 
 def beta_closed(rep: GenericRep, q_f: int) -> complex:
@@ -103,11 +122,17 @@ def beta_spherical_truncated(sigma_n: SatakeSet, q_f: int, depth: int) -> TruncR
     """Twisted base-field period of the normalized spherical vector of an
     unramified rank-n representation, summed over the GL_{n-1} torus."""
     n = len(sigma_n)
-    sign = -1 if (n - 1) % 2 else 1
-    spherical = _spherical_on_torus(sigma_n.params, sigma_n.base, depth)
-    return _torus_sum(
-        n - 1, n - 1, depth, q_f, lambda f: spherical(f + (0,)) * sign ** (sum(f) % 2)
-    )
+    half, schur = _spherical_on_torus(sigma_n.params, sigma_n.base, depth)
+    coefficients = _modular_coefficients(n)  # the rank-n exponent of f + (0,)
+    parity = (1, -1 if (n - 1) % 2 else 1)
+
+    def integrand(f: tuple[int, ...]) -> complex:
+        if f and f[-1] < 0:
+            return 0.0
+        e = sum(map(mul, f, coefficients))
+        return half[e] * schur(f + (0,)) * parity[sum(f) % 2]
+
+    return _torus_sum(n - 1, n - 1, depth, q_f, integrand)
 
 
 def beta_spherical_closed(sigma_n: SatakeSet, q_f: int) -> complex:
@@ -126,8 +151,15 @@ def theta_truncated(sigma: SatakeSet, depth: int) -> TruncResult:
     """Norm of the normalized spherical vector of an unramified rank-k
     representation under the GL_{k-1} inner-product integral."""
     k = len(sigma)
-    spherical = _spherical_on_torus(sigma.params, sigma.base, depth)
-    return _torus_sum(k - 1, k - 1, depth, sigma.base, lambda f: abs(spherical(f + (0,))) ** 2)
+    half, schur = _spherical_on_torus(sigma.params, sigma.base, depth)
+    coefficients = _modular_coefficients(k)  # the rank-k exponent of f + (0,)
+
+    def integrand(f: tuple[int, ...]) -> complex:
+        if f and f[-1] < 0:
+            return 0.0
+        return abs(half[sum(map(mul, f, coefficients))] * schur(f + (0,))) ** 2
+
+    return _torus_sum(k - 1, k - 1, depth, sigma.base, integrand)
 
 
 def theta_closed(sigma: SatakeSet) -> complex:
@@ -149,23 +181,38 @@ def lambda_truncated(sigma_n: SatakeSet, rep: GenericRep, depth: int) -> TruncRe
     if rep.rank != n + 1:
         raise ValueError("rank mismatch: need rank(rep) = len(sigma_n) + 1")
     q_e = sigma_n.base
+    half, schur = _spherical_on_torus(sigma_n.params, q_e, depth)
+    coefficients = _modular_coefficients(n)
+    # On f = lambda + zeros the rank-j exponent of lambda is
+    # e + (n - j) * |lambda|, e the rank-n one.
 
     if rep.is_ramified():
-        head, w_big = _essential_on_torus(rep, q_e, depth)
-    else:
-        head = n
-        gamma = _spherical_on_torus(rep.unramified_part(q_e).params, q_e, depth)
+        r, (half_u, schur_u), size = _essential_on_torus(rep, q_e, depth)
 
-        def w_big(f: tuple[int, ...]) -> complex:
-            return gamma(f + (0,))
+        def newform_pairing(f: tuple[int, ...]) -> complex:
+            if f[-1] < 0 or r < n and f[r]:
+                return 0.0
+            e = sum(map(mul, f, coefficients))
+            w1 = half[e] * schur(f)
+            if w1 == 0:
+                return 0.0
+            total = sum(f)
+            return w1 * (half_u[e + (n - r) * total] * schur_u(f[:r]) * size[total])
 
-    spherical = _spherical_on_torus(sigma_n.params, q_e, depth)
+        return _torus_sum(n, r, depth, q_e, newform_pairing)
 
-    def integrand(f: tuple[int, ...]) -> complex:
-        w1 = spherical(f)
-        return w1 * w_big(f) if w1 != 0 else 0.0
+    half_u, schur_u = _spherical_on_torus(rep.unramified_part(q_e).params, q_e, depth)
 
-    return _torus_sum(n, head, depth, q_e, integrand)
+    def spherical_pairing(f: tuple[int, ...]) -> complex:
+        if f and f[-1] < 0:
+            return 0.0
+        e = sum(map(mul, f, coefficients))
+        w1 = half[e] * schur(f)
+        if w1 == 0:
+            return 0.0
+        return w1 * (half_u[e - sum(f)] * schur_u(f + (0,)))
+
+    return _torus_sum(n, n, depth, q_e, spherical_pairing)
 
 
 def lambda_closed(sigma_n: SatakeSet, rep: GenericRep) -> complex:

@@ -17,8 +17,8 @@ the table runs that loop's operations in column stages and keeps the
 stages of the current first part (the pivot of its first column, and at
 rank 3 the last pivot and the swept last column per second and per last
 part), so that a weight in a run of one first part pays only the last
-step of the elimination.  _per_modular_exponent gives the torus evaluators each
-modular weight once per distinct exponent, looked up by that exponent.
+step of the elimination.  _modular_weight is delta_weight as a function of
+the modular exponent, which the torus sums tabulate in a _Memo.
 """
 
 from __future__ import annotations
@@ -60,8 +60,9 @@ def _det(rows: Sequence[Sequence[complex]]) -> complex:
 
     A pivot search whose abs() overflows is redone with _modulus, which
     ranks such an entry as infinite; only matrices on which abs() raises
-    take that route.  _schur_table runs this loop's operations at sizes 2
-    and 3 in the column stages below.
+    take that route.  A finite pivot whose reciprocal comes out 0 takes
+    its multipliers from _scaled_quotient.  _schur_table runs this loop's
+    operations at sizes 2 and 3 in the column stages below.
     """
     m = len(rows)
     if m == 0:
@@ -80,8 +81,9 @@ def _det(rows: Sequence[Sequence[complex]]) -> complex:
             det = -det
         det *= a[col][col]
         inv = 1.0 / a[col][col]
+        huge = inv == 0 and cmath.isfinite(a[col][col])
         for r in range(col + 1, m):
-            f = a[r][col] * inv
+            f = _scaled_quotient(a[r][col], a[col][col]) if huge else a[r][col] * inv
             if f == 0:
                 continue
             for c in range(col, m):
@@ -91,6 +93,20 @@ def _det(rows: Sequence[Sequence[complex]]) -> complex:
     if a[m - 1][m - 1] == 0:
         return 0.0
     return det * a[m - 1][m - 1]
+
+
+def _scaled_quotient(entry: complex, pivot: complex) -> complex:
+    """entry / pivot as _det's sweep takes it, entry * (1.0 / pivot), for a
+    finite pivot whose reciprocal comes out 0: CPython's complex division
+    overflows its scaled denominator near the float limit, so that
+    1.0 / (1.3e308 + 1.3e308j) gives -0j.  Both are first scaled by the
+    power of two that brings the larger part of the pivot into [0.5, 1)."""
+    k = -math.frexp(max(abs(pivot.real), abs(pivot.imag)))[1]
+
+    def scaled(z: complex) -> complex:
+        return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+
+    return scaled(entry) * (1.0 / scaled(pivot))
 
 
 # _det's loop on 2 and 3 rows, split by column with the same operations in
@@ -130,6 +146,8 @@ def _first_pivot(a00: complex, a10: complex, a20: complex) -> _First | None:
         return None
     det *= a00
     inv = 1.0 / a00
+    if inv == 0 and cmath.isfinite(a00):
+        return order, det, _scaled_quotient(a10, a00), _scaled_quotient(a20, a00)
     return order, det, a10 * inv, a20 * inv
 
 
@@ -158,7 +176,10 @@ def _last_pivot(det: complex, column: tuple[complex, complex]) -> _Last | None:
     if a11 == 0:
         return None
     det *= a11
-    return det, swap, a21 * (1.0 / a11)
+    inv = 1.0 / a11
+    if inv == 0 and cmath.isfinite(a11):
+        return det, swap, _scaled_quotient(a21, a11)
+    return det, swap, a21 * inv
 
 
 def _last_step(last: _Last, column: tuple[complex, complex]) -> complex:
@@ -380,23 +401,17 @@ def _modular_coefficients(m: int) -> range:
     return range(1 - m, m, 2)
 
 
-def _per_modular_exponent(
-    m: int, weight: Callable[[Sequence[int]], float]
-) -> Callable[[Sequence[int]], float]:
-    """`weight`, a function of a rank-m weight tuple through its modular
-    exponent only (such as a float of delta_weight), evaluated once per
-    exponent and looked up by it."""
-    coefficients = _modular_coefficients(m)
-    values: dict[int, float] = {}
+class _Memo(dict[int, float]):
+    """A function of one integer, such as a modular weight of its
+    exponent, read by subscript and computed once per argument."""
 
-    def cached(parts: Sequence[int]) -> float:
-        e = sum(map(mul, parts, coefficients))
-        w = values.get(e)
-        if w is None:
-            w = values[e] = weight(parts)
-        return w
+    def __init__(self, fn: Callable[[int], float]) -> None:
+        super().__init__()
+        self.fn = fn
 
-    return cached
+    def __missing__(self, key: int) -> float:
+        value = self[key] = self.fn(key)
+        return value
 
 
 def delta_weight(parts: Sequence[int], q: RatLike, half: bool = False) -> Fraction:
@@ -407,10 +422,15 @@ def delta_weight(parts: Sequence[int], q: RatLike, half: bool = False) -> Fracti
     exponent is even or q is a perfect square (the only cases in scope,
     since the quadratic-extension residue size is a square).
     """
+    return _modular_weight(sum(map(mul, parts, _modular_coefficients(len(parts)))), q, half)
+
+
+def _modular_weight(e: int, q: RatLike, half: bool = False) -> Fraction:
+    """delta_weight of a weight whose modular exponent is e: q^e, or with
+    ``half`` q^(e/2)."""
     q = Fraction(q)
     if q <= 1:
         raise ValueError("q must exceed 1")
-    e = sum(map(mul, parts, _modular_coefficients(len(parts))))
     if not half:
         return q**e
     if e % 2 == 0:

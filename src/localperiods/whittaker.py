@@ -1,23 +1,25 @@
 """Torus values of the normalized spherical and essential Whittaker functions.
 
-Both evaluators take plain exponent tuples: the spherical one the full
-diagonal exponent vector, the essential one the first m-1 exponents with a
-trailing 1 understood in the last diagonal slot.  Values off the stated
-support are exactly zero.
+spherical_value and essential_value are the reference evaluators: they
+take plain exponent tuples, the spherical one the full diagonal exponent
+vector, the essential one the first m-1 exponents with a trailing 1
+understood in the last diagonal slot, and check their support on every
+call.  Values off the stated support are exactly zero.
+
+A torus sum evaluates one parameter set at thousands of weights, so
+_spherical_on_torus and _essential_on_torus give it the factors of those
+values instead: a Schur table, the half modular weights by modular
+exponent and the determinant-size powers by total exponent, each computed
+once per sum.  The integrands in periods multiply them in the order the
+reference evaluators do, so every value is the same bits.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .reps import GenericRep
-from .symfunc import (
-    _per_modular_exponent,
-    _schur_table,
-    delta_weight,
-    is_weakly_decreasing,
-    schur,
-)
+from .reps import GenericRep, SatakeSet
+from .symfunc import _Memo, _modular_weight, _schur_table, delta_weight, is_weakly_decreasing, schur
 
 
 def spherical_value(params: Sequence[complex], exponents: Sequence[int], q_e: int) -> complex:
@@ -33,27 +35,17 @@ def spherical_value(params: Sequence[complex], exponents: Sequence[int], q_e: in
     return float(delta_weight(exponents, q_e, half=True)) * schur(exponents, params)
 
 
-def _spherical_on_torus(
-    params: Sequence[complex], q_e: int, max_part: int
-) -> Callable[[Sequence[int]], complex]:
-    """spherical_value at fixed parameters as a function of the exponent
-    tuple alone.  The Schur values come from one _schur_table for parts up
-    to max_part, and each half modular weight is computed once per
-    distinct modular exponent, so every value is bit-identical to
-    spherical_value's."""
-    params = tuple(params)
-    m = len(params)
-    schur_at = _schur_table(params, max_part)
-    half_weight = _per_modular_exponent(m, lambda f: float(delta_weight(f, q_e, half=True)))
+#: spherical_value at fixed parameters as half[e] * schur(f), for a weakly
+#: decreasing f of modular exponent e: the half modular weight by exponent,
+#: and the Schur table at the parameters
+_SphericalFactors = tuple[_Memo, Callable[[Sequence[int]], complex]]
 
-    def value(exponents: Sequence[int]) -> complex:
-        if len(exponents) != m:
-            raise ValueError("exponent tuple length must equal the rank")
-        if not is_weakly_decreasing(exponents):
-            return 0.0
-        return half_weight(exponents) * schur_at(exponents)
 
-    return value
+def _spherical_on_torus(params: Sequence[complex], q_e: int, max_part: int) -> _SphericalFactors:
+    """The factors of spherical_value at fixed parameters, for one sum over
+    weights with parts up to max_part: the Schur table is built here and
+    each half weight on its first use."""
+    return _Memo(lambda e: float(_modular_weight(e, q_e, half=True))), _schur_table(params, max_part)
 
 
 def essential_value(rep: GenericRep, exponents: Sequence[int], q_e: int) -> complex:
@@ -65,35 +57,39 @@ def essential_value(rep: GenericRep, exponents: Sequence[int], q_e: int) -> comp
     the unramified part scaled by the (m-r)/2 power of the determinant size.
     """
     exponents = tuple(exponents)
-    if len(exponents) != rep.rank - 1:
+    m = rep.rank
+    if len(exponents) != m - 1:
         raise ValueError("expected m-1 exponents for a rank-m representation")
-    return _essential_on_torus(rep, q_e, max(exponents, default=0))[1](exponents)
+    sigma_u = _unramified_part(rep, q_e)
+    r = len(sigma_u)
+    head = exponents[:r]
+    if any(exponents[r:]) or not is_weakly_decreasing(head) or (head and head[-1] < 0):
+        return 0.0
+    return spherical_value(sigma_u.params, head, q_e) * float(q_e) ** (-(m - r) * sum(head) / 2)
 
 
 def _essential_on_torus(
     rep: GenericRep, q_e: int, max_part: int
-) -> tuple[int, Callable[[tuple[int, ...]], complex]]:
-    """The unramified-part rank r of a ramified representation, and its
-    essential_value as a function of the exponent tuple alone.  The
-    unramified part and its _spherical_on_torus evaluator (tabulated for
-    parts up to max_part) are built once here, not once per tuple, so a
-    torus sum over the returned function pays for them once."""
+) -> tuple[int, _SphericalFactors, _Memo]:
+    """The factors of essential_value for one sum over exponents with parts
+    up to max_part: the unramified-part rank r, the spherical factors of
+    the unramified part, and the determinant-size power by total exponent
+    t, float(q_e) ** (-(m - r) * t / 2).  On its support, a weakly
+    decreasing head of r nonnegative parts followed by zeros, the value is
+    half[e] * schur(head) * size[|head|], e the modular exponent of the
+    head.  The unramified part is computed once here, not once per tuple."""
     m = rep.rank
+    sigma_u = _unramified_part(rep, q_e)
+    r = len(sigma_u)
+    size = _Memo(lambda t: float(q_e) ** (-(m - r) * t / 2))
+    return r, _spherical_on_torus(sigma_u.params, q_e, max_part), size
+
+
+def _unramified_part(rep: GenericRep, q_e: int) -> SatakeSet:
+    """The unramified part of a ramified representation of rank >= 2, the
+    only ones with a newform-line vector here."""
     if not rep.is_ramified():
         raise ValueError("representation is unramified; use spherical_value")
-    if m < 2:
+    if rep.rank < 2:
         raise ValueError("rank must be >= 2")
-    sigma_u = rep.unramified_part(q_e)
-    r = len(sigma_u)
-    spherical = _spherical_on_torus(sigma_u.params, q_e, max_part)
-
-    def value(exponents: tuple[int, ...]) -> complex:
-        head = exponents[:r]
-        if any(exponents[r:]):
-            return 0.0
-        if not is_weakly_decreasing(head) or (head and head[-1] < 0):
-            return 0.0
-        total = sum(head)
-        return spherical(head) * float(q_e) ** (-(m - r) * total / 2)
-
-    return r, value
+    return rep.unramified_part(q_e)

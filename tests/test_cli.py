@@ -15,7 +15,9 @@ from helpers import beta_spherical_literature
 from localperiods import cli, report
 from localperiods.assembly import PairData, j_via_bridge
 from localperiods.cli import main, parse_complex_list
+from localperiods.lfactors import pair_dual_lfactor
 from localperiods.reps import GenericRep, SatakeSet
+from localperiods.volumes import vol_gl
 
 
 def run(capsys, *argv):
@@ -90,8 +92,25 @@ class TestVerify:
         monkeypatch.setattr(periods, "_torus_sum", scaled)
         code, out, _ = run(capsys, "verify", "theta", "--qf", "3")
         assert code == 1
-        assert out.count("[FAIL] theta ") == 10 and out.count("[FAIL] theta-constant ") == 2
-        assert out.splitlines()[-1] == "14 checks: 2 pass, 12 fail, 0 rejected"
+        assert out.count("[FAIL] theta ") == 16 and out.count("[FAIL] theta-constant ") == 2
+        assert out.splitlines()[-1] == "20 checks: 2 pass, 18 fail, 0 rejected"
+
+    @pytest.mark.parametrize("qf", ["3", "5"])
+    def test_unit_determinant_in_theta_closed_fails(self, capsys, monkeypatch, qf):
+        """theta_closed with 1 - q_E^-k in place of 1 - |det sigma|^2 q_E^-k
+        fails each of the six draws off the unit circle, and only those."""
+        from localperiods import periods
+
+        def unit_det(sigma):
+            k = len(sigma)
+            return (float(vol_gl(k - 1, sigma.base)) * pair_dual_lfactor(sigma).value(1)
+                    * (1 - float(sigma.base) ** -k))
+
+        monkeypatch.setattr(periods, "theta_closed", unit_det)
+        code, out, _ = run(capsys, "verify", "theta", "--qf", qf)
+        assert code == 1
+        assert out.count("[FAIL] theta ") == 6
+        assert out.splitlines()[-1] == "20 checks: 14 pass, 6 fail, 0 rejected"
 
     def test_flipped_sign_in_beta_spherical_closed_fails(self, capsys, monkeypatch):
         """The spherical period's closed form with the twisted tensor sign
@@ -592,7 +611,8 @@ def test_whittaker_bad_values_exit_2(name, capsys, tmp_path):
 
 def test_run_theta_sums_each_draw_once(monkeypatch):
     """run_theta takes each draw's ratio from its check's lhs, so the 10
-    draws evaluate 10 truncated sums, not 20."""
+    draws on the unit circle and the 6 off it evaluate 16 truncated sums,
+    not 26."""
     from localperiods import periods
 
     calls = [0]
@@ -606,8 +626,8 @@ def test_run_theta_sums_each_draw_once(monkeypatch):
     monkeypatch.setattr(cli, "theta_truncated", counted, raising=False)
     cfg = cli.RunConfig(q_f=3, depth=5)
     reports = cli.run_theta(cfg, random.Random(7))
-    assert calls[0] == 10
-    assert len(reports) == 14
+    assert calls[0] == 16
+    assert len(reports) == 20
 
 
 #: the README's "Command line" section, up to the next heading

@@ -3,10 +3,15 @@
 Every suite has one.  Each file was written by the commit before a change
 that rewrote how its suite computes or records, such as the per-sum Schur
 and Whittaker tables or the shared exact-check records.  A restructuring
-change leaves them unchanged; a change meant to move a float result
-regenerates them with the arguments below and records the largest drift.
+change leaves them unchanged; a change meant to move a float result, or to
+add records, rewrites the goldens it moves from the arguments in REPORTS,
+
+    PYTHONPATH=src python tests/test_golden.py NAME...
+
+and records the largest drift.  Only the named files are rewritten.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +48,21 @@ def test_report_matches_golden_bytes(name, tmp_path, capsys):
 
 def test_every_suite_has_a_golden():
     assert set(cli.SUITES) <= {args[0] for args in REPORTS.values()}
+
+
+def rewrite(names: list[str]) -> int:
+    """Rewrite the named goldens from REPORTS; an unknown or missing name
+    rewrites nothing."""
+    unknown = [name for name in names if name not in REPORTS]
+    if not names or unknown:
+        print(f"usage: test_golden.py NAME..., each one of: {' '.join(sorted(REPORTS))}"
+              + (f"\nunknown: {' '.join(unknown)}" if unknown else ""), file=sys.stderr)
+        return 2
+    for name in names:
+        code = cli.main(["verify", *REPORTS[name], "--json", str(GOLDEN / name)])
+        print(f"wrote {name} (verify exit code {code})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(rewrite(sys.argv[1:]))

@@ -4,9 +4,14 @@ import random
 
 import pytest
 
-from helpers import beta_spherical_literature, h_pair_series, satake
+from helpers import beta_spherical_literature, bits, h_pair_series, satake
 from localperiods import periods, whittaker
-from localperiods.draws import conj_selfdual_unit, random_ramified_rep, unit_circle
+from localperiods.draws import (
+    conj_selfdual_unit,
+    off_unit_circle,
+    random_ramified_rep,
+    unit_circle,
+)
 from localperiods.lfactors import pair_dual_lfactor, rs_lfactor
 from localperiods.periods import (
     TruncResult,
@@ -28,6 +33,7 @@ from localperiods.report import STATUS_PASS
 from localperiods.reps import GenericRep, RamCusp, Segment, UnramChar
 from localperiods.symfunc import delta_weight, weakly_decreasing_tuples
 from localperiods.volumes import vol_gl
+from localperiods.whittaker import essential_value, spherical_value
 
 DEPTH = 40
 DEEP = 60
@@ -318,7 +324,7 @@ class TestSupportSummation:
 
     def test_ramified_lambda_evaluates_only_the_head(self, monkeypatch):
         """A ramified lambda sum evaluates the spherical factor once per
-        support tuple, C(d + r, r) times, and builds one evaluator per
+        support tuple, C(d + r, r) times, and builds one set of factors per
         parameter set: sigma_n's in periods, the unramified part's in
         whittaker."""
         built, calls = [], [0]
@@ -328,13 +334,13 @@ class TestSupportSummation:
 
             def build(params, q_e, max_part):
                 built.append(tuple(params))
-                value = make(params, q_e, max_part)
+                half, schur = make(params, q_e, max_part)
 
-                def counted(exponents):
+                def counted(parts):
                     calls[0] += module is periods
-                    return value(exponents)
+                    return schur(parts)
 
-                return counted
+                return half, counted
 
             monkeypatch.setattr(module, "_spherical_on_torus", build)
 
@@ -353,3 +359,105 @@ class TestSupportSummation:
                     assert calls[0] == math.comb(depth + r, r), (n, r, depth)
                     assert len(built) == 2
                     assert set(built) == {tuple(sigma_u.params), tuple(sigma.params)}
+
+
+def integrand_of(monkeypatch, period, *args):
+    """The torus rank and the integrand that a truncated period hands to
+    _torus_sum."""
+    seen = {}
+
+    def capture(rank, head, depth, q, integrand):
+        seen.update(rank=rank, integrand=integrand)
+        return TruncResult(0j, 0.0)
+
+    with monkeypatch.context() as m:
+        m.setattr(periods, "_torus_sum", capture)
+        period(*args)
+    return seen["rank"], seen["integrand"]
+
+
+def assert_same_terms(rank, depth, integrand, reference):
+    """integrand(f) against reference(f) on every weakly decreasing f in
+    [-depth, depth]^rank, by bits; a zero of either sign or type counts as
+    zero, since _torus_sum skips zero values before weighting them."""
+    for f in weakly_decreasing_tuples(rank, -depth, depth):
+        got, want = integrand(f), reference(f)
+        assert (got == 0 and want == 0) or bits(got) == bits(want), f
+
+
+def parity_sign(rank, f):
+    return (-1 if rank % 2 else 1) ** (sum(f) % 2)
+
+
+class TestIntegrands:
+    """Each integrand against its composition from the reference
+    evaluators spherical_value and essential_value, with the sign or
+    abs(.)**2 that its period applies, off the support as well as on it."""
+
+    DEPTH = 3
+
+    def test_lambda(self, monkeypatch):
+        rng = random.Random(97)
+        for n in (1, 2, 3):
+            for q_e in (9, 25):
+                sigma_n = satake(unit_circle(rng, n), q_e)
+                for rep in newform_reps(rng, n):
+                    if rep.is_ramified():
+                        def big(f, rep=rep, q_e=q_e):
+                            return essential_value(rep, f, q_e)
+                    else:
+                        def big(f, params=rep.unramified_part(q_e).params, q_e=q_e):
+                            return spherical_value(params, f + (0,), q_e)
+
+                    def reference(f, sigma_n=sigma_n, big=big):
+                        w1 = spherical_value(sigma_n.params, f, sigma_n.base)
+                        return w1 * big(f) if w1 != 0 else 0.0
+
+                    rank, integrand = integrand_of(
+                        monkeypatch, lambda_truncated, sigma_n, rep, self.DEPTH)
+                    assert rank == n
+                    assert_same_terms(n, self.DEPTH, integrand, reference)
+
+    def test_beta(self, monkeypatch):
+        rng = random.Random(101)
+        for n in (1, 2, 3):
+            for q_f in (3, 5):
+                for rep in newform_reps(rng, n):
+                    if not rep.is_ramified():
+                        continue
+
+                    def reference(f, rep=rep, q_f=q_f):
+                        return essential_value(rep, f, q_f**2) * parity_sign(n, f)
+
+                    rank, integrand = integrand_of(monkeypatch, beta_truncated, rep, q_f, self.DEPTH)
+                    assert rank == n
+                    assert_same_terms(n, self.DEPTH, integrand, reference)
+
+    def test_beta_spherical(self, monkeypatch):
+        rng = random.Random(103)
+        for n in (1, 2, 3, 4):
+            for q_f in (3, 5):
+                sigma_n = satake(unit_circle(rng, n), q_f**2)
+
+                def reference(f, sigma_n=sigma_n):
+                    value = spherical_value(sigma_n.params, f + (0,), sigma_n.base)
+                    return value * parity_sign(n - 1, f)
+
+                rank, integrand = integrand_of(
+                    monkeypatch, beta_spherical_truncated, sigma_n, q_f, self.DEPTH)
+                assert rank == n - 1
+                assert_same_terms(n - 1, self.DEPTH, integrand, reference)
+
+    def test_theta(self, monkeypatch):
+        rng = random.Random(107)
+        for k in (1, 2, 3, 4):
+            for q_e in (9, 25):
+                for alphas in (unit_circle(rng, k), off_unit_circle(rng, k, q_e)):
+                    sigma = satake(alphas, q_e)
+
+                    def reference(f, sigma=sigma):
+                        return abs(spherical_value(sigma.params, f + (0,), sigma.base)) ** 2
+
+                    rank, integrand = integrand_of(monkeypatch, theta_truncated, sigma, self.DEPTH)
+                    assert rank == k - 1
+                    assert_same_terms(k - 1, self.DEPTH, integrand, reference)

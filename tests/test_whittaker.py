@@ -5,9 +5,10 @@ import pytest
 
 import itertools
 
-from helpers import outcome, ssyt_schur
+from helpers import bits, outcome, ssyt_schur
 from localperiods.draws import random_ramified_rep, unit_circle
 from localperiods.reps import GenericRep, RamCusp, Segment, UnramChar
+from localperiods.symfunc import is_weakly_decreasing, weakly_decreasing_tuples
 from localperiods.whittaker import (
     _essential_on_torus,
     _spherical_on_torus,
@@ -48,20 +49,27 @@ class TestSphericalValue:
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
+def modular_exponent(f):
+    m = len(f)
+    return sum(x * (2 * i - m - 1) for i, x in enumerate(f, start=1))
+
+
 class TestTorusEvaluators:
     @pytest.mark.parametrize("q_e", [9, 25, 3])
     def test_spherical_on_torus_is_bit_identical(self, q_e):
-        # every tuple in a box, non-decreasing ones included; q_e = 3 has
-        # no exact half weight at odd exponents, so both must raise there
+        # every weakly decreasing tuple in a box, negative parts and parts
+        # above max_part included; q_e = 3 has no exact half weight at odd
+        # exponents, so both must raise there
         rng = random.Random(5)
         for m in range(5):
             for params in (unit_circle(rng, m), (0.0,) * m, (0.5,) * m):
                 for max_part in (0, 3):
-                    value = _spherical_on_torus(params, q_e, max_part)
-                    for f in itertools.product(range(-1, max_part + 2), repeat=m):
-                        assert outcome(value, f) == outcome(spherical_value, params, f, q_e), f
+                    half, schur = _spherical_on_torus(params, q_e, max_part)
+                    for f in weakly_decreasing_tuples(m, -1, max_part + 1):
+                        got = outcome(lambda: half[modular_exponent(f)] * schur(f))
+                        assert got == outcome(spherical_value, params, f, q_e), f
                     with pytest.raises(ValueError):
-                        value((0,) * (m + 1))
+                        schur((0,) * (m + 1))
 
     def test_essential_on_torus_matches_its_spherical_formula(self):
         rng = random.Random(6)
@@ -69,16 +77,17 @@ class TestTorusEvaluators:
             for r in range(m):
                 rep = random_ramified_rep(rng, m, r, cond=1)
                 sigma_u = rep.unramified_part(9)
-                got_r, value = _essential_on_torus(rep, 9, 4)
+                got_r, (half, schur), size = _essential_on_torus(rep, 9, 4)
                 assert got_r == r
                 for f in itertools.product(range(-1, 6), repeat=m - 1):
                     head, tail = f[:r], f[r:]
-                    if any(tail) or (head and head[-1] < 0):
+                    if any(tail) or not is_weakly_decreasing(head) or (head and head[-1] < 0):
                         want = 0.0
                     else:
                         want = spherical_value(sigma_u.params, head, 9)
                         want *= 9.0 ** (-(m - r) * sum(head) / 2)
-                    assert outcome(value, f) == outcome(lambda: want), f
+                        got = half[modular_exponent(head)] * schur(head) * size[sum(head)]
+                        assert bits(got) == bits(want), f
                     assert outcome(essential_value, rep, f, 9) == outcome(lambda: want), f
 
 
