@@ -345,7 +345,6 @@ def run_main_theorem(cfg: RunConfig, rng: random.Random) -> list[VerificationRep
 
 
 def run_fl_rank1(cfg: RunConfig, rng: random.Random) -> list[VerificationReport]:
-    validate_field_context(cfg.p, cfg.u)
     cs = [cfg.c] if cfg.c is not None else [0, 1, 2, 3]
     reports = []
     for c in cs:

@@ -75,18 +75,12 @@ class EMat:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _same_field(self, other: "EMat") -> None:
-        if self.u != other.u:
-            raise ValueError("field context mismatch")
-
     def __add__(self, other: "EMat") -> "EMat":
-        self._same_field(other)
         return EMat(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)], self.u
         )
 
     def __sub__(self, other: "EMat") -> "EMat":
-        self._same_field(other)
         return EMat(
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)], self.u
         )
@@ -101,7 +95,6 @@ class EMat:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "EMat") -> "EMat":
-        self._same_field(other)
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         zero = QuadExt.of(0, self.u)

@@ -85,7 +85,7 @@ def orb_u2(x: EMat, c: int, p: int) -> int:
         raise ValueError("x is not anti-hermitian for the depth-c form")
     if x.entry(0, 1).is_zero() or x.entry(1, 0).is_zero():
         raise ValueError("x is not regular semisimple")
-    return 1 if in_k_tilde_lie(x, c, p, j) else 0
+    return 1 if in_bmk_tilde(x, c, p) else 0
 
 
 def _norm_solution(target: Fraction, u: int) -> QuadExt | None:

@@ -13,17 +13,18 @@ where head is the unramified-part rank r for integrands with a
 newform-line (essential) factor and the full torus rank for purely
 spherical ones.  Off that support the integrands vanish identically by the
 torus-value support conditions, so a sum at depth d has exactly
-C(d + head, head) terms.
+C(d + head, head) terms, and an integrand tests no support itself.
 
-Each truncated period builds one integrand from the Whittaker factors of
-its parameter sets (_spherical_on_torus, _essential_on_torus): Schur
-tables, half modular weights by modular exponent and determinant-size
-powers by total exponent, all built once per sum.  Per term the integrand
-tests its support once and takes one modular exponent, from which it
-derives the exponent of every other rank it needs; _torus_sum takes the
-inverse modular weight from its own table.  Each value multiplies the
-factors in the order of spherical_value and essential_value, so the sums
-are bit-identical to sums over those reference evaluators.
+Each truncated period builds one integrand from factors built once per
+sum: one table of half modular weights by modular exponent at q_E
+(_half_weights), shared by every parameter set of the sum, the Schur
+tables of those parameter sets (symfunc._schur_table), and for a
+newform-line factor the determinant-size powers of _essential_on_torus.
+Per term the integrand takes one modular exponent, from which it derives
+the exponent of every other rank it needs; _torus_sum takes the inverse
+modular weight from its own table.  Each value multiplies the factors in
+the order of spherical_value and essential_value, so the sums are
+bit-identical to sums over those reference evaluators.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ from typing import Callable, NamedTuple
 from .lfactors import asai_lfactor, pair_dual_lfactor, rs_lfactor
 from .report import VerificationReport, hard_check
 from .reps import GenericRep, SatakeSet
-from .symfunc import _Memo, _modular_coefficients, _modular_weight, _product, partitions_in_box
+from .symfunc import _Memo, _modular_coefficients, _modular_weight, _product, _schur_table
+from .symfunc import weakly_decreasing_tuples
 from .volumes import vol_gl
-from .whittaker import _essential_on_torus, _spherical_on_torus
+from .whittaker import _essential_on_torus
 from .whittaker import essential_value  # noqa: F401  (bench/tests probe it in this namespace)
 
 
@@ -57,16 +59,15 @@ def _torus_sum(
     both taken at residue size q.  This is the only place that applies the
     convention: an integrand carries neither 1/delta nor the volume.
 
-    f runs over the rank-length tuples whose first `head` entries are weakly
-    decreasing in [0, depth] and whose other entries are zero, in descending
-    lexicographic order.  So every f the integrand receives is weakly
-    decreasing with parts in [0, depth], and an integrand may assume it: on
-    such a tuple, "the parts after the first h are zero and the first h are
-    nonnegative" is f[-1] >= 0 together with f[h] == 0 for h < rank.  A
-    zero integrand value is skipped before weighting; 1/delta(f) >= 1 on
-    that support, so no nonzero value weights to zero.  The tail estimate
-    is the outermost shell's (f_1 = depth) total weighted magnitude
-    amplified by a geometric factor, scaled by the same volume."""
+    The sum runs over the support only: f runs over the rank-length tuples
+    whose first `head` entries are weakly decreasing in [0, depth] and whose
+    other entries are zero, in descending lexicographic order, so a sum has
+    C(depth + head, head) terms.  The integrand is called on these tuples
+    alone and tests no support itself.  A zero integrand value is skipped
+    before weighting; 1/delta(f) >= 1 on that support, so no nonzero value
+    weights to zero.  The tail estimate is the outermost shell's
+    (f_1 = depth) total weighted magnitude amplified by a geometric factor,
+    scaled by the same volume."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     coefficients = _modular_coefficients(rank)
@@ -74,7 +75,7 @@ def _torus_sum(
     total: complex = 0.0
     shell = 0.0
     zeros = (0,) * (rank - head)
-    for lam in partitions_in_box(head, depth):
+    for lam in weakly_decreasing_tuples(head, 0, depth):
         f = lam + zeros
         w = integrand(f)
         if w == 0:
@@ -88,20 +89,24 @@ def _torus_sum(
     return TruncResult(vol * total, vol * (shell * geo))
 
 
+def _half_weights(q_e: int) -> _Memo:
+    """The half modular weights float(q_e^(e/2)) by modular exponent e, the
+    factor of spherical_value beside the Schur value, each computed on
+    first use."""
+    return _Memo(lambda e: float(_modular_weight(e, q_e, half=True)))
+
+
 def beta_truncated(rep: GenericRep, q_f: int, depth: int) -> TruncResult:
     """Twisted base-field period of the normalized newform-line vector of a
     ramified rank-(n+1) representation, summed over the diagonal torus of
     GL_n up to the truncation depth."""
-    if not rep.is_ramified():
-        raise ValueError("representation is unramified; use beta_spherical_truncated")
     n = rep.rank - 1
-    r, (half, schur), size = _essential_on_torus(rep, q_f**2, depth)
+    r, schur, size = _essential_on_torus(rep, q_f**2, depth)
+    half = _half_weights(q_f**2)
     coefficients = _modular_coefficients(r)
     parity = (1, -1 if n % 2 else 1)  # the sign (-1)^n to the power |f|
 
     def integrand(f: tuple[int, ...]) -> complex:
-        if f[-1] < 0 or r < n and f[r]:
-            return 0.0
         total = sum(f)
         e = sum(map(mul, f, coefficients))  # of the head alone
         return half[e] * schur(f[:r]) * size[total] * parity[total % 2]
@@ -122,13 +127,11 @@ def beta_spherical_truncated(sigma_n: SatakeSet, q_f: int, depth: int) -> TruncR
     """Twisted base-field period of the normalized spherical vector of an
     unramified rank-n representation, summed over the GL_{n-1} torus."""
     n = len(sigma_n)
-    half, schur = _spherical_on_torus(sigma_n.params, sigma_n.base, depth)
+    half, schur = _half_weights(sigma_n.base), _schur_table(sigma_n.params, depth)
     coefficients = _modular_coefficients(n)  # the rank-n exponent of f + (0,)
     parity = (1, -1 if (n - 1) % 2 else 1)
 
     def integrand(f: tuple[int, ...]) -> complex:
-        if f and f[-1] < 0:
-            return 0.0
         e = sum(map(mul, f, coefficients))
         return half[e] * schur(f + (0,)) * parity[sum(f) % 2]
 
@@ -151,12 +154,10 @@ def theta_truncated(sigma: SatakeSet, depth: int) -> TruncResult:
     """Norm of the normalized spherical vector of an unramified rank-k
     representation under the GL_{k-1} inner-product integral."""
     k = len(sigma)
-    half, schur = _spherical_on_torus(sigma.params, sigma.base, depth)
+    half, schur = _half_weights(sigma.base), _schur_table(sigma.params, depth)
     coefficients = _modular_coefficients(k)  # the rank-k exponent of f + (0,)
 
     def integrand(f: tuple[int, ...]) -> complex:
-        if f and f[-1] < 0:
-            return 0.0
         return abs(half[sum(map(mul, f, coefficients))] * schur(f + (0,))) ** 2
 
     return _torus_sum(k - 1, k - 1, depth, sigma.base, integrand)
@@ -181,36 +182,32 @@ def lambda_truncated(sigma_n: SatakeSet, rep: GenericRep, depth: int) -> TruncRe
     if rep.rank != n + 1:
         raise ValueError("rank mismatch: need rank(rep) = len(sigma_n) + 1")
     q_e = sigma_n.base
-    half, schur = _spherical_on_torus(sigma_n.params, q_e, depth)
+    half, schur = _half_weights(q_e), _schur_table(sigma_n.params, depth)
     coefficients = _modular_coefficients(n)
     # On f = lambda + zeros the rank-j exponent of lambda is
-    # e + (n - j) * |lambda|, e the rank-n one.
+    # e + (n - j) * |lambda|, e the rank-n one; both factors read `half`.
 
     if rep.is_ramified():
-        r, (half_u, schur_u), size = _essential_on_torus(rep, q_e, depth)
+        r, schur_u, size = _essential_on_torus(rep, q_e, depth)
 
         def newform_pairing(f: tuple[int, ...]) -> complex:
-            if f[-1] < 0 or r < n and f[r]:
-                return 0.0
             e = sum(map(mul, f, coefficients))
             w1 = half[e] * schur(f)
             if w1 == 0:
                 return 0.0
             total = sum(f)
-            return w1 * (half_u[e + (n - r) * total] * schur_u(f[:r]) * size[total])
+            return w1 * (half[e + (n - r) * total] * schur_u(f[:r]) * size[total])
 
         return _torus_sum(n, r, depth, q_e, newform_pairing)
 
-    half_u, schur_u = _spherical_on_torus(rep.unramified_part(q_e).params, q_e, depth)
+    schur_u = _schur_table(rep.unramified_part(q_e).params, depth)
 
     def spherical_pairing(f: tuple[int, ...]) -> complex:
-        if f and f[-1] < 0:
-            return 0.0
         e = sum(map(mul, f, coefficients))
         w1 = half[e] * schur(f)
         if w1 == 0:
             return 0.0
-        return w1 * (half_u[e - sum(f)] * schur_u(f + (0,)))
+        return w1 * (half[e - sum(f)] * schur_u(f + (0,)))
 
     return _torus_sum(n, n, depth, q_e, spherical_pairing)
 

@@ -441,12 +441,6 @@ def _modular_weight(e: int, q: RatLike, half: bool = False) -> Fraction:
     return root**e
 
 
-def partitions_in_box(length: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    """All weakly decreasing nonnegative tuples of the given length with
-    parts bounded by max_part (includes the zero tuple)."""
-    return weakly_decreasing_tuples(length, 0, max_part)
-
-
 def weakly_decreasing_tuples(length: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
     """All weakly decreasing integer tuples with entries in [lo, hi], in
     descending lexicographic order (sums over them add in this order)."""
@@ -464,14 +458,14 @@ def macdonald_sum(xs: Sequence[complex], depth: int) -> complex:
     """Truncated sum of s_lambda(xs) over all partitions with lambda_1 <= depth.
 
     The values come from one _schur_table per call, so they are schur's
-    bit for bit, added in the order of partitions_in_box.
+    bit for bit, added in the order of weakly_decreasing_tuples.
     """
     xs = _check_in_disk(xs)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     value = _schur_table(xs, depth)
     total: complex = 0.0
-    for lam in partitions_in_box(len(xs), depth):
+    for lam in weakly_decreasing_tuples(len(xs), 0, depth):
         total += value(lam)
     return total
 

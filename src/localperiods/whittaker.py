@@ -6,12 +6,14 @@ vector, the essential one the first m-1 exponents with a trailing 1
 understood in the last diagonal slot, and check their support on every
 call.  Values off the stated support are exactly zero.
 
-A torus sum evaluates one parameter set at thousands of weights, so
-_spherical_on_torus and _essential_on_torus give it the factors of those
-values instead: a Schur table, the half modular weights by modular
-exponent and the determinant-size powers by total exponent, each computed
-once per sum.  The integrands in periods multiply them in the order the
-reference evaluators do, so every value is the same bits.
+A torus sum evaluates one parameter set at thousands of weights, and
+periods._torus_sum passes only weights on the support: a weakly
+decreasing head of nonnegative parts followed by zeros.  So
+_essential_on_torus gives it the per-sum factors of essential_value with
+no support test: the unramified-part rank, the Schur table of the
+unramified part and the determinant-size powers by total exponent.  The
+half modular weights, shared by every factor of a sum, are the sum's own
+table in periods.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .reps import GenericRep, SatakeSet
-from .symfunc import _Memo, _modular_weight, _schur_table, delta_weight, is_weakly_decreasing, schur
+from .symfunc import _Memo, _schur_table, delta_weight, is_weakly_decreasing, schur
 
 
 def spherical_value(params: Sequence[complex], exponents: Sequence[int], q_e: int) -> complex:
@@ -33,19 +35,6 @@ def spherical_value(params: Sequence[complex], exponents: Sequence[int], q_e: in
     if not is_weakly_decreasing(exponents):
         return 0.0
     return float(delta_weight(exponents, q_e, half=True)) * schur(exponents, params)
-
-
-#: spherical_value at fixed parameters as half[e] * schur(f), for a weakly
-#: decreasing f of modular exponent e: the half modular weight by exponent,
-#: and the Schur table at the parameters
-_SphericalFactors = tuple[_Memo, Callable[[Sequence[int]], complex]]
-
-
-def _spherical_on_torus(params: Sequence[complex], q_e: int, max_part: int) -> _SphericalFactors:
-    """The factors of spherical_value at fixed parameters, for one sum over
-    weights with parts up to max_part: the Schur table is built here and
-    each half weight on its first use."""
-    return _Memo(lambda e: float(_modular_weight(e, q_e, half=True))), _schur_table(params, max_part)
 
 
 def essential_value(rep: GenericRep, exponents: Sequence[int], q_e: int) -> complex:
@@ -70,26 +59,27 @@ def essential_value(rep: GenericRep, exponents: Sequence[int], q_e: int) -> comp
 
 def _essential_on_torus(
     rep: GenericRep, q_e: int, max_part: int
-) -> tuple[int, _SphericalFactors, _Memo]:
+) -> tuple[int, Callable[[Sequence[int]], complex], _Memo]:
     """The factors of essential_value for one sum over exponents with parts
-    up to max_part: the unramified-part rank r, the spherical factors of
-    the unramified part, and the determinant-size power by total exponent
-    t, float(q_e) ** (-(m - r) * t / 2).  On its support, a weakly
-    decreasing head of r nonnegative parts followed by zeros, the value is
-    half[e] * schur(head) * size[|head|], e the modular exponent of the
-    head.  The unramified part is computed once here, not once per tuple."""
+    up to max_part: the unramified-part rank r, the Schur table of the
+    unramified part, and the determinant-size power by total exponent t,
+    float(q_e) ** (-(m - r) * t / 2).  On its support, a weakly decreasing
+    head of r nonnegative parts followed by zeros, the value is
+    float(_modular_weight(e, q_e, half=True)) * schur_u(head) * size[|head|],
+    e the modular exponent of the head.  The unramified part is computed
+    once here, not once per tuple."""
     m = rep.rank
     sigma_u = _unramified_part(rep, q_e)
     r = len(sigma_u)
     size = _Memo(lambda t: float(q_e) ** (-(m - r) * t / 2))
-    return r, _spherical_on_torus(sigma_u.params, q_e, max_part), size
+    return r, _schur_table(sigma_u.params, max_part), size
 
 
 def _unramified_part(rep: GenericRep, q_e: int) -> SatakeSet:
     """The unramified part of a ramified representation of rank >= 2, the
     only ones with a newform-line vector here."""
     if not rep.is_ramified():
-        raise ValueError("representation is unramified; use spherical_value")
+        raise ValueError("representation is unramified; its newform is the spherical vector")
     if rep.rank < 2:
         raise ValueError("rank must be >= 2")
     return rep.unramified_part(q_e)

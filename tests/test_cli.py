@@ -396,6 +396,13 @@ def test_whittaker_bad_lambda_exits_2(capsys):
     assert "argument --lambda: invalid exponent_list value: '1,x'" in err
 
 
+@pytest.mark.parametrize("suite", ["fl-rank1", "matrix-identities"])
+def test_bad_field_context_exits_2(suite, capsys):
+    code, out, err = run(capsys, "verify", suite, "--u", "1")
+    assert (code, out) == (2, "")
+    assert err == "rejected input: u=1 must be a p-unit non-square mod p=3\n"
+
+
 @pytest.mark.parametrize("flag", ["--n", "--c", "--qf"])
 def test_verify_volumes_reads_no_options(flag, capsys, tmp_path):
     out = tmp_path / "out.json"

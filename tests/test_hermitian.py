@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -73,6 +74,11 @@ class TestEMatBasics:
         m = EMat.identity(2, U)
         with pytest.raises(AttributeError):
             m.u = 5
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.matmul])
+    def test_mixed_field_contexts_raise(self, op):
+        with pytest.raises(ValueError, match="field context mismatch"):
+            op(EMat.identity(2, U), EMat.identity(2, 2))
 
 
 class TestMembership:

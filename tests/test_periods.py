@@ -1,11 +1,12 @@
 import cmath
+import itertools
 import math
 import random
 
 import pytest
 
 from helpers import beta_spherical_literature, bits, h_pair_series, satake
-from localperiods import periods, whittaker
+from localperiods import periods, symfunc, whittaker
 from localperiods.draws import (
     conj_selfdual_unit,
     off_unit_circle,
@@ -267,11 +268,11 @@ class TestTails:
         assert ratio_spread([1.0, 2.0]) > 0.3
 
 
-def full_box_torus_sum(rank, head, depth, q, integrand):
+def full_box_torus_sum(rank, depth, q, integrand):
     """Reference summer: every weakly decreasing tuple in [-depth, depth]^rank,
-    ignoring the support head, with the shell taken by largest |f_i|; each
-    nonzero integrand value is weighted by 1/delta_weight(f, q) per term, and
-    the sum and tail are scaled by vol_gl(rank, q)."""
+    with the shell taken by largest |f_i|; each nonzero integrand value is
+    weighted by 1/delta_weight(f, q) per term, and the sum and tail are
+    scaled by vol_gl(rank, q)."""
     total = 0.0
     shell = 0.0
     for f in weakly_decreasing_tuples(rank, -depth, depth):
@@ -287,6 +288,59 @@ def full_box_torus_sum(rank, head, depth, q, integrand):
     return TruncResult(vol * total, vol * (shell * geo))
 
 
+def parity_sign(rank, f):
+    return (-1 if rank % 2 else 1) ** (sum(f) % 2)
+
+
+def lambda_reference(sigma_n, rep, depth):
+    q_e = sigma_n.base
+    if rep.is_ramified():
+        def big(f):
+            return essential_value(rep, f, q_e)
+    else:
+        def big(f, params=rep.unramified_part(q_e).params):
+            return spherical_value(params, f + (0,), q_e)
+
+    def reference(f):
+        w1 = spherical_value(sigma_n.params, f, q_e)
+        return w1 * big(f) if w1 != 0 else 0.0
+
+    return len(sigma_n), q_e, reference
+
+
+def beta_reference(rep, q_f, depth):
+    n = rep.rank - 1
+    return n, q_f, lambda f: essential_value(rep, f, q_f**2) * parity_sign(n, f)
+
+
+def beta_spherical_reference(sigma_n, q_f, depth):
+    rank = len(sigma_n) - 1
+
+    def reference(f):
+        return spherical_value(sigma_n.params, f + (0,), sigma_n.base) * parity_sign(rank, f)
+
+    return rank, q_f, reference
+
+
+def theta_reference(sigma, depth):
+    def reference(f):
+        return abs(spherical_value(sigma.params, f + (0,), sigma.base)) ** 2
+
+    return len(sigma) - 1, sigma.base, reference
+
+
+#: each truncated period's torus rank, weight residue size and reference
+#: composition of its integrand: spherical_value and essential_value with
+#: the sign or abs(.)**2 the period applies.  Both evaluators test their
+#: support, so a composition is zero off it.
+REFERENCES = {
+    lambda_truncated: lambda_reference,
+    beta_truncated: beta_reference,
+    beta_spherical_truncated: beta_spherical_reference,
+    theta_truncated: theta_reference,
+}
+
+
 def newform_reps(rng, n):
     """Rank-(n+1) representations covering every unramified-part rank:
     a ramified cuspidal part with r = 0..n, a Steinberg-type segment with
@@ -300,7 +354,10 @@ def newform_reps(rng, n):
 
 
 class TestSupportSummation:
-    def test_equals_full_box_enumeration_exactly(self, monkeypatch):
+    def test_equals_full_box_enumeration_exactly(self):
+        """Each period, summed over its support, equals its reference
+        composition summed over the full box bit for bit: nothing off the
+        support is lost."""
         rng = random.Random(83)
         cases = []
         for n in (1, 2, 3):
@@ -315,37 +372,68 @@ class TestSupportSummation:
                     cases.append((lambda_truncated, (sigma_n, rep, depth)))
                     if rep.is_ramified():
                         cases.append((beta_truncated, (rep, q_f, depth)))
-        got = [fn(*args) for fn, args in cases]
-        monkeypatch.setattr(periods, "_torus_sum", full_box_torus_sum)
-        want = [fn(*args) for fn, args in cases]
-        for (fn, args), g, w in zip(cases, got, want):
-            assert g.value == w.value, (fn.__name__, args)
-            assert g.tail_estimate == w.tail_estimate, (fn.__name__, args)
+        for fn, args in cases:
+            got = fn(*args)
+            rank, q, reference = REFERENCES[fn](*args)
+            want = full_box_torus_sum(rank, args[-1], q, reference)
+            assert got.value == want.value, (fn.__name__, args)
+            assert got.tail_estimate == want.tail_estimate, (fn.__name__, args)
+
+    @pytest.mark.parametrize("depth", [1, 4])
+    @pytest.mark.parametrize("head", [0, 2, 3])
+    def test_torus_sum_passes_exactly_the_support(self, head, depth):
+        """_torus_sum hands its integrand each weakly decreasing head in
+        [0, depth], padded with zeros to the rank, once and in descending
+        lexicographic order: C(depth + head, head) tuples, the support that
+        the integrands rely on."""
+        rank = 3
+        seen = []
+
+        def spy(f):
+            seen.append(f)
+            return 1.0
+
+        periods._torus_sum(rank, head, depth, 9, spy)
+        want = [
+            lam + (0,) * (rank - head)
+            for lam in itertools.product(range(depth, -1, -1), repeat=head)
+            if all(a >= b for a, b in zip(lam, lam[1:]))
+        ]
+        assert seen == want
+        assert len(seen) == math.comb(depth + head, head)
 
     def test_ramified_lambda_evaluates_only_the_head(self, monkeypatch):
-        """A ramified lambda sum evaluates the spherical factor once per
-        support tuple, C(d + r, r) times, and builds one set of factors per
-        parameter set: sigma_n's in periods, the unramified part's in
-        whittaker."""
-        built, calls = [], [0]
+        """A ramified lambda sum evaluates sigma_n's Schur table once per
+        support tuple, C(d + r, r) times, builds one Schur table per
+        parameter set, sigma_n's in periods and the unramified part's in
+        whittaker, and three weight tables: the inverse modular weights,
+        the half weights shared by both factors and the size powers."""
+        built, calls, memos = [], [0], [0]
 
         def counting(module):
-            make = module._spherical_on_torus
+            make = module._schur_table
 
-            def build(params, q_e, max_part):
+            def build(params, max_part):
                 built.append(tuple(params))
-                half, schur = make(params, q_e, max_part)
+                schur = make(params, max_part)
 
                 def counted(parts):
                     calls[0] += module is periods
                     return schur(parts)
 
-                return half, counted
+                return counted
 
-            monkeypatch.setattr(module, "_spherical_on_torus", build)
+            monkeypatch.setattr(module, "_schur_table", build)
 
         counting(periods)
         counting(whittaker)
+        memo_init = symfunc._Memo.__init__
+
+        def counted_init(self, fn):
+            memos[0] += 1
+            memo_init(self, fn)
+
+        monkeypatch.setattr(symfunc._Memo, "__init__", counted_init)
         rng = random.Random(89)
         for n in (1, 2, 3):
             sigma = satake(unit_circle(rng, n), 9)
@@ -354,45 +442,49 @@ class TestSupportSummation:
                 sigma_u = rep.unramified_part(9)
                 for depth in (1, 4, 9):
                     built.clear()
-                    calls[0] = 0
+                    calls[0] = memos[0] = 0
                     lambda_truncated(sigma, rep, depth)
                     assert calls[0] == math.comb(depth + r, r), (n, r, depth)
                     assert len(built) == 2
                     assert set(built) == {tuple(sigma_u.params), tuple(sigma.params)}
+                    assert memos[0] == 3
 
 
 def integrand_of(monkeypatch, period, *args):
-    """The torus rank and the integrand that a truncated period hands to
-    _torus_sum."""
+    """The torus rank, support head, weight residue size and integrand that
+    a truncated period hands to _torus_sum."""
     seen = {}
 
     def capture(rank, head, depth, q, integrand):
-        seen.update(rank=rank, integrand=integrand)
+        seen.update(rank=rank, head=head, q=q, integrand=integrand)
         return TruncResult(0j, 0.0)
 
     with monkeypatch.context() as m:
         m.setattr(periods, "_torus_sum", capture)
         period(*args)
-    return seen["rank"], seen["integrand"]
+    return seen["rank"], seen["head"], seen["q"], seen["integrand"]
 
 
-def assert_same_terms(rank, depth, integrand, reference):
-    """integrand(f) against reference(f) on every weakly decreasing f in
-    [-depth, depth]^rank, by bits; a zero of either sign or type counts as
-    zero, since _torus_sum skips zero values before weighting them."""
-    for f in weakly_decreasing_tuples(rank, -depth, depth):
+def assert_same_terms(monkeypatch, period, *args, head=None):
+    """A period's integrand against its reference composition on every
+    tuple of its support, by bits, and its rank and residue size against
+    the reference's; head defaults to the torus rank.  A zero of either
+    sign or type counts as zero, since _torus_sum skips zero values before
+    weighting them."""
+    rank, got_head, q, integrand = integrand_of(monkeypatch, period, *args)
+    want_rank, want_q, reference = REFERENCES[period](*args)
+    assert (rank, got_head, q) == (want_rank, rank if head is None else head, want_q)
+    for lam in weakly_decreasing_tuples(got_head, 0, args[-1]):
+        f = lam + (0,) * (rank - got_head)
         got, want = integrand(f), reference(f)
         assert (got == 0 and want == 0) or bits(got) == bits(want), f
-
-
-def parity_sign(rank, f):
-    return (-1 if rank % 2 else 1) ** (sum(f) % 2)
 
 
 class TestIntegrands:
     """Each integrand against its composition from the reference
     evaluators spherical_value and essential_value, with the sign or
-    abs(.)**2 that its period applies, off the support as well as on it."""
+    abs(.)**2 that its period applies, on the support that _torus_sum
+    walks."""
 
     DEPTH = 3
 
@@ -402,62 +494,30 @@ class TestIntegrands:
             for q_e in (9, 25):
                 sigma_n = satake(unit_circle(rng, n), q_e)
                 for rep in newform_reps(rng, n):
-                    if rep.is_ramified():
-                        def big(f, rep=rep, q_e=q_e):
-                            return essential_value(rep, f, q_e)
-                    else:
-                        def big(f, params=rep.unramified_part(q_e).params, q_e=q_e):
-                            return spherical_value(params, f + (0,), q_e)
-
-                    def reference(f, sigma_n=sigma_n, big=big):
-                        w1 = spherical_value(sigma_n.params, f, sigma_n.base)
-                        return w1 * big(f) if w1 != 0 else 0.0
-
-                    rank, integrand = integrand_of(
-                        monkeypatch, lambda_truncated, sigma_n, rep, self.DEPTH)
-                    assert rank == n
-                    assert_same_terms(n, self.DEPTH, integrand, reference)
+                    head = len(rep.unramified_part(q_e)) if rep.is_ramified() else n
+                    assert_same_terms(
+                        monkeypatch, lambda_truncated, sigma_n, rep, self.DEPTH, head=head)
 
     def test_beta(self, monkeypatch):
         rng = random.Random(101)
         for n in (1, 2, 3):
             for q_f in (3, 5):
                 for rep in newform_reps(rng, n):
-                    if not rep.is_ramified():
-                        continue
-
-                    def reference(f, rep=rep, q_f=q_f):
-                        return essential_value(rep, f, q_f**2) * parity_sign(n, f)
-
-                    rank, integrand = integrand_of(monkeypatch, beta_truncated, rep, q_f, self.DEPTH)
-                    assert rank == n
-                    assert_same_terms(n, self.DEPTH, integrand, reference)
+                    if rep.is_ramified():
+                        head = len(rep.unramified_part(q_f**2))
+                        assert_same_terms(
+                            monkeypatch, beta_truncated, rep, q_f, self.DEPTH, head=head)
 
     def test_beta_spherical(self, monkeypatch):
         rng = random.Random(103)
         for n in (1, 2, 3, 4):
             for q_f in (3, 5):
                 sigma_n = satake(unit_circle(rng, n), q_f**2)
-
-                def reference(f, sigma_n=sigma_n):
-                    value = spherical_value(sigma_n.params, f + (0,), sigma_n.base)
-                    return value * parity_sign(n - 1, f)
-
-                rank, integrand = integrand_of(
-                    monkeypatch, beta_spherical_truncated, sigma_n, q_f, self.DEPTH)
-                assert rank == n - 1
-                assert_same_terms(n - 1, self.DEPTH, integrand, reference)
+                assert_same_terms(monkeypatch, beta_spherical_truncated, sigma_n, q_f, self.DEPTH)
 
     def test_theta(self, monkeypatch):
         rng = random.Random(107)
         for k in (1, 2, 3, 4):
             for q_e in (9, 25):
                 for alphas in (unit_circle(rng, k), off_unit_circle(rng, k, q_e)):
-                    sigma = satake(alphas, q_e)
-
-                    def reference(f, sigma=sigma):
-                        return abs(spherical_value(sigma.params, f + (0,), sigma.base)) ** 2
-
-                    rank, integrand = integrand_of(monkeypatch, theta_truncated, sigma, self.DEPTH)
-                    assert rank == k - 1
-                    assert_same_terms(k - 1, self.DEPTH, integrand, reference)
+                    assert_same_terms(monkeypatch, theta_truncated, satake(alphas, q_e), self.DEPTH)

@@ -7,14 +7,10 @@ import itertools
 
 from helpers import bits, outcome, ssyt_schur
 from localperiods.draws import random_ramified_rep, unit_circle
+from localperiods.periods import _half_weights
 from localperiods.reps import GenericRep, RamCusp, Segment, UnramChar
-from localperiods.symfunc import is_weakly_decreasing, weakly_decreasing_tuples
-from localperiods.whittaker import (
-    _essential_on_torus,
-    _spherical_on_torus,
-    essential_value,
-    spherical_value,
-)
+from localperiods.symfunc import _schur_table, is_weakly_decreasing, weakly_decreasing_tuples
+from localperiods.whittaker import _essential_on_torus, essential_value, spherical_value
 
 
 class TestSphericalValue:
@@ -55,6 +51,10 @@ def modular_exponent(f):
 
 
 class TestTorusEvaluators:
+    """The per-sum factors that the torus sums compose, the half-weight
+    table of periods and the Schur tables, against the reference
+    evaluators."""
+
     @pytest.mark.parametrize("q_e", [9, 25, 3])
     def test_spherical_on_torus_is_bit_identical(self, q_e):
         # every weakly decreasing tuple in a box, negative parts and parts
@@ -64,7 +64,7 @@ class TestTorusEvaluators:
         for m in range(5):
             for params in (unit_circle(rng, m), (0.0,) * m, (0.5,) * m):
                 for max_part in (0, 3):
-                    half, schur = _spherical_on_torus(params, q_e, max_part)
+                    half, schur = _half_weights(q_e), _schur_table(params, max_part)
                     for f in weakly_decreasing_tuples(m, -1, max_part + 1):
                         got = outcome(lambda: half[modular_exponent(f)] * schur(f))
                         assert got == outcome(spherical_value, params, f, q_e), f
@@ -77,7 +77,8 @@ class TestTorusEvaluators:
             for r in range(m):
                 rep = random_ramified_rep(rng, m, r, cond=1)
                 sigma_u = rep.unramified_part(9)
-                got_r, (half, schur), size = _essential_on_torus(rep, 9, 4)
+                got_r, schur, size = _essential_on_torus(rep, 9, 4)
+                half = _half_weights(9)
                 assert got_r == r
                 for f in itertools.product(range(-1, 6), repeat=m - 1):
                     head, tail = f[:r], f[r:]
