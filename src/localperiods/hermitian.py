@@ -3,6 +3,13 @@ Lie-algebra membership, congruence-subgroup predicates, Cayley maps,
 sign-valued transfer factors, regular semisimplicity, conjugation
 invariants, the block-rescaling bijection, and the norm-one quotient map.
 
+Entries are ``QuadExt``s, but products and determinants run on plain
+integers: each row or column goes over the lcm of its denominators, a
+product entry is two integer dot products over the two denominators, and a
+determinant is Bareiss's fraction-free elimination on Z[sqrt(u)] pairs.
+Only the results become ``QuadExt``s again, so they are the same exact
+values the ``QuadExt`` loops give.
+
 Congruences mod pi^c are valuation conditions; no truncated p-adics appear
 anywhere.
 """
@@ -10,6 +17,8 @@ anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .numerics import QuadExt, RatLike, qe_valuation
@@ -19,6 +28,17 @@ EntryLike = QuadExt | RatLike
 
 class NonRegularError(ValueError):
     """A computation required a regular (semisimple) element."""
+
+
+def _over_common_denominator(entries: Sequence[QuadExt]) -> tuple[list[int], list[int], int]:
+    """Integers ps, qs and d > 0, the lcm of the entries' denominators, with
+    entry k = (ps[k] + qs[k] sqrt(u)) / d."""
+    d = lcm(*(x.a.denominator for x in entries), *(x.b.denominator for x in entries))
+    return (
+        [x.a.numerator * (d // x.a.denominator) for x in entries],
+        [x.b.numerator * (d // x.b.denominator) for x in entries],
+        d,
+    )
 
 
 class EMat:
@@ -75,12 +95,18 @@ class EMat:
 
     # -- arithmetic -------------------------------------------------------
 
+    def _same_shape(self, other: "EMat") -> None:
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
+
     def __add__(self, other: "EMat") -> "EMat":
+        self._same_shape(other)
         return EMat(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)], self.u
         )
 
     def __sub__(self, other: "EMat") -> "EMat":
+        self._same_shape(other)
         return EMat(
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)], self.u
         )
@@ -95,19 +121,25 @@ class EMat:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "EMat") -> "EMat":
+        """Entry (i, j) is (sum p p' + u sum q q') + (sum p q' + sum q p') sqrt(u)
+        over d_i d'_j, with row i of self and column j of other over their
+        common denominators d_i and d'_j."""
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        zero = QuadExt.of(0, self.u)
+        u = self.u
+        if other.u != u:
+            raise ValueError(f"field context mismatch: {u} vs {other.u}")
+        cols = [_over_common_denominator(col) for col in zip(*other.rows)]
         out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = zero
-                for k in range(self.ncols):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return EMat(out, self.u)
+        for row in self.rows:
+            ps, qs, d = _over_common_denominator(row)
+            out_row = []
+            for ps2, qs2, d2 in cols:
+                rat = sum(map(mul, ps, ps2)) + u * sum(map(mul, qs, qs2))
+                irr = sum(map(mul, ps, qs2)) + sum(map(mul, qs, ps2))
+                out_row.append(QuadExt(Fraction(rat, d * d2), Fraction(irr, d * d2), u))
+            out.append(out_row)
+        return EMat(out, u)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EMat):
@@ -143,27 +175,40 @@ class EMat:
         return acc
 
     def det(self) -> QuadExt:
+        """Bareiss elimination on the rows over their common denominators d_i:
+        each step sets a_ij to (a_kk a_ij - a_ik a_kj) / prev, an exact
+        division in Z[sqrt(u)], and det = sign a_(n-1)(n-1) / prod d_i."""
         if not self.is_square():
             raise ValueError("determinant of a square matrix")
-        n = self.nrows
-        a = [list(row) for row in self.rows]
-        det = QuadExt.of(1, self.u)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
+        n, u = self.nrows, self.u
+        a, scale = [], 1
+        for row in self.rows:
+            ps, qs, d = _over_common_denominator(row)
+            a.append(list(zip(ps, qs)))
+            scale *= d
+        sign, prev_p, prev_q = 1, 1, 0
+        for k in range(n - 1):
+            piv = next((r for r in range(k, n) if a[r][k] != (0, 0)), None)
             if piv is None:
-                return QuadExt.of(0, self.u)
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                det = -det
-            det = det * a[col][col]
-            inv = QuadExt.of(1, self.u) / a[col][col]
-            for r in range(col + 1, n):
-                if a[r][col].is_zero():
-                    continue
-                f = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] = a[r][c] - f * a[col][c]
-        return det
+                return QuadExt.of(0, u)
+            if piv != k:
+                a[k], a[piv] = a[piv], a[k]
+                sign = -sign
+            kp, kq = a[k][k]
+            norm = prev_p * prev_p - u * prev_q * prev_q
+            for row in a[k + 1:]:
+                ip, iq = row[k]
+                for j in range(k + 1, n):
+                    xp, xq = row[j]
+                    yp, yq = a[k][j]
+                    sp = kp * xp + u * kq * xq - ip * yp - u * iq * yq
+                    sq = kp * xq + kq * xp - ip * yq - iq * yp
+                    # exact division by prev: times conj(prev), then by the integer N(prev)
+                    row[j] = ((sp * prev_p - u * sq * prev_q) // norm,
+                              (sq * prev_p - sp * prev_q) // norm)
+            prev_p, prev_q = kp, kq
+        p, q = a[-1][-1]
+        return QuadExt(Fraction(sign * p, scale), Fraction(sign * q, scale), u)
 
     def inv(self) -> "EMat":
         if not self.is_square():

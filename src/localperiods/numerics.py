@@ -3,8 +3,10 @@ and p-adic valuations.  The floating-point checks take their tolerances
 from report.TOLERANCES.
 
 Exactness-critical computations (volumes, orbital integrals, matrix
-identities) stay entirely inside :class:`fractions.Fraction` and
-:class:`QuadExt`; complex floats only enter through Satake parameters.
+identities) stay exact: they run on :class:`fractions.Fraction` and
+:class:`QuadExt`, except that matrix products and determinants
+(``hermitian.EMat``) run on plain integers over a common denominator and
+return ``QuadExt``s.  Complex floats only enter through Satake parameters.
 The :class:`QuadExt` constructor takes ``Fraction`` parts and only checks
 them; :meth:`QuadExt.of` converts an int or a Fraction.
 """

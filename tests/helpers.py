@@ -104,6 +104,48 @@ def outcome(fn, *args):
         return type(exc)
 
 
+def fraction_matmul(x: EMat, y: EMat) -> EMat:
+    """x @ y by the QuadExt loop EMat.__matmul__ ran before it moved to
+    integers over a common denominator; the reference its results must equal."""
+    if x.ncols != y.nrows:
+        raise ValueError("shape mismatch")
+    zero = QuadExt.of(0, x.u)
+    out = []
+    for i in range(x.nrows):
+        row = []
+        for j in range(y.ncols):
+            acc = zero
+            for k in range(x.ncols):
+                acc = acc + x.rows[i][k] * y.rows[k][j]
+            row.append(acc)
+        out.append(row)
+    return EMat(out, x.u)
+
+
+def fraction_det(x: EMat) -> QuadExt:
+    """det(x) by the QuadExt Gaussian elimination EMat.det ran before it moved
+    to Bareiss elimination on integers; the reference its results must equal."""
+    n = x.nrows
+    a = [list(row) for row in x.rows]
+    det = QuadExt.of(1, x.u)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
+        if piv is None:
+            return QuadExt.of(0, x.u)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det = det * a[col][col]
+        inv = QuadExt.of(1, x.u) / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col].is_zero():
+                continue
+            f = a[r][col] * inv
+            for c in range(col, n):
+                a[r][c] = a[r][c] - f * a[col][c]
+    return det
+
+
 def geometric_sq_sum(t: float, terms: int = 2000) -> float:
     """sum (f+1)^2 t^f, the diagonal norm series at equal parameters."""
     return sum((f + 1) ** 2 * t**f for f in range(terms))

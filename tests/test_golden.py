@@ -35,6 +35,10 @@ REPORTS = {
     # the two exact suites, which bench/run.py's exact workload runs
     "fl-rank1-seed7.json": ["fl-rank1", "--seed", "7"],
     "matrix-identities-seed7.json": ["matrix-identities", "--seed", "7"],
+    # a second draw of each, written before products and determinants moved
+    # to integers over a common denominator
+    "fl-rank1-seed11.json": ["fl-rank1", "--seed", "11"],
+    "matrix-identities-seed11.json": ["matrix-identities", "--seed", "11"],
 }
 
 

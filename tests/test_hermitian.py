@@ -3,8 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import rand_invertible, rand_kprime_element, rand_s_element, rand_unitary
+from helpers import (
+    fraction_det,
+    fraction_matmul,
+    rand_invertible,
+    rand_kprime_element,
+    rand_s_element,
+    rand_unitary,
+)
 from localperiods.draws import random_anti_hermitian, random_integral_emat
 from localperiods.hermitian import (
     EMat,
@@ -79,6 +88,91 @@ class TestEMatBasics:
     def test_mixed_field_contexts_raise(self, op):
         with pytest.raises(ValueError, match="field context mismatch"):
             op(EMat.identity(2, U), EMat.identity(2, 2))
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub])
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([[1, 2]], [[1, 2], [3, 4]]),  # row counts differ
+            ([[1, 2], [3, 4]], [[1], [3]]),  # column counts differ
+        ],
+    )
+    def test_sum_and_difference_reject_a_shape_mismatch(self, op, x, y):
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                op(emat(a), emat(b))
+
+
+FIELDS = st.sampled_from([-1, -3, 2, 3, 5, 7])
+# rational parts with denominators 1 to 12, zero often enough to force pivot swaps
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+)
+
+
+@st.composite
+def matrices(draw, nrows, ncols, u):
+    return EMat(
+        [
+            [QuadExt(draw(RATIONALS), draw(RATIONALS), u) for _ in range(ncols)]
+            for _ in range(nrows)
+        ],
+        u,
+    )
+
+
+@st.composite
+def square_matrices(draw):
+    """1x1 to 5x5, plain, with a repeated row, or with a leading column that
+    is zero in its first rows (all of them for a singular matrix)."""
+    u = draw(FIELDS)
+    n = draw(st.integers(1, 5))
+    rows = [list(row) for row in draw(matrices(n, n, u)).rows]
+    kind = draw(st.sampled_from(["plain", "repeated row", "zero leading column"]))
+    if kind == "repeated row":
+        src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[dst] = list(rows[src])
+    elif kind == "zero leading column":
+        for row in rows[: draw(st.integers(1, n))]:
+            row[0] = QuadExt.of(0, u)
+    return EMat(rows, u)
+
+
+@st.composite
+def products(draw):
+    """Pairs x, y with x @ y defined: square, the n x n @ n x 1 of _krylov,
+    or any shapes up to 5."""
+    u = draw(FIELDS)
+    kind = draw(st.sampled_from(["square", "krylov", "rectangular"]))
+    n, m, k = (draw(st.integers(1, 5)) for _ in range(3))
+    if kind == "square":
+        m = k = n
+    elif kind == "krylov":
+        m, k = n, 1
+    return draw(matrices(n, m, u)), draw(matrices(m, k, u))
+
+
+class TestIntegerKernel:
+    """Products and determinants on integers over a common denominator equal
+    the QuadExt loops they replaced, exactly."""
+
+    @given(products())
+    @settings(max_examples=150, deadline=None)
+    def test_matmul_equals_the_fraction_loop(self, pair):
+        x, y = pair
+        assert x @ y == fraction_matmul(x, y)
+
+    @given(square_matrices())
+    @settings(max_examples=250, deadline=None)
+    def test_det_equals_the_fraction_elimination(self, x):
+        assert x.det() == fraction_det(x)
+
+    def test_det_sign_follows_the_pivot_swaps(self):
+        swap = emat([[0, 1, 0], [1, 0, 0], [0, 0, qe(2, 1)]])
+        assert swap.det() == qe(-2, -1)
+        cycle = emat([[0, 1, 0], [0, 0, 1], [qe(0, Fraction(1, 3)), 0, 0]])
+        assert cycle.det() == qe(0, Fraction(1, 3))
 
 
 class TestMembership:
