@@ -3,12 +3,13 @@ Lie-algebra membership, congruence-subgroup predicates, Cayley maps,
 sign-valued transfer factors, regular semisimplicity, conjugation
 invariants, the block-rescaling bijection, and the norm-one quotient map.
 
-Entries are ``QuadExt``s, but products and determinants run on plain
-integers: each row or column goes over the lcm of its denominators, a
+Entries are ``QuadExt``s, but products, determinants and inverses run on
+plain integers: each row or column goes over the lcm of its denominators, a
 product entry is two integer dot products over the two denominators, and a
-determinant is Bareiss's fraction-free elimination on Z[sqrt(u)] pairs.
-Only the results become ``QuadExt``s again, so they are the same exact
-values the ``QuadExt`` loops give.
+determinant or an inverse is Bareiss's fraction-free elimination on
+Z[sqrt(u)] pairs, in its Gaussian or its Gauss-Jordan form.  Only the
+results become ``QuadExt``s again, so they are the same exact values the
+``QuadExt`` loops give.
 
 Congruences mod pi^c are valuation conditions; no truncated p-adics appear
 anywhere.
@@ -17,7 +18,7 @@ anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from operator import mul
 from typing import Sequence
 
@@ -41,12 +42,50 @@ def _over_common_denominator(entries: Sequence[QuadExt]) -> tuple[list[int], lis
     )
 
 
+def _bareiss(
+    a: list[list[tuple[int, int]]], u: int, jordan: bool
+) -> tuple[int, tuple[int, int]] | None:
+    """Fraction-free elimination, in place, of the rows a of pairs (p, q) for
+    p + q sqrt(u) in Z[sqrt(u)], on pivot columns 0 to len(a) - 1.
+
+    Step k pivots on the first nonzero entry at or below the diagonal and
+    sets a_ij to (a_kk a_ij - a_ik a_kj) / prev for j > k and every row i
+    below k, or, with jordan, every row i other than k; prev is the last
+    step's pivot.  Returns the sign of the row swaps and the last pivot,
+    or None when a pivot column has no nonzero entry left."""
+    sign, prev_p, prev_q = 1, 1, 0
+    for k in range(len(a)):
+        piv = next((r for r in range(k, len(a)) if a[r][k] != (0, 0)), None)
+        if piv is None:
+            return None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        kp, kq = pivot_row[k]
+        norm = prev_p * prev_p - u * prev_q * prev_q
+        for row in (a[:k] + a[k + 1:]) if jordan else a[k + 1:]:
+            ip, iq = row[k]
+            for j in range(k + 1, len(row)):
+                xp, xq = row[j]
+                yp, yq = pivot_row[j]
+                sp = kp * xp + u * kq * xq - ip * yp - u * iq * yq
+                sq = kp * xq + kq * xp - ip * yq - iq * yp
+                # exact division by prev: times conj(prev), then by the integer N(prev)
+                row[j] = ((sp * prev_p - u * sq * prev_q) // norm,
+                          (sq * prev_p - sp * prev_q) // norm)
+        prev_p, prev_q = kp, kq
+    return sign, (prev_p, prev_q)
+
+
 class EMat:
     """Immutable rectangular matrix over Q(sqrt(u))."""
 
     __slots__ = ("rows", "u")
 
     def __init__(self, rows: Sequence[Sequence[EntryLike]], u: int):
+        if u >= 0 and isqrt(u) ** 2 == u:
+            raise ValueError(f"u={u} is a square, so Q(sqrt(u)) is not a field")
         coerced = tuple(tuple(QuadExt.of(x, u) for x in row) for row in rows)
         if not coerced or not coerced[0]:
             raise ValueError("matrix must be nonempty")
@@ -176,59 +215,47 @@ class EMat:
 
     def det(self) -> QuadExt:
         """Bareiss elimination on the rows over their common denominators d_i:
-        each step sets a_ij to (a_kk a_ij - a_ik a_kj) / prev, an exact
-        division in Z[sqrt(u)], and det = sign a_(n-1)(n-1) / prod d_i."""
+        det = sign a_(n-1)(n-1) / prod d_i."""
         if not self.is_square():
             raise ValueError("determinant of a square matrix")
-        n, u = self.nrows, self.u
+        u = self.u
         a, scale = [], 1
         for row in self.rows:
             ps, qs, d = _over_common_denominator(row)
             a.append(list(zip(ps, qs)))
             scale *= d
-        sign, prev_p, prev_q = 1, 1, 0
-        for k in range(n - 1):
-            piv = next((r for r in range(k, n) if a[r][k] != (0, 0)), None)
-            if piv is None:
-                return QuadExt.of(0, u)
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                sign = -sign
-            kp, kq = a[k][k]
-            norm = prev_p * prev_p - u * prev_q * prev_q
-            for row in a[k + 1:]:
-                ip, iq = row[k]
-                for j in range(k + 1, n):
-                    xp, xq = row[j]
-                    yp, yq = a[k][j]
-                    sp = kp * xp + u * kq * xq - ip * yp - u * iq * yq
-                    sq = kp * xq + kq * xp - ip * yq - iq * yp
-                    # exact division by prev: times conj(prev), then by the integer N(prev)
-                    row[j] = ((sp * prev_p - u * sq * prev_q) // norm,
-                              (sq * prev_p - sp * prev_q) // norm)
-            prev_p, prev_q = kp, kq
-        p, q = a[-1][-1]
+        eliminated = _bareiss(a, u, jordan=False)
+        if eliminated is None:
+            return QuadExt.of(0, u)
+        sign, (p, q) = eliminated
         return QuadExt(Fraction(sign * p, scale), Fraction(sign * q, scale), u)
 
     def inv(self) -> "EMat":
+        """Fraction-free Gauss-Jordan on [P | I], with self = D^(-1) P for the
+        rows' common denominators D = diag(d_i): the right half ends as
+        pivot P^(-1), so entry (i, j) of the inverse is R_ij d_j / pivot."""
         if not self.is_square():
             raise ValueError("inverse of a square matrix")
-        n = self.nrows
-        a = [list(row) + [QuadExt.of(1 if i == j else 0, self.u) for j in range(n)]
-             for i, row in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-            if piv is None:
-                raise ZeroDivisionError("singular matrix")
-            a[col], a[piv] = a[piv], a[col]
-            inv = QuadExt.of(1, self.u) / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            for r in range(n):
-                if r == col or a[r][col].is_zero():
-                    continue
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return EMat([row[n:] for row in a], self.u)
+        n, u = self.nrows, self.u
+        a, scales = [], []
+        for i, row in enumerate(self.rows):
+            ps, qs, d = _over_common_denominator(row)
+            a.append(list(zip(ps, qs)) + [(1 if i == j else 0, 0) for j in range(n)])
+            scales.append(d)
+        eliminated = _bareiss(a, u, jordan=True)
+        if eliminated is None:
+            raise ZeroDivisionError("singular matrix")
+        _, (pp, pq) = eliminated
+        # 1 / pivot = conj(pivot) / N(pivot)
+        norm = pp * pp - u * pq * pq
+        out = []
+        for row in a:
+            out_row = []
+            for (rp, rq), d in zip(row[n:], scales):
+                out_row.append(QuadExt(Fraction((rp * pp - u * rq * pq) * d, norm),
+                                       Fraction((rq * pp - rp * pq) * d, norm), u))
+            out.append(out_row)
+        return EMat(out, u)
 
     def charpoly(self) -> tuple[QuadExt, ...]:
         """Coefficients (1, c_1, ..., c_n) of t^n + c_1 t^(n-1) + ... + c_n,

@@ -4,7 +4,7 @@ from report.TOLERANCES.
 
 Exactness-critical computations (volumes, orbital integrals, matrix
 identities) stay exact: they run on :class:`fractions.Fraction` and
-:class:`QuadExt`, except that matrix products and determinants
+:class:`QuadExt`, except that matrix products, determinants and inverses
 (``hermitian.EMat``) run on plain integers over a common denominator and
 return ``QuadExt``s.  Complex floats only enter through Satake parameters.
 The :class:`QuadExt` constructor takes ``Fraction`` parts and only checks

@@ -146,6 +146,27 @@ def fraction_det(x: EMat) -> QuadExt:
     return det
 
 
+def fraction_inv(x: EMat) -> EMat:
+    """x^(-1) by the QuadExt Gauss-Jordan loop EMat.inv ran before it moved to
+    fraction-free elimination on integers; the reference its results must equal."""
+    n = x.nrows
+    a = [list(row) + [QuadExt.of(1 if i == j else 0, x.u) for j in range(n)]
+         for i, row in enumerate(x.rows)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        inv = QuadExt.of(1, x.u) / a[col][col]
+        a[col] = [y * inv for y in a[col]]
+        for r in range(n):
+            if r == col or a[r][col].is_zero():
+                continue
+            f = a[r][col]
+            a[r] = [y - f * z for y, z in zip(a[r], a[col])]
+    return EMat([row[n:] for row in a], x.u)
+
+
 def geometric_sq_sum(t: float, terms: int = 2000) -> float:
     """sum (f+1)^2 t^f, the diagonal norm series at equal parameters."""
     return sum((f + 1) ** 2 * t**f for f in range(terms))

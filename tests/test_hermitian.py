@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     fraction_det,
+    fraction_inv,
     fraction_matmul,
     rand_invertible,
     rand_kprime_element,
@@ -89,6 +90,12 @@ class TestEMatBasics:
         with pytest.raises(ValueError, match="field context mismatch"):
             op(EMat.identity(2, U), EMat.identity(2, 2))
 
+    @pytest.mark.parametrize("u", [0, 1, 4, 9])
+    def test_square_u_is_rejected(self, u):
+        # Q(sqrt(u)) is no field: (1 + sqrt(1)) (1 - sqrt(1)) = 0
+        with pytest.raises(ValueError, match=f"u={u} is a square"):
+            EMat.identity(2, u)
+
     @pytest.mark.parametrize("op", [operator.add, operator.sub])
     @pytest.mark.parametrize(
         "x, y",
@@ -154,8 +161,8 @@ def products(draw):
 
 
 class TestIntegerKernel:
-    """Products and determinants on integers over a common denominator equal
-    the QuadExt loops they replaced, exactly."""
+    """Products, determinants and inverses on integers over a common
+    denominator equal the QuadExt loops they replaced, exactly."""
 
     @given(products())
     @settings(max_examples=150, deadline=None)
@@ -165,8 +172,26 @@ class TestIntegerKernel:
 
     @given(square_matrices())
     @settings(max_examples=250, deadline=None)
-    def test_det_equals_the_fraction_elimination(self, x):
+    def test_det_and_inv_equal_the_fraction_elimination(self, x):
         assert x.det() == fraction_det(x)
+        try:
+            expected = fraction_inv(x)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError, match="singular matrix"):
+                x.inv()
+        else:
+            assert x.inv() == expected
+
+    def test_inv_runs_no_quadext_arithmetic(self, monkeypatch):
+        x = emat([[0, qe(1, 1), 2], [qe(0, Fraction(1, 2)), 1, 0], [3, 0, qe(Fraction(2, 5), -1)]])
+        expected = fraction_inv(x)
+
+        def refuse(*_args):
+            raise AssertionError("QuadExt arithmetic inside EMat.inv")
+
+        for name in ("__mul__", "__sub__", "__truediv__"):
+            monkeypatch.setattr(QuadExt, name, refuse)
+        assert x.inv() == expected
 
     def test_det_sign_follows_the_pivot_swaps(self):
         swap = emat([[0, 1, 0], [1, 0, 0], [0, 0, qe(2, 1)]])
