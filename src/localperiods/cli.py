@@ -125,6 +125,8 @@ class RunConfig:
             raise UsageError(f"--qf must be an odd prime power >= 3, got {self.q_f}")
         if not is_prime(self.p) or self.p == 2:
             raise UsageError(f"--p must be an odd prime, got {self.p}")
+        if self.n is not None and self.n < 1:
+            raise UsageError(f"--n must be >= 1, got {self.n}")
         if self.n is not None and self.q_f <= self.n:
             raise UsageError(f"--qf must exceed --n (got qf={self.q_f}, n={self.n})")
         if self.depth < 1:

@@ -12,13 +12,14 @@ distinct arguments, so _schur_table computes the powers, product and
 Vandermonde of the arguments once per sum and returns schur's
 bialternant values bit for bit; at nearly coincident arguments, and at
 4 or more arguments, it hands every weight to schur itself.  schur's
-determinants take one pivoted elimination loop, _det.  At ranks 2 and 3
-the table runs that loop's operations in column stages and keeps the
-stages of the current first part (the pivot of its first column, and at
-rank 3 the last pivot and the swept last column per second and per last
-part), so that a weight in a run of one first part pays only the last
-step of the elimination.  _modular_weight is delta_weight as a function of
-the modular exponent, which the torus sums tabulate in a _Memo.
+determinants go through _det: at 2 and 3 rows a cofactor expansion along
+the last column, with the 2x2 minors of the first two columns at 3 rows,
+and a pivoted elimination loop at every other size.  The table evaluates
+the same cofactor expressions on its power columns and, at rank 3, keeps
+the minors of the current first two parts, so a weight in a run of one
+(a, b) pays only the last column's three products.  _modular_weight is
+delta_weight as a function of the modular exponent, which the torus sums
+tabulate in a _Memo.
 """
 
 from __future__ import annotations
@@ -55,18 +56,45 @@ def _modulus(z: complex) -> float:
         return math.inf if cmath.isfinite(z) else math.nan
 
 
-def _det(rows: Sequence[Sequence[complex]]) -> complex:
-    """Determinant by Gaussian elimination with partial pivoting.
+def _minors(col0: Sequence[complex], col1: Sequence[complex]) -> tuple[complex, complex, complex]:
+    """The 2x2 minors of two columns of 3 rows; the i-th leaves out row i."""
+    a0, a1, a2 = col0
+    b0, b1, b2 = col1
+    return a1 * b2 - b1 * a2, a0 * b2 - b0 * a2, a0 * b1 - b0 * a1
 
-    A pivot search whose abs() overflows is redone with _modulus, which
-    ranks such an entry as infinite; only matrices on which abs() raises
-    take that route.  A finite pivot whose reciprocal comes out 0 takes
-    its multipliers from _scaled_quotient.  _schur_table runs this loop's
-    operations at sizes 2 and 3 in the column stages below.
+
+def _last_column(minors: Sequence[complex], col: Sequence[complex]) -> complex:
+    """The determinant of a matrix expanded along its last column col.
+
+    At 3 rows minors are the _minors of the first two columns, and the
+    value is c0 m0 - c1 m1 + c2 m2.  At 2 rows they are the first column
+    itself, and the value is ad - bc.
+    """
+    if len(col) == 2:
+        (a, c), (b, d) = minors, col
+        return a * d - b * c
+    m0, m1, m2 = minors
+    c0, c1, c2 = col
+    return c0 * m0 - c1 * m1 + c2 * m2
+
+
+def _det(rows: Sequence[Sequence[complex]]) -> complex:
+    """Determinant: the cofactor forms of _last_column at 2 and 3 rows,
+    Gaussian elimination with partial pivoting at every other size.
+
+    _schur_table evaluates the same 2- and 3-row expressions, so the
+    table's values are schur's bit for bit.  In the loop, a pivot search whose
+    abs() overflows is redone with _modulus, which ranks such an entry as
+    infinite; only matrices on which abs() raises take that route.  A
+    finite pivot whose reciprocal comes out 0 takes its multipliers from
+    _scaled_quotient.
     """
     m = len(rows)
     if m == 0:
         return 1.0
+    if m in (2, 3):
+        *firsts, last = zip(*rows)
+        return _last_column(firsts[0] if m == 2 else _minors(*firsts), last)
     a = [list(row) for row in rows]
     det: complex = 1.0
     for col in range(m - 1):
@@ -107,92 +135,6 @@ def _scaled_quotient(entry: complex, pivot: complex) -> complex:
         return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
 
     return scaled(entry) * (1.0 / scaled(pivot))
-
-
-# _det's loop on 2 and 3 rows, split by column with the same operations in
-# the same order.  On 3 rows _first_pivot reads column 0 and _sweep
-# eliminates it from a later column; on the last 2 rows, of 2 or of 3,
-# _last_pivot reads the next column and _last_step the last one.  Entries
-# left of the pivot column are not updated since the loop never reads
-# them again.
-
-#: _first_pivot's result: the row order after its swap, the running
-#: determinant and the two multipliers of the sweep
-_First = tuple[tuple[int, int, int], complex, complex, complex]
-#: _last_pivot's result: the running determinant, whether the two rows
-#: swap, and the last multiplier
-_Last = tuple[complex, bool, complex]
-
-
-def _first_pivot(a00: complex, a10: complex, a20: complex) -> _First | None:
-    """The first pivot of 3 rows from column 0 alone, or None where the
-    determinant is 0."""
-    det: complex = 1.0
-    order = 0, 1, 2
-    try:
-        m0, m1, m2 = abs(a00), abs(a10), abs(a20)
-    except OverflowError:
-        m0, m1, m2 = _modulus(a00), _modulus(a10), _modulus(a20)
-    if m1 > m0:  # max() keeps the first maximum
-        if m2 > m1:
-            order, a00, a20 = (2, 1, 0), a20, a00
-        else:
-            order, a00, a10 = (1, 0, 2), a10, a00
-        det = -det
-    elif m2 > m0:
-        order, a00, a20 = (2, 1, 0), a20, a00
-        det = -det
-    if a00 == 0:
-        return None
-    det *= a00
-    inv = 1.0 / a00
-    if inv == 0 and cmath.isfinite(a00):
-        return order, det, _scaled_quotient(a10, a00), _scaled_quotient(a20, a00)
-    return order, det, a10 * inv, a20 * inv
-
-
-def _sweep(first: _First, column: Sequence[complex]) -> tuple[complex, complex]:
-    """The two lower entries of a later column after the first sweep."""
-    (i, j, k), _, f1, f2 = first
-    top, a1, a2 = column[i], column[j], column[k]
-    if f1 != 0:
-        a1 -= f1 * top
-    if f2 != 0:
-        a2 -= f2 * top
-    return a1, a2
-
-
-def _last_pivot(det: complex, column: tuple[complex, complex]) -> _Last | None:
-    """The pivot of the last 2 rows from their next column and the running
-    determinant det, or None where the determinant is 0."""
-    a11, a21 = column
-    try:
-        swap = abs(a21) > abs(a11)
-    except OverflowError:
-        swap = _modulus(a21) > _modulus(a11)
-    if swap:
-        a11, a21 = a21, a11
-        det = -det
-    if a11 == 0:
-        return None
-    det *= a11
-    inv = 1.0 / a11
-    if inv == 0 and cmath.isfinite(a11):
-        return det, swap, _scaled_quotient(a21, a11)
-    return det, swap, a21 * inv
-
-
-def _last_step(last: _Last, column: tuple[complex, complex]) -> complex:
-    """The determinant from the last pivot and the last column."""
-    det, swap, f = last
-    a12, a22 = column
-    if swap:
-        a12, a22 = a22, a12
-    if f != 0:
-        a22 -= f * a12
-    if a22 == 0:
-        return 0.0
-    return det * a22
 
 
 def complete_homogeneous(max_degree: int, xs: Sequence[complex]) -> list[complex]:
@@ -263,10 +205,6 @@ def schur_jacobi_trudi(parts: Sequence[int], xs: Sequence[complex]) -> complex:
     return _det([[h_at(lam[i] - (i + 1) + (j + 1)) for j in range(ell)] for i in range(ell)])
 
 
-def _raise_zero_laurent() -> complex:
-    raise ValueError("negative weights need nonzero arguments")
-
-
 def schur(parts: Sequence[int], xs: Sequence[complex]) -> complex:
     """Laurent-Schur value s_lambda(xs) for a weakly decreasing integer weight.
 
@@ -286,7 +224,9 @@ def schur(parts: Sequence[int], xs: Sequence[complex]) -> complex:
         if parts[0] == 0:
             return 1.0
         if any(x == 0 for x in xs):
-            return 0.0 if parts[0] > 0 else _raise_zero_laurent()
+            if parts[0] > 0:
+                return 0.0
+            raise ValueError("negative weights need nonzero arguments")
         return _product(xs) ** parts[0]
     shift = parts[-1] if parts[-1] < 0 else 0
     lam = [p - shift for p in parts]
@@ -305,15 +245,14 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int
 
     At 1 to 3 distinct arguments the powers x_i^k for k < max_part +
     len(xs), the Vandermonde and the product of the arguments are computed
-    once here, with the operations schur performs per call, so every value
-    is bit-identical to schur's bialternant.  At ranks 2 and 3 the returned
-    function runs _det's column stages itself and keeps the pivots of the
-    current first part for the weights that follow with the same first
-    part; the values do not depend on the order of the calls.  Nearly
-    coincident arguments, a vanishing Vandermonde, overflowing powers,
-    weights with a part outside [0, max_part] and ranks 4 and up go to
-    schur itself.  The weight must be weakly decreasing; schur's check of
-    that is not repeated here.
+    once here, with the operations schur performs per call.  At ranks 2
+    and 3 the returned function evaluates the cofactor forms of _det on
+    the columns of that power table, so every value is bit-identical to
+    schur's bialternant, in any call order.  At rank 3 it keeps the minors
+    of the current (a, b) only.  Nearly coincident arguments, a vanishing
+    Vandermonde, overflowing powers, weights with a part outside [0,
+    max_part] and ranks 4 and up go to schur itself.  The weight must be
+    weakly decreasing; schur's check of that is not repeated here.
     """
     xs = tuple(xs)
     m = len(xs)
@@ -346,51 +285,28 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int
     if m == 1:
         return value
     # A weight (a, b) has the power columns x^(a+1) and x^b, and a weight
-    # (a, b, c) the columns x^(a+2), x^(b+1) and x^c.  So the pivot of the
-    # first column depends on a alone, and at rank 3 the last pivot on
-    # (a, b) and the swept last column on (a, c).  The table holds the
-    # stages of one first part at a time, the rank-3 pairs keyed by b and
-    # by c: the sums take their weights in runs of one first part, and
-    # holding every pair would take memory quadratic in max_part.
+    # (a, b, c) the columns x^(a+2), x^(b+1) and x^c.  The sums take their
+    # weights in runs of one (a, b), so holding that pair's minors alone
+    # pays for them once per run in constant memory.
     columns = list(zip(*powers))
-    held = -1
-    pivot: _Last | None = None
-    first: _First | None = None
-    lasts: dict[int, _Last | None] = {}
-    sweeps: dict[int, tuple[complex, complex]] = {}
+    held: tuple[int, int] | None = None
+    minors = (0j, 0j, 0j)
 
     # schur's central factor 1.0 stays below: it can change the sign of a zero
     def value2(parts: Sequence[int]) -> complex:
-        nonlocal held, pivot
         if len(parts) != 2 or parts[-1] < 0 or parts[0] > max_part or parts[0] == parts[-1]:
             return value(parts)
         a, b = parts
-        if a != held:
-            held, pivot = a, _last_pivot(1.0, columns[a + 1])
-        if pivot is None:
-            return 1.0 * (0.0 / den)
-        return 1.0 * (_last_step(pivot, columns[b]) / den)
+        return 1.0 * (_last_column(columns[a + 1], columns[b]) / den)
 
     def value3(parts: Sequence[int]) -> complex:
-        nonlocal held, first
+        nonlocal held, minors
         if len(parts) != 3 or parts[-1] < 0 or parts[0] > max_part or parts[0] == parts[-1]:
             return value(parts)
         a, b, c = parts
-        if a != held:
-            held, first = a, _first_pivot(*columns[a + 2])
-            lasts.clear()
-            sweeps.clear()
-        if first is None:
-            return 1.0 * (0.0 / den)
-        try:
-            swept = sweeps[c]
-        except KeyError:
-            swept = sweeps[c] = _sweep(first, columns[c])
-        try:
-            last = lasts[b]
-        except KeyError:
-            last = lasts[b] = _last_pivot(first[1], _sweep(first, columns[b + 1]))
-        return 1.0 * ((0.0 if last is None else _last_step(last, swept)) / den)
+        if (a, b) != held:
+            held, minors = (a, b), _minors(columns[a + 2], columns[b + 1])
+        return 1.0 * (_last_column(minors, columns[c]) / den)
 
     return value2 if m == 2 else value3
 

@@ -89,13 +89,6 @@ def bits(value):
     return type(value), struct.pack("<dd", z.real, z.imag)
 
 
-def nan_blind_bits(value):
-    """bits(), but with a NaN part read as NaN whatever its sign and payload."""
-    z = complex(value)
-    parts = ("nan" if math.isnan(p) else struct.pack("<d", p) for p in (z.real, z.imag))
-    return type(value), *parts
-
-
 def outcome(fn, *args):
     """bits() of fn(*args), or the type of the exception it raises."""
     try:

@@ -553,6 +553,10 @@ BAD_INPUTS = {
     "segments-a-list": ({"rep.json": "[1, 2]"}, [*I_CLOSED, "--segments-file", "{tmp}/rep.json"],
                         "segments file"),
     "config-missing": ({}, ["volumes", "--config", "{tmp}/missing.cfg"], "config file"),
+    # rejected before any suite runs, not by the draws of main-theorem
+    "n-negative": ({}, ["verify", "main-theorem", "--n", "-2"], "--n"),
+    "n-zero-all": ({}, ["verify", "all", "--n", "0"], "--n"),
+    "n-zero-volumes": ({}, ["volumes", "--n", "0", "--c", "1"], "--n"),
     # the checks run first; the report cannot be written after them
     "json-unwritable": ({}, ["verify", "c1", "--json", "{tmp}/no/dir/out.json"], "--json"),
     # j-main's formula needs conjugate-self-dual parameters on the unit

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from helpers import (
     bits,
-    nan_blind_bits,
     outcome,
     per_call_macdonald_sum,
     recursive_weakly_decreasing,
@@ -21,12 +20,8 @@ from localperiods.symfunc import (
     COINCIDENCE_SPREAD,
     DivergenceError,
     _det,
-    _first_pivot,
-    _last_pivot,
-    _last_step,
     _modulus,
     _schur_table,
-    _sweep,
     delta_weight,
     macdonald_closed,
     macdonald_sum,
@@ -107,16 +102,23 @@ class TestSchur:
             schur((0, 1), (1.0, 2.0))
 
 
-#: entries that tie in pivot magnitude (1, -1, 1j, ...), signed zeros,
-#: infinities, and floats next to complex numbers, as the Jacobi-Trudi
-#: matrices mix them
+#: entries of equal modulus (1, -1, 1j, ...), signed zeros, and floats next
+#: to complex numbers, as the Jacobi-Trudi matrices mix them.
+#: Every part is 0 or of magnitude in [2^-40, 2^40], so at 2 and 3 rows
+#: no operation of _det under- or overflows.  A nonzero part of an entry
+#: is a multiple of 2^-92, and a rounded sum or product of multiples of
+#: powers of two Q and Q' is a multiple of Q or of QQ', so every nonzero
+#: intermediate part is a multiple of 2^-276, far above the smallest
+#: normal 2^-1022; and none reaches 2^126.
+PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(2**-40, 2**40),
+    st.floats(-(2**40), -(2**-40)),
+)
 ENTRIES = st.one_of(
-    st.sampled_from(
-        [0.0, -0.0, 0j, 1.0, -1.0, 2.0, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, 0.5, math.inf, -math.inf]
-    ),
-    st.floats(-1e6, 1e6),
-    st.complex_numbers(max_magnitude=1e6),
-    st.complex_numbers(),
+    st.sampled_from([0.0, -0.0, 0j, 1.0, -1.0, 2.0, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, 0.5]),
+    PARTS,
+    st.builds(complex, PARTS, PARTS),
 )
 
 
@@ -129,21 +131,6 @@ def square_matrices(draw, m):
         for row in rows:
             row[zero_col] = 0.0
     return rows
-
-
-def staged_det(rows):
-    """The determinant of a 2x2 or 3x3 matrix composed from _det's column
-    stages, as _schur_table composes them."""
-    columns = list(zip(*rows))
-    det = 1.0
-    if len(rows) == 3:
-        first = _first_pivot(*columns.pop(0))
-        if first is None:
-            return 0.0
-        det = first[1]
-        columns = [_sweep(first, column) for column in columns]
-    last = _last_pivot(det, columns[0])
-    return 0.0 if last is None else _last_step(last, columns[1])
 
 
 def exact_det(rows):
@@ -162,48 +149,76 @@ def exact_det(rows):
     return total_re, total_im
 
 
+def permanent_of_moduli(rows):
+    """per(|A|): the Leibniz sum with every sign + and every entry abs()."""
+    return math.fsum(
+        math.prod(abs(rows[row][col]) for row, col in enumerate(perm))
+        for perm in itertools.permutations(range(len(rows)))
+    )
+
+
+#: 2√5 + 3 rounded up; see TestUnrolledDet.test_within_the_rounding_bound
+ROUNDING_K = 7.48
+
+
 class TestUnrolledDet:
-    """The column stages that _schur_table runs at ranks 2 and 3 against
-    the elimination loop of _det.  A NaN part may carry either sign bit:
-    CPython 3.11 has given the loop a NaN of one sign on its first call in
-    a process and of the other on later calls with the same matrix."""
+    """_det: the cofactor forms at 2 and 3 rows, and the pivoted loop at 4."""
 
     @pytest.mark.parametrize("m", [2, 3])
     @given(data=st.data())
-    @settings(max_examples=400, deadline=None)
-    def test_bit_identical_to_the_loop(self, m, data):
+    @settings(max_examples=300, deadline=None)
+    def test_within_the_rounding_bound(self, m, data):
+        """|_det(A) - det A| <= K u per(|A|), u = 2^-53, K = 2√5 + 3.
+
+        Round to nearest gives fl(x op y) = (x op y)(1 + d) for every
+        operation that does not under- or overflow (ENTRIES rules both
+        out), with complex d: |d| <= u for a complex sum or difference,
+        whose parts are rounded once each, and |d| <= √5 u for CPython's
+        product (ac - bd, ad + bc) (Brent, Percival and Zimmermann, "Error
+        bounds on complex floating-point multiplication", Math. Comp. 76
+        (2007)).  A factor (1 + d) on a sum is the same
+        factor on each summand, so the result is the Leibniz expansion
+        with every monomial c_i a_j b_k times a product of such factors.
+        At 3 rows that product holds two products (in the minor, and c_i
+        times the minor), the minor's difference and at most two of the
+        last column's three-term sum: |error| <= ((1 + √5 u)^2 (1 + u)^3 - 1)
+        |monomial| = (2√5 + 3) u |monomial| + O(u^2).  At 2 rows it holds
+        one product and one difference, (√5 + 1) u.  Summing the
+        monomials' moduli gives per(|A|).  K = 7.48 exceeds 2√5 + 3 =
+        7.472... by far more than the O(u) terms and the rounding of the
+        float evaluation of both sides of the inequality.
+        """
         rows = data.draw(square_matrices(m))
         copy = [row[:] for row in rows]
-        assert nan_blind_bits(staged_det(rows)) == nan_blind_bits(_det(rows))
+        got = _det(rows)
+        re, im = exact_det(rows)
+        error = math.hypot(float(Fraction(got.real) - re), float(Fraction(got.imag) - im))
+        assert error <= ROUNDING_K * 2**-53 * permanent_of_moduli(rows)
         assert rows == copy
 
     @pytest.mark.parametrize(
         "rows",
         [
-            [[1.0, 2.0], [-1.0, 3j]],  # tie: the first maximum stays the pivot
+            [[1.0, 2.0], [-1.0, 3j]],  # entries of equal modulus
             [[0.0, 1.0], [0.0, 2.0]],  # zero column
-            [[0.0, 1.0], [1j, 0.0]],  # zero pivot swapped away
+            [[0.0, 1.0], [1j, 0.0]],  # zero leading entry
             [[1j, 2.0, 3.0], [-1.0, 1.0, 0.0], [1.0, -0.0, 5j]],
             [[0.0, 1.0, 2.0], [0.0, 3.0, 1j], [2.0, 0.0, 0.0]],
-            [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 1.0]],  # singular after a step
+            [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, 1.0]],  # two equal rows
             [[1.0, 2.0, 3.0], [2.0, 4.0, 6.5], [3.0, 6.0, 9.0]],
-            # the last pivot's modulus overflows: no abs() of it, no OverflowError
+            # an entry whose modulus overflows: the cofactor forms take no abs()
             [[0.0, 1.3e308 + 1.3e308j], [1.0, 0.0]],
             [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.3e308 + 1.3e308j]],
-            # an earlier pivot candidate's modulus overflows: ranked infinite
             [[0.0, 0.0], [1.3e308 + 1.3e308j, 0.0]],
             [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.3e308 + 1.3e308j, 1.0]],
             [[1.0, 1.0, 1.0], [1.3e308 + 1.3e308j, 0.0, 1.0], [1.0, 0.0, 0.0]],
-            # no stages at rank 4: 1.0 / pivot underflows to 0, so the first
+            # the loop at rank 4: 1.0 / pivot underflows to 0, so the first
             # sweep changes nothing and leaves column 1 zero below the pivot
             [[1.0, 0.0, 0.0, 0.0], [1.3e308 + 1.3e308j, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
         ],
     )
     def test_edge_cases(self, rows):
-        if len(rows) == 4:
-            assert abs(_det(rows) - complex(*map(float, exact_det(rows)))) <= 1e-12
-        else:
-            assert nan_blind_bits(_det(rows)) == nan_blind_bits(staged_det(rows))
+        assert abs(_det(rows) - complex(*map(float, exact_det(rows)))) <= 1e-12
 
     @pytest.mark.parametrize(
         "rows",
@@ -218,13 +233,15 @@ class TestUnrolledDet:
         # 1.0 / pivot comes out -0j for these pivots, which would zero every
         # multiplier of the sweep below them and with it the determinant
         assert exact_det(rows) == (1, 0)
-        assert abs(_det(rows) - 1) <= 1e-12
         if len(rows) < 4:
-            assert abs(staged_det(rows) - 1) <= 1e-12
+            assert _det(rows) == 1  # no division at 2 and 3 rows
+        else:
+            assert abs(_det(rows) - 1) <= 1e-12
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_overflowing_pivot_candidate(self, m):
-        # abs() of the big entry raises OverflowError in the pivot search
+        # at rank 4 abs() of the big entry raises OverflowError in the pivot
+        # search; the cofactor forms at 2 and 3 rows take no abs()
         big = 1.3e308 + 1.3e308j
         rows = [[1.0 if r == c else 0.0 for c in range(m)] for r in range(m)]
         rows[1][:2] = [big, 0.0]
@@ -289,7 +306,7 @@ class TestSchurTable:
     )
     @settings(max_examples=120, deadline=None)
     def test_bit_identical_in_any_call_order(self, xs, max_part, data):
-        # the rank-3 table keeps its column stages from one call for the next
+        # the rank-3 table keeps its minors from one call for the next
         box = data.draw(st.permutations(list(weakly_decreasing_tuples(3, 0, max_part))))
         value = _schur_table(xs, max_part)
         for lam in box:
@@ -311,7 +328,7 @@ class TestSchurTable:
 DIRECT_ARGS = [
     ((0.6j, -0.5, 0.3 - 0.7j), 20),
     ((0.0, 0.6, -0.8j), 20),
-    # x^k underflows to 0 from k = 28 on: a zero first pivot
+    # x^k underflows to 0 from k = 28 on: a zero first column
     ((0.0, 1.5e-12, -1.5e-12j), 30),
     ((0.7 - 0.2j, -0.3 + 0.6j), 20),
     ((0.0, 1.5e-12), 30),
@@ -319,8 +336,9 @@ DIRECT_ARGS = [
 
 
 class TestDirectSchurRoute:
-    """At 2 and 3 distinct arguments the table runs _det's column stages
-    itself, without _det, and keeps those of the current first part."""
+    """At 2 and 3 distinct arguments the table evaluates _det's cofactor
+    forms itself, without _det, and keeps the minors of the current first
+    two parts."""
 
     @pytest.mark.parametrize("xs, depth", DIRECT_ARGS)
     def test_values_without_det(self, xs, depth, monkeypatch):
@@ -337,22 +355,22 @@ class TestDirectSchurRoute:
         assert bits(macdonald_sum(xs, depth)) == want_sum
 
     @pytest.mark.parametrize("xs, depth", DIRECT_ARGS)
-    def test_first_stage_once_per_first_part(self, xs, depth, monkeypatch):
-        # the pivot of the first column: 3 rows at rank 3, 2 at rank 2
-        stage = "_first_pivot" if len(xs) == 3 else "_last_pivot"
-        calls = [0]
-        real = getattr(symfunc, stage)
+    def test_minors_once_per_first_two_parts(self, xs, depth, monkeypatch):
+        # the rank-2 table holds nothing and takes no minors
+        calls = []
+        real = symfunc._minors
 
-        def counted(*args):
-            calls[0] += 1
-            return real(*args)
+        def counted(col0, col1):
+            calls.append(1)
+            return real(col0, col1)
 
-        monkeypatch.setattr(symfunc, stage, counted)
+        monkeypatch.setattr(symfunc, "_minors", counted)
         value = _schur_table(xs, depth)
         box = list(weakly_decreasing_tuples(len(xs), 0, depth))
         for lam in box:
             value(lam)
-        assert calls[0] == len({lam[0] for lam in box if lam[0] != lam[-1]})
+        pairs = {lam[:2] for lam in box if lam[0] != lam[-1]}
+        assert len(calls) == (len(pairs) if len(xs) == 3 else 0)
 
     @pytest.mark.parametrize("xs, depth", DIRECT_ARGS)
     def test_bits_do_not_depend_on_call_order(self, xs, depth):
