@@ -131,6 +131,10 @@ class RunConfig:
             raise UsageError(f"--qf must exceed --n (got qf={self.q_f}, n={self.n})")
         if self.depth < 1:
             raise UsageError("--depth must be >= 1")
+        if self.vmax < 0:
+            raise UsageError(f"--vmax must be >= 0, got {self.vmax}")
+        if self.c is not None and self.c < 0:
+            raise UsageError(f"--c must be >= 0, got {self.c}")
 
 
 class UsageError(ValueError):
@@ -233,7 +237,7 @@ def run_beta(cfg: RunConfig, rng: random.Random) -> list[VerificationReport]:
     for n in range(1, 4):
         for k in range(5):
             sigma_n = SatakeSet(unit_circle(rng, n), cfg.q_e)
-            sph_report = check_beta_spherical(sigma_n, cfg.q_f, cfg.depth)
+            sph_report = check_beta_spherical(sigma_n, cfg.depth)
             sph_report.params.update({"n": n, "draw": k})
             reports.append(sph_report)
     return reports

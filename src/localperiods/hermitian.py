@@ -150,9 +150,6 @@ class EMat:
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)], self.u
         )
 
-    def __neg__(self) -> "EMat":
-        return EMat([[-a for a in row] for row in self.rows], self.u)
-
     def __mul__(self, scalar: EntryLike) -> "EMat":
         s = QuadExt.of(scalar, self.u)
         return EMat([[a * s for a in row] for row in self.rows], self.u)
@@ -421,7 +418,8 @@ def _blocks(x: EMat) -> tuple[EMat, EMat, EMat, QuadExt]:
 
 def is_regular_semisimple(x: EMat) -> bool:
     """Cyclic-vector criterion: the column Krylov family of the top-right
-    column and the row Krylov family of the bottom row both span."""
+    column and the row Krylov family of the bottom row both span.  At 2 x 2
+    this says that both off-diagonal entries are nonzero."""
     a, b, z, _ = _blocks(x)
     n = a.nrows
     if _krylov(a, b, n).det().is_zero():

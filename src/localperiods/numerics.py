@@ -112,7 +112,7 @@ class QuadExt:
 
     u is a fixed squarefree-ish integer shared by all operands of an
     expression (mixing contexts raises).  Galois conjugation flips the
-    sign of b; norm and trace land back in Q.  The constructor only checks
+    sign of b; the norm lands back in Q.  The constructor only checks
     that a and b are ``Fraction``s; ``QuadExt.of`` converts an int.
     """
 
@@ -190,17 +190,11 @@ class QuadExt:
     def conj(self) -> "QuadExt":
         return QuadExt(self.a, -self.b, self.u)
 
-    def trace(self) -> Fraction:
-        return 2 * self.a
-
     def norm(self) -> Fraction:
         return self.a * self.a - self.u * self.b * self.b
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero()

@@ -21,6 +21,8 @@ from .hermitian import (
     in_k_tilde_lie,
     in_lie_u,
     in_s_lie,
+    is_regular_semisimple,
+    matching_invariants,
     transfer_factor,
 )
 from .numerics import (
@@ -48,7 +50,7 @@ def rank_one_element(
 def _require_rank_one_rs(y: EMat) -> None:
     if y.nrows != 2 or not in_s_lie(y):
         raise ValueError("expected a trace-zero 2x2 element of the twisted Lie model")
-    if y.entry(0, 1).is_zero() or y.entry(1, 0).is_zero():
+    if not is_regular_semisimple(y):
         raise ValueError("element is not regular semisimple (vanishing off-diagonal)")
 
 
@@ -83,7 +85,7 @@ def orb_u2(x: EMat, c: int, p: int) -> int:
     j = herm_form_j(1, c, p, x.u)
     if not in_lie_u(x, j):
         raise ValueError("x is not anti-hermitian for the depth-c form")
-    if x.entry(0, 1).is_zero() or x.entry(1, 0).is_zero():
+    if not is_regular_semisimple(x):
         raise ValueError("x is not regular semisimple")
     return 1 if in_bmk_tilde(x, c, p) else 0
 
@@ -126,8 +128,7 @@ def match_rank1(y: EMat, c: int, p: int) -> tuple[int, EMat | None]:
     side = 0 if (v12 + v21 - c) % 2 == 0 else 1
     if side == 1:
         return 1, None
-    prod = y.entry(0, 1) * y.entry(1, 0)  # rational: product of two sqrt(u) multiples
-    assert prod.is_rational()
+    prod = y.entry(0, 1) * y.entry(1, 0)  # rational: in_s_lie makes both sqrt(u) multiples
     target = -prod.a / Fraction(p**c)
     z = _norm_solution(target, u)
     if z is None:
@@ -140,8 +141,13 @@ def match_rank1(y: EMat, c: int, p: int) -> tuple[int, EMat | None]:
 def fl_check_rank1(p: int, c: int, vmax: int, u: int = -1) -> list[VerificationReport]:
     """Exhaustive exact check of the rank-one transfer identity over the
     valuation grid: on side 0 the sign-weighted twisted integral equals the
-    unitary membership bit of the matched representative, on side 1 the
-    twisted integral vanishes."""
+    unitary membership bit of the matched representative, and the two
+    elements have the same matching_invariants; on side 1 the twisted
+    integral vanishes.
+
+    Both elements of a pair go through the same charpoly and _krylov, so
+    an error inside those would cancel; the invariants see a matched
+    representative whose diagonal or off-diagonal product is wrong."""
     validate_field_context(p, u)
     if vmax < 0 or c < 0:
         raise ValueError("grid bounds must be >= 0")
@@ -165,7 +171,8 @@ def fl_check_rank1(p: int, c: int, vmax: int, u: int = -1) -> list[VerificationR
                 else:
                     lhs = transfer_factor(y, p) * orb_s2(y, c, p)
                     rhs = orb_u2(x, c, p)
-                    rep = exact_check("fl-rank1", params, lhs, rhs, lhs == rhs)
+                    ok = lhs == rhs and matching_invariants(x) == matching_invariants(y)
+                    rep = exact_check("fl-rank1", params, lhs, rhs, ok)
                 reports.append(rep)
     return reports
 

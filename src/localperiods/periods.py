@@ -32,7 +32,7 @@ from __future__ import annotations
 from operator import mul
 from typing import Callable, NamedTuple
 
-from .lfactors import asai_lfactor, pair_dual_lfactor, rs_lfactor
+from .lfactors import _square_base_root, asai_lfactor, pair_dual_lfactor, rs_lfactor
 from .report import VerificationReport, hard_check
 from .reps import GenericRep, SatakeSet
 from .symfunc import _Memo, _modular_coefficients, _modular_weight, _product, _schur_table
@@ -123,10 +123,11 @@ def beta_closed(rep: GenericRep, q_f: int) -> complex:
     return float(vol_gl(n, q_f)) * asai_lfactor(rep.unramified_part(q_f**2), sign).value(1)
 
 
-def beta_spherical_truncated(sigma_n: SatakeSet, q_f: int, depth: int) -> TruncResult:
+def beta_spherical_truncated(sigma_n: SatakeSet, depth: int) -> TruncResult:
     """Twisted base-field period of the normalized spherical vector of an
-    unramified rank-n representation, summed over the GL_{n-1} torus."""
-    n = len(sigma_n)
+    unramified rank-n representation, summed over the GL_{n-1} torus at the
+    base-field residue size q_F, the square root of sigma_n's base."""
+    n, q_f = len(sigma_n), _square_base_root(sigma_n.base)
     half, schur = _half_weights(sigma_n.base), _schur_table(sigma_n.params, depth)
     coefficients = _modular_coefficients(n)  # the rank-n exponent of f + (0,)
     parity = (1, -1 if (n - 1) % 2 else 1)
@@ -138,13 +139,13 @@ def beta_spherical_truncated(sigma_n: SatakeSet, q_f: int, depth: int) -> TruncR
     return _torus_sum(n - 1, n - 1, depth, q_f, integrand)
 
 
-def beta_spherical_closed(sigma_n: SatakeSet, q_f: int) -> complex:
+def beta_spherical_closed(sigma_n: SatakeSet) -> complex:
     """Closed form of the same period: the GL_{n-1} lattice volume times the
     twisted tensor factor at the edge, sign (-1)^(n-1), times the factor
     (1 - det(sigma_n) q_F^(-n)) that drops the partitions of length n from
     the Littlewood series (Macdonald, Symmetric Functions and Hall
     Polynomials, I.4; the full series is I.5, Example 4)."""
-    n = len(sigma_n)
+    n, q_f = len(sigma_n), _square_base_root(sigma_n.base)
     sign = -1 if (n - 1) % 2 else 1
     length_term = 1 - _product(sigma_n.params) * float(q_f) ** -n
     return float(vol_gl(n - 1, q_f)) * asai_lfactor(sigma_n, sign).value(1) * length_term
@@ -176,40 +177,28 @@ def theta_closed(sigma: SatakeSet) -> complex:
 
 def lambda_truncated(sigma_n: SatakeSet, rep: GenericRep, depth: int) -> TruncResult:
     """Pairing integral of the spherical vector of sigma_n against the
-    newform-line vector of the rank-(n+1) representation over the GL_n
-    torus."""
+    newform-line vector of the ramified rank-(n+1) representation over the
+    GL_n torus.  An unramified representation raises ValueError, from
+    whittaker._unramified_part."""
     n = len(sigma_n)
     if rep.rank != n + 1:
         raise ValueError("rank mismatch: need rank(rep) = len(sigma_n) + 1")
     q_e = sigma_n.base
+    r, schur_u, size = _essential_on_torus(rep, q_e, depth)
     half, schur = _half_weights(q_e), _schur_table(sigma_n.params, depth)
     coefficients = _modular_coefficients(n)
     # On f = lambda + zeros the rank-j exponent of lambda is
     # e + (n - j) * |lambda|, e the rank-n one; both factors read `half`.
 
-    if rep.is_ramified():
-        r, schur_u, size = _essential_on_torus(rep, q_e, depth)
-
-        def newform_pairing(f: tuple[int, ...]) -> complex:
-            e = sum(map(mul, f, coefficients))
-            w1 = half[e] * schur(f)
-            if w1 == 0:
-                return 0.0
-            total = sum(f)
-            return w1 * (half[e + (n - r) * total] * schur_u(f[:r]) * size[total])
-
-        return _torus_sum(n, r, depth, q_e, newform_pairing)
-
-    schur_u = _schur_table(rep.unramified_part(q_e).params, depth)
-
-    def spherical_pairing(f: tuple[int, ...]) -> complex:
+    def newform_pairing(f: tuple[int, ...]) -> complex:
         e = sum(map(mul, f, coefficients))
         w1 = half[e] * schur(f)
         if w1 == 0:
             return 0.0
-        return w1 * (half[e - sum(f)] * schur_u(f + (0,)))
+        total = sum(f)
+        return w1 * (half[e + (n - r) * total] * schur_u(f[:r]) * size[total])
 
-    return _torus_sum(n, n, depth, q_e, spherical_pairing)
+    return _torus_sum(n, r, depth, q_e, newform_pairing)
 
 
 def lambda_closed(sigma_n: SatakeSet, rep: GenericRep) -> complex:
@@ -231,14 +220,14 @@ def check_beta(rep: GenericRep, q_f: int, depth: int) -> VerificationReport:
     return hard_check("beta", params, got.value, want, tail_estimate=got.tail_estimate)
 
 
-def check_beta_spherical(sigma_n: SatakeSet, q_f: int, depth: int) -> VerificationReport:
+def check_beta_spherical(sigma_n: SatakeSet, depth: int) -> VerificationReport:
     """Hard check of the spherical period against beta_spherical_closed,
     whose factor (1 - det(sigma_n) q_F^(-n)) drops the length-n partitions
     that the GL_{n-1} torus does not reach (Macdonald I.4)."""
-    got = beta_spherical_truncated(sigma_n, q_f, depth)
-    want = beta_spherical_closed(sigma_n, q_f)
+    got = beta_spherical_truncated(sigma_n, depth)
+    want = beta_spherical_closed(sigma_n)
     params = {
-        "q_f": q_f,
+        "q_f": _square_base_root(sigma_n.base),
         "satake": [[a.real, a.imag] for a in sigma_n],
         "depth": depth,
     }

@@ -10,8 +10,9 @@ identity checked by the verification suites.
 Torus sums and the Macdonald series evaluate many weights at the same
 distinct arguments, so _schur_table computes the powers, product and
 Vandermonde of the arguments once per sum and returns schur's
-bialternant values bit for bit; at nearly coincident arguments, and at
-4 or more arguments, it hands every weight to schur itself.  schur's
+bialternant values bit for bit on the weights of its contract, stated in
+its docstring; at nearly coincident arguments, and at 4 or more
+arguments, it hands every weight to schur itself.  schur's
 determinants go through _det: at 2 and 3 rows a cofactor expansion along
 the last column, with the 2x2 minors of the first two columns at 3 rows,
 and a pivoted elimination loop at every other size.  The table evaluates
@@ -241,7 +242,11 @@ def schur(parts: Sequence[int], xs: Sequence[complex]) -> complex:
 
 
 def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int]], complex]:
-    """schur(parts, xs) as a function of a weakly decreasing weight alone.
+    """schur(parts, xs) as a function of the weight alone.
+
+    The weight contract: a weight has len(xs) weakly decreasing parts in
+    [0, max_part].  _torus_sum and macdonald_sum pass no other weights,
+    and the table checks none of this.
 
     At 1 to 3 distinct arguments the powers x_i^k for k < max_part +
     len(xs), the Vandermonde and the product of the arguments are computed
@@ -249,10 +254,10 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int
     and 3 the returned function evaluates the cofactor forms of _det on
     the columns of that power table, so every value is bit-identical to
     schur's bialternant, in any call order.  At rank 3 it keeps the minors
-    of the current (a, b) only.  Nearly coincident arguments, a vanishing
-    Vandermonde, overflowing powers, weights with a part outside [0,
-    max_part] and ranks 4 and up go to schur itself.  The weight must be
-    weakly decreasing; schur's check of that is not repeated here.
+    of the current (a, b) only.  A constant weight is a power of the
+    product and reads no column.  Nearly coincident arguments, a vanishing
+    Vandermonde, overflowing powers and ranks 0 and 4 and up make the
+    table schur itself.
     """
     xs = tuple(xs)
     m = len(xs)
@@ -275,9 +280,7 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int
     has_zero = any(x == 0 for x in xs)
 
     def value(parts: Sequence[int]) -> complex:
-        """Constant weights, and those that go to schur."""
-        if len(parts) != m or parts[-1] < 0 or parts[0] > max_part:
-            return per_call(parts)
+        """Constant weights."""
         if parts[0] == 0:
             return 1.0
         return 0.0 if has_zero else prod ** parts[0]
@@ -294,14 +297,14 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int
 
     # schur's central factor 1.0 stays below: it can change the sign of a zero
     def value2(parts: Sequence[int]) -> complex:
-        if len(parts) != 2 or parts[-1] < 0 or parts[0] > max_part or parts[0] == parts[-1]:
+        if parts[0] == parts[-1]:
             return value(parts)
         a, b = parts
         return 1.0 * (_last_column(columns[a + 1], columns[b]) / den)
 
     def value3(parts: Sequence[int]) -> complex:
         nonlocal held, minors
-        if len(parts) != 3 or parts[-1] < 0 or parts[0] > max_part or parts[0] == parts[-1]:
+        if parts[0] == parts[-1]:
             return value(parts)
         a, b, c = parts
         if (a, b) != held:

@@ -77,7 +77,9 @@ def _essential_on_torus(
 
 def _unramified_part(rep: GenericRep, q_e: int) -> SatakeSet:
     """The unramified part of a ramified representation of rank >= 2, the
-    only ones with a newform-line vector here."""
+    only ones with a newform-line vector here.  The beta and lambda sums
+    take their newform-line factor through _essential_on_torus, so an
+    unramified representation raises here for both."""
     if not rep.is_ramified():
         raise ValueError("representation is unramified; its newform is the spherical vector")
     if rep.rank < 2:

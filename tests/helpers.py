@@ -1,13 +1,19 @@
 """Shared test utilities: independent combinatorial oracles, bit-level
-comparison, and generators built on the shared draws in localperiods.draws."""
+comparison, generators built on the shared draws in localperiods.draws, and
+a probe of which src functions a call reaches."""
 
 from __future__ import annotations
 
+import ast
 import math
 import random
 import struct
+import sys
 from fractions import Fraction
+from pathlib import Path
+from typing import Callable
 
+import localperiods
 from localperiods.draws import random_anti_hermitian, random_integral_emat, random_kprime_element
 from localperiods.hermitian import EMat, herm_form_j, in_group_u
 from localperiods.numerics import QuadExt
@@ -175,15 +181,16 @@ def h_pair_series(xs, ys, t: complex, terms: int = 400) -> complex:
     return sum(hx[f] * hy[f] * t**f for f in range(terms + 1))
 
 
-def beta_spherical_literature(sigma: SatakeSet, q_f: int, sign: int) -> complex:
+def beta_spherical_literature(sigma: SatakeSet, sign: int) -> complex:
     """The spherical period's closed form written out: the literature form
     vol(GL_{n-1}(O_F)) L(1, As^sign), an integral over the whole unipotent
     quotient of GL_n, times 1 - det(sigma) q_F^-n, which drops the length-n
-    partitions that the GL_{n-1} torus does not reach."""
+    partitions that the GL_{n-1} torus does not reach; q_F^2 is sigma's
+    base."""
     from localperiods.lfactors import asai_lfactor
     from localperiods.volumes import vol_gl
 
-    n = len(sigma)
+    n, q_f = len(sigma), math.isqrt(sigma.base)
     length_term = 1 - math.prod(sigma.params) * float(q_f) ** -n
     return float(vol_gl(n - 1, q_f)) * asai_lfactor(sigma, sign).value(1) * length_term
 
@@ -232,3 +239,52 @@ def rand_kprime_element(rng: random.Random, n: int, c: int, p: int, u: int) -> E
         g = random_kprime_element(rng, n, c, p, u)
         if g is not None:
             return g
+
+
+# ---------------------------------------------------------------------------
+# reach
+
+
+def src_definitions() -> dict[tuple[str, int, str], str]:
+    """Every function definition of the localperiods package, methods and
+    nested closures included, keyed as its code object is: by the resolved
+    file, the first line (a decorator's, if it has any) and the name.  Each
+    is named module:qualname, with the enclosing functions and classes
+    joined by dots, such as periods:lambda_truncated.newform_pairing."""
+    defs = {}
+
+    def walk(node: ast.AST, path: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                name = prefix + child.name
+                defs[(path, line, child.name)] = name
+                walk(child, path, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, path, prefix + child.name + ".")
+            else:
+                walk(child, path, prefix)
+
+    for path in sorted(Path(localperiods.__file__).resolve().parent.glob("*.py")):
+        walk(ast.parse(path.read_text()), str(path), path.stem + ":")
+    return defs
+
+
+def called_definitions(run: Callable[[], object]) -> set[str]:
+    """The src_definitions names of the functions that run() calls, at any
+    depth, recorded by a sys.setprofile probe."""
+    codes = set()
+
+    def probe(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(probe)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    resolved = {name: str(Path(name).resolve()) for name in {c.co_filename for c in codes}}
+    keys = {(resolved[c.co_filename], c.co_firstlineno, c.co_name) for c in codes}
+    return {name for key, name in src_definitions().items() if key in keys}

@@ -27,7 +27,7 @@ from localperiods.periods import (
     ratio_spread,
     theta_truncated,
 )
-from localperiods.report import STATUS_PASS
+from localperiods.report import STATUS_PASS, rel_error
 from localperiods.reps import is_conjugate_selfdual
 from localperiods.volumes import vol_gl
 
@@ -57,7 +57,7 @@ def test_02_beta_period_chain():
                 rep = random_ramified_rep(rng, n + 1, r, rng.randint(1, 3))
                 got = beta_truncated(rep, q_f, depth).value
                 want = beta_closed(rep, q_f)
-                err = abs(got - want) / max(1.0, abs(want))
+                err = rel_error(got, want)
                 worst = max(worst, err)
                 ok = ok and err <= 1e-8
     announce(2, "ramified period sum equals closed form (rel 1e-8, n<=3)", ok,
@@ -76,7 +76,7 @@ def test_03_essential_vector_pairing_identity():
                 sigma = satake(unit_circle(rng, n), 25)
                 got = lambda_truncated(sigma, rep, depth).value
                 want = lambda_closed(sigma, rep)
-                err = abs(got - want) / max(1.0, abs(want))
+                err = rel_error(got, want)
                 worst = max(worst, err)
                 ok = ok and err <= 1e-8
     # rank three: the ratio to the central pairing value must not depend on

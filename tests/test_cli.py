@@ -117,14 +117,39 @@ class TestVerify:
         flipped fails every beta-spherical record and no beta record."""
         from localperiods import periods
 
-        def flipped(sigma_n, q_f):
-            return beta_spherical_literature(sigma_n, q_f, 1 if (len(sigma_n) - 1) % 2 else -1)
+        def flipped(sigma_n):
+            return beta_spherical_literature(sigma_n, 1 if (len(sigma_n) - 1) % 2 else -1)
 
         monkeypatch.setattr(periods, "beta_spherical_closed", flipped)
         code, out, _ = run(capsys, "verify", "beta", "--qf", "3", "--depth", "25")
         assert code == 1
         assert out.count("[FAIL] beta-spherical ") == 15
         assert out.splitlines()[-1] == "65 checks: 50 pass, 15 fail, 0 rejected"
+
+    def test_swapped_diagonal_in_match_rank1_fails(self, capsys, monkeypatch):
+        """A matched representative with its diagonal entries swapped has
+        the same integral and membership bit, but not the same corner entry:
+        the matching invariants fail the 50 non-integral side-0 records."""
+        from localperiods import orbital
+        from localperiods.hermitian import EMat
+
+        real = orbital.match_rank1
+
+        def swapped(y, c, p):
+            side, x = real(y, c, p)
+            if x is None:
+                return side, x
+            (a, b), (z, d) = x.rows
+            return side, EMat([[d, b], [z, a]], x.u)
+
+        monkeypatch.setattr(orbital, "match_rank1", swapped)
+        code, out, _ = run(capsys, "verify", "fl-rank1")
+        assert code == 1
+        failed = out.splitlines()[:-1]
+        assert len(failed) == 50
+        assert all(line.startswith("[FAIL] fl-rank1 ") and "'diag': 'non-integral'" in line
+                   and "'side': 0" in line for line in failed)
+        assert out.splitlines()[-1] == "400 checks: 350 pass, 50 fail, 0 rejected"
 
     def test_json_output_is_deterministic(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -557,6 +582,8 @@ BAD_INPUTS = {
     "n-negative": ({}, ["verify", "main-theorem", "--n", "-2"], "--n"),
     "n-zero-all": ({}, ["verify", "all", "--n", "0"], "--n"),
     "n-zero-volumes": ({}, ["volumes", "--n", "0", "--c", "1"], "--n"),
+    "vmax-negative-all": ({}, ["verify", "all", "--vmax", "-1"], "--vmax must be >= 0, got -1"),
+    "c-negative-fl-rank1": ({}, ["verify", "fl-rank1", "--c", "-1"], "--c must be >= 0, got -1"),
     # the checks run first; the report cannot be written after them
     "json-unwritable": ({}, ["verify", "c1", "--json", "{tmp}/no/dir/out.json"], "--json"),
     # j-main's formula needs conjugate-self-dual parameters on the unit

@@ -78,7 +78,8 @@ class TestQuadExtRing:
 
     def test_trace_and_norm_are_rational(self):
         x = qe(Fraction(3, 4), Fraction(-1, 6), 2)
-        assert x.trace() == Fraction(3, 2)
+        assert x + x.conj() == qe(Fraction(3, 2), 0, 2)
+        assert x * x.conj() == qe(x.norm(), 0, 2)
         assert x.norm() == Fraction(9, 16) - 2 * Fraction(1, 36)
 
     @given(

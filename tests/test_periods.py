@@ -92,18 +92,18 @@ class TestBetaTruncated:
 
 class TestBetaSpherical:
     def test_rank_one_point_integral(self):
-        got = beta_spherical_truncated(satake((1.0,), 9), 3, DEPTH)
+        got = beta_spherical_truncated(satake((1.0,), 9), DEPTH)
         assert got.value == 1.0
 
     def test_rank_two_product_form(self):
         a = cmath.exp(0.7j)
         sigma = satake((a, a.conjugate()), 9)
-        got = beta_spherical_truncated(sigma, 3, DEPTH)
+        got = beta_spherical_truncated(sigma, DEPTH)
         want = 1 / ((1 + a / 3) * (1 + a.conjugate() / 3))
         assert abs(got.value - want) < 1e-12
 
     def test_rank_two_trivial_frozen(self):
-        got = beta_spherical_truncated(satake((1.0, 1.0), 9), 3, DEPTH)
+        got = beta_spherical_truncated(satake((1.0, 1.0), 9), DEPTH)
         assert abs(got.value - 9 / 16) < 1e-12
 
     def test_closed_form_is_the_literature_form_times_the_length_term(self):
@@ -113,14 +113,14 @@ class TestBetaSpherical:
         for n in (1, 2, 3):
             for alphas in (unit_circle(rng, n), tuple(0.7 * a for a in unit_circle(rng, n))):
                 sigma = satake(alphas, 9)
-                want = beta_spherical_literature(sigma, 3, -1 if (n - 1) % 2 else 1)
-                report = check_beta_spherical(sigma, 3, DEPTH)
+                want = beta_spherical_literature(sigma, -1 if (n - 1) % 2 else 1)
+                report = check_beta_spherical(sigma, DEPTH)
                 assert report.status == STATUS_PASS, (n, alphas)
                 assert abs(report.rhs - want) <= 1e-12 * abs(want), (n, alphas)
 
     def test_check_report_passes_rank_two_trivial(self):
         # vol(GL_1) L(1, As^-)(1 - 1/9) = (81/128)(8/9) = 9/16
-        report = check_beta_spherical(satake((1.0, 1.0), 9), 3, DEPTH)
+        report = check_beta_spherical(satake((1.0, 1.0), 9), DEPTH)
         assert report.status == STATUS_PASS
         assert abs(report.rhs - 9 / 16) < 1e-12
 
@@ -182,12 +182,6 @@ class TestLambda:
         want = 1 / (1 - alpha * beta / 3)
         assert abs(got.value - want) < 1e-12
 
-    def test_rank_one_unramified_cauchy(self):
-        sigma = satake((1.0,), 4)
-        rep = GenericRep((Segment(UnramChar(1.0)), Segment(UnramChar(1.0))))
-        got = lambda_truncated(sigma, rep, DEEP)
-        assert abs(got.value - 4.0) < 1e-10
-
     def test_rank_two_support_collapse(self):
         rng = random.Random(59)
         alphas = unit_circle(rng, 2)
@@ -233,6 +227,34 @@ class TestLambda:
         assert report.status == STATUS_PASS
 
 
+#: inputs that the torus periods reject: name -> (call, message)
+REJECTED = {
+    # lambda's newform-line factor is always ramified
+    "lambda-unramified": (
+        lambda: lambda_truncated(satake((1.0,), 4), GenericRep(
+            (Segment(UnramChar(1.0)), Segment(UnramChar(1.0)))), DEPTH),
+        "representation is unramified"),
+    "check-lambda-unramified": (
+        lambda: check_lambda(satake((0.6 + 0.8j,), 9), GenericRep(
+            (Segment(UnramChar(1.0)), Segment(UnramChar(-1.0)))), DEPTH),
+        "representation is unramified"),
+    # beta-spherical takes q_F from the base, which must be a square
+    "beta-spherical-truncated-base-8": (
+        lambda: beta_spherical_truncated(satake((1.0, 1.0), 8), DEPTH), "base 8 is not the square"),
+    "beta-spherical-closed-base-8": (
+        lambda: beta_spherical_closed(satake((1.0, 1.0), 8)), "base 8 is not the square"),
+    "check-beta-spherical-base-5": (
+        lambda: check_beta_spherical(satake((1.0,), 5), DEPTH), "base 5 is not the square"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_rejected_inputs_raise(name):
+    call, message = REJECTED[name]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestTails:
     def test_tail_monotonicity(self):
         rng = random.Random(73)
@@ -254,7 +276,7 @@ class TestTails:
         sigma = satake((1.0,), 9)
         for call in (
             lambda d: beta_truncated(rep, 3, d),
-            lambda d: beta_spherical_truncated(satake((1.0, 1.0), 9), 3, d),
+            lambda d: beta_spherical_truncated(satake((1.0, 1.0), 9), d),
             lambda d: theta_truncated(satake((1.0, 1.0), 9), d),
             lambda d: lambda_truncated(sigma, rep, d),
         ):
@@ -294,16 +316,10 @@ def parity_sign(rank, f):
 
 def lambda_reference(sigma_n, rep, depth):
     q_e = sigma_n.base
-    if rep.is_ramified():
-        def big(f):
-            return essential_value(rep, f, q_e)
-    else:
-        def big(f, params=rep.unramified_part(q_e).params):
-            return spherical_value(params, f + (0,), q_e)
 
     def reference(f):
         w1 = spherical_value(sigma_n.params, f, q_e)
-        return w1 * big(f) if w1 != 0 else 0.0
+        return w1 * essential_value(rep, f, q_e) if w1 != 0 else 0.0
 
     return len(sigma_n), q_e, reference
 
@@ -313,8 +329,8 @@ def beta_reference(rep, q_f, depth):
     return n, q_f, lambda f: essential_value(rep, f, q_f**2) * parity_sign(n, f)
 
 
-def beta_spherical_reference(sigma_n, q_f, depth):
-    rank = len(sigma_n) - 1
+def beta_spherical_reference(sigma_n, depth):
+    rank, q_f = len(sigma_n) - 1, math.isqrt(sigma_n.base)
 
     def reference(f):
         return spherical_value(sigma_n.params, f + (0,), sigma_n.base) * parity_sign(rank, f)
@@ -342,14 +358,13 @@ REFERENCES = {
 
 
 def newform_reps(rng, n):
-    """Rank-(n+1) representations covering every unramified-part rank:
-    a ramified cuspidal part with r = 0..n, a Steinberg-type segment with
-    r = n, and a fully unramified one."""
+    """Ramified rank-(n+1) representations covering every unramified-part
+    rank: a ramified cuspidal part with r = 0..n, and a Steinberg-type
+    segment with r = n."""
     reps = [random_ramified_rep(rng, n + 1, r, rng.randint(1, 2)) for r in range(n + 1)]
     alphas = conj_selfdual_unit(rng, n)
     reps.append(GenericRep((Segment(UnramChar(alphas[0]), 2),)
                            + tuple(Segment(UnramChar(a)) for a in alphas[1:])))
-    reps.append(GenericRep(tuple(Segment(UnramChar(a)) for a in unit_circle(rng, n + 1))))
     return reps
 
 
@@ -367,11 +382,10 @@ class TestSupportSummation:
                 sigma_n = satake(unit_circle(rng, n), q_e)
                 sigma_up = satake(unit_circle(rng, n + 1), q_e)
                 cases.append((theta_truncated, (sigma_up, depth)))
-                cases.append((beta_spherical_truncated, (sigma_up, q_f, depth)))
+                cases.append((beta_spherical_truncated, (sigma_up, depth)))
                 for rep in newform_reps(rng, n):
                     cases.append((lambda_truncated, (sigma_n, rep, depth)))
-                    if rep.is_ramified():
-                        cases.append((beta_truncated, (rep, q_f, depth)))
+                    cases.append((beta_truncated, (rep, q_f, depth)))
         for fn, args in cases:
             got = fn(*args)
             rank, q, reference = REFERENCES[fn](*args)
@@ -494,7 +508,7 @@ class TestIntegrands:
             for q_e in (9, 25):
                 sigma_n = satake(unit_circle(rng, n), q_e)
                 for rep in newform_reps(rng, n):
-                    head = len(rep.unramified_part(q_e)) if rep.is_ramified() else n
+                    head = len(rep.unramified_part(q_e))
                     assert_same_terms(
                         monkeypatch, lambda_truncated, sigma_n, rep, self.DEPTH, head=head)
 
@@ -503,17 +517,16 @@ class TestIntegrands:
         for n in (1, 2, 3):
             for q_f in (3, 5):
                 for rep in newform_reps(rng, n):
-                    if rep.is_ramified():
-                        head = len(rep.unramified_part(q_f**2))
-                        assert_same_terms(
-                            monkeypatch, beta_truncated, rep, q_f, self.DEPTH, head=head)
+                    head = len(rep.unramified_part(q_f**2))
+                    assert_same_terms(
+                        monkeypatch, beta_truncated, rep, q_f, self.DEPTH, head=head)
 
     def test_beta_spherical(self, monkeypatch):
         rng = random.Random(103)
         for n in (1, 2, 3, 4):
             for q_f in (3, 5):
                 sigma_n = satake(unit_circle(rng, n), q_f**2)
-                assert_same_terms(monkeypatch, beta_spherical_truncated, sigma_n, q_f, self.DEPTH)
+                assert_same_terms(monkeypatch, beta_spherical_truncated, sigma_n, self.DEPTH)
 
     def test_theta(self, monkeypatch):
         rng = random.Random(107)

@@ -279,12 +279,21 @@ TABLE_ARGS = [
 ]
 
 
+def table_weights(m: int, max_part: int):
+    """The weights of a table's contract, m weakly decreasing parts in
+    [0, max_part], and the constant weights up to max_part + 2, which are
+    powers of the product and read no power column."""
+    yield from weakly_decreasing_tuples(m, 0, max_part)
+    for a in range(max(max_part + 1, 0), max_part + 3):
+        yield (a,) * m
+
+
 class TestSchurTable:
     @pytest.mark.parametrize("xs", TABLE_ARGS)
     @pytest.mark.parametrize("max_part", [-1, 0, 3])
     def test_bit_identical_to_schur(self, xs, max_part):
         value = _schur_table(xs, max_part)
-        for lam in weakly_decreasing_tuples(len(xs), -2, max_part + 2):
+        for lam in table_weights(len(xs), max_part):
             assert outcome(value, lam) == outcome(schur, lam, xs), lam
 
     @given(
@@ -294,7 +303,7 @@ class TestSchurTable:
     @settings(max_examples=60, deadline=None)
     def test_bit_identical_on_random_arguments(self, xs, max_part):
         value = _schur_table(xs, max_part)
-        for lam in weakly_decreasing_tuples(len(xs), -1, max_part + 1):
+        for lam in table_weights(len(xs), max_part):
             assert outcome(value, lam) == outcome(schur, lam, xs), lam
 
     @given(
