@@ -16,11 +16,14 @@ arguments, it hands every weight to schur itself.  schur's
 determinants go through _det: at 2 and 3 rows a cofactor expansion along
 the last column, with the 2x2 minors of the first two columns at 3 rows,
 and a pivoted elimination loop at every other size.  The table evaluates
-the same cofactor expressions on its power columns and, at rank 3, keeps
-the minors of the current first two parts, so a weight in a run of one
-(a, b) pays only the last column's three products.  _modular_weight is
-delta_weight as a function of the modular exponent, which the torus sums
-tabulate in a _Memo.
+the same cofactor expressions on its power columns, a run at a time: it
+takes a run of weights that differ in one part only, given by its top
+(_run_weights, _run_tops), and returns their values in one list.  The
+torus sums and macdonald_sum walk their weights in these runs.  Along a
+run of fixed leading parts (a, b) only the last column changes, so the
+rank-3 run takes the minors once and each weight pays the last column's
+three products.  _modular_weight is delta_weight as a function of the
+modular exponent, which the torus sums tabulate in a _Memo.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, repeat
 from operator import ge, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -241,41 +244,77 @@ def schur(parts: Sequence[int], xs: Sequence[complex]) -> complex:
     return central * schur_bialternant(lam, xs)
 
 
-def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int]], complex]:
-    """schur(parts, xs) as a function of the weight alone.
+def _run_weights(top: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
+    """The weights of the run of top at length m, in the order of the run.
 
-    The weight contract: a weight has len(xs) weakly decreasing parts in
-    [0, max_part].  _torus_sum and macdonald_sum pass no other weights,
-    and the table checks none of this.
+    A top is a weakly decreasing tuple of at most m parts, the head of the
+    run's first weight.  The run lowers its last part to 0 and pads with
+    zeros: top[:-1] + (c,) + (0,) * (m - len(top)) for c = top[-1], ...,
+    0.  The run of the empty top is the one zero weight."""
+    zeros = (0,) * (m - len(top))
+    if not top:
+        return [zeros]
+    prefix = top[:-1]
+    return [prefix + (c,) + zeros for c in range(top[-1], -1, -1)]
+
+
+def _run_tops(head: int, depth: int) -> Iterator[tuple[int, ...]]:
+    """The tops of the runs that cover the weakly decreasing heads of
+    `head` parts in [0, depth]: each prefix of head - 1 parts, in the
+    order of weakly_decreasing_tuples, followed by its largest last part,
+    the prefix's last part or depth.  Walked run by run, the heads come in
+    descending lexicographic order.  At head 0 the one top is empty."""
+    if head == 0:
+        return iter([()])
+    return (p + (p[-1] if p else depth,) for p in weakly_decreasing_tuples(head - 1, 0, depth))
+
+
+#: the values of a run, from its top
+_Run = Callable[[tuple[int, ...]], list[complex]]
+
+
+def _schur_table(xs: Sequence[complex], max_part: int) -> _Run:
+    """schur(parts, xs) as a function of a run of weights: the run of a
+    top is the list of values on _run_weights(top, len(xs)).
+
+    The weight contract: every weight of a run has len(xs) weakly
+    decreasing parts in [0, max_part].  _torus_sum and macdonald_sum pass
+    no other runs, and the table checks none of this.
 
     At 1 to 3 distinct arguments the powers x_i^k for k < max_part +
     len(xs), the Vandermonde and the product of the arguments are computed
     once here, with the operations schur performs per call.  At ranks 2
-    and 3 the returned function evaluates the cofactor forms of _det on
-    the columns of that power table, so every value is bit-identical to
-    schur's bialternant, in any call order.  At rank 3 it keeps the minors
-    of the current (a, b) only.  A constant weight is a power of the
-    product and reads no column.  Nearly coincident arguments, a vanishing
-    Vandermonde, overflowing powers and ranks 0 and 4 and up make the
-    table schur itself.
+    and 3 the runs evaluate the cofactor forms of _det on the columns of
+    that power table, so every value is bit-identical to schur's
+    bialternant.  A constant weight is a power of the product and reads no
+    column.  Nearly coincident arguments, a vanishing Vandermonde,
+    overflowing powers and ranks 0 and 4 and up make the table schur
+    itself, weight by weight.
     """
     xs = tuple(xs)
     m = len(xs)
 
+    def runs_of(value: Callable[[Sequence[int]], complex]) -> _Run:
+        def run(top: tuple[int, ...]) -> list[complex]:
+            return [value(parts) for parts in _run_weights(top, m)]
+
+        return run
+
     def per_call(parts: Sequence[int]) -> complex:
         return schur(parts, xs)
 
+    schur_itself = runs_of(per_call)
     if not 1 <= m <= 3:
-        return per_call
+        return schur_itself
     try:
         if _coincident(xs):
-            return per_call
+            return schur_itself
         den = _vandermonde(xs)
         if den == 0:
-            return per_call
+            return schur_itself
         powers = [[x**k for k in range(max_part + m)] for x in xs]
     except OverflowError:
-        return per_call
+        return schur_itself
     prod = _product(xs)
     has_zero = any(x == 0 for x in xs)
 
@@ -286,14 +325,12 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int
         return 0.0 if has_zero else prod ** parts[0]
 
     if m == 1:
-        return value
+        return runs_of(value)
     # A weight (a, b) has the power columns x^(a+1) and x^b, and a weight
-    # (a, b, c) the columns x^(a+2), x^(b+1) and x^c.  The sums take their
-    # weights in runs of one (a, b), so holding that pair's minors alone
-    # pays for them once per run in constant memory.
+    # (a, b, c) the columns x^(a+2), x^(b+1) and x^c.
     columns = list(zip(*powers))
-    held: tuple[int, int] | None = None
-    minors = (0j, 0j, 0j)
+    last = len(columns) - 1
+    descending = columns[::-1]  # descending[last - c] is columns[c]
 
     # schur's central factor 1.0 stays below: it can change the sign of a zero
     def value2(parts: Sequence[int]) -> complex:
@@ -303,15 +340,51 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> Callable[[Sequence[int
         return 1.0 * (_last_column(columns[a + 1], columns[b]) / den)
 
     def value3(parts: Sequence[int]) -> complex:
-        nonlocal held, minors
         if parts[0] == parts[-1]:
             return value(parts)
         a, b, c = parts
-        if (a, b) != held:
-            held, minors = (a, b), _minors(columns[a + 2], columns[b + 1])
-        return 1.0 * (_last_column(minors, columns[c]) / den)
+        return 1.0 * (_last_column(_minors(columns[a + 2], columns[b + 1]), columns[c]) / den)
 
-    return value2 if m == 2 else value3
+    # A run varies one power column.  When its top is a whole weight that
+    # is the last column: at rank 2 the first column stays fixed, and at
+    # rank 3 the minors of the first two.  At rank 3 a top (a, b) gives the
+    # weights (a, c, 0), whose last column is x^0 and whose minors move
+    # with c.  The expressions are those of _minors and _last_column, and
+    # only the first weight of these runs can be constant.  The other
+    # padded runs, whose constant weight comes last, go weight by weight.
+    padded = runs_of(value2 if m == 2 else value3)
+
+    def run2(parts: tuple[int, ...]) -> list[complex]:
+        if len(parts) < 2:
+            return padded(parts)
+        a, b = parts
+        p, q = columns[a + 1]
+        values = [1.0 * ((p * d - y * q) / den) for y, d in descending[last - b:]]
+        if a == b:
+            values[0] = value(parts)
+        return values
+
+    def run3(parts: tuple[int, ...]) -> list[complex]:
+        if len(parts) == 3:
+            a, b, c = parts
+            m0, m1, m2 = _minors(columns[a + 2], columns[b + 1])
+            values = [
+                1.0 * ((c0 * m0 - c1 * m1 + c2 * m2) / den) for c0, c1, c2 in descending[last - c:]
+            ]
+            if a == c:
+                values[0] = value(parts)
+            return values
+        if len(parts) == 2:
+            a, b = parts
+            c0, c1, c2 = columns[0]
+            moving = map(_minors, repeat(columns[a + 2]), descending[last - b - 1:last])
+            values = [1.0 * ((c0 * m0 - c1 * m1 + c2 * m2) / den) for m0, m1, m2 in moving]
+            if a == 0:  # the one weight (0, 0, 0)
+                values[0] = value(parts)
+            return values
+        return padded(parts)
+
+    return run2 if m == 2 else run3
 
 
 def _modular_coefficients(m: int) -> range:
@@ -376,16 +449,18 @@ def _check_in_disk(xs: Iterable[complex]) -> tuple[complex, ...]:
 def macdonald_sum(xs: Sequence[complex], depth: int) -> complex:
     """Truncated sum of s_lambda(xs) over all partitions with lambda_1 <= depth.
 
-    The values come from one _schur_table per call, so they are schur's
-    bit for bit, added in the order of weakly_decreasing_tuples.
+    The values come from one _schur_table per call, run by run, so they
+    are schur's bit for bit, added in the order of
+    weakly_decreasing_tuples.
     """
     xs = _check_in_disk(xs)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    value = _schur_table(xs, depth)
+    run = _schur_table(xs, depth)
     total: complex = 0.0
-    for lam in weakly_decreasing_tuples(len(xs), 0, depth):
-        total += value(lam)
+    for top in _run_tops(len(xs), depth):
+        for value in run(top):
+            total += value
     return total
 
 

@@ -10,7 +10,7 @@ A torus sum evaluates one parameter set at thousands of weights, and
 periods._torus_sum passes only weights on the support: a weakly
 decreasing head of nonnegative parts followed by zeros.  So
 _essential_on_torus gives it the per-sum factors of essential_value with
-no support test: the unramified-part rank, the Schur table of the
+no support test: the unramified-part rank, the Schur runs of the
 unramified part and the determinant-size powers by total exponent.  The
 half modular weights, shared by every factor of a sum, are the sum's own
 table in periods.
@@ -18,10 +18,10 @@ table in periods.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .reps import GenericRep, SatakeSet
-from .symfunc import _Memo, _schur_table, delta_weight, is_weakly_decreasing, schur
+from .symfunc import _Memo, _Run, _schur_table, delta_weight, is_weakly_decreasing, schur
 
 
 def spherical_value(params: Sequence[complex], exponents: Sequence[int], q_e: int) -> complex:
@@ -57,17 +57,16 @@ def essential_value(rep: GenericRep, exponents: Sequence[int], q_e: int) -> comp
     return spherical_value(sigma_u.params, head, q_e) * float(q_e) ** (-(m - r) * sum(head) / 2)
 
 
-def _essential_on_torus(
-    rep: GenericRep, q_e: int, max_part: int
-) -> tuple[int, Callable[[Sequence[int]], complex], _Memo]:
+def _essential_on_torus(rep: GenericRep, q_e: int, max_part: int) -> tuple[int, _Run, _Memo]:
     """The factors of essential_value for one sum over exponents with parts
-    up to max_part: the unramified-part rank r, the Schur table of the
+    up to max_part: the unramified-part rank r, the Schur runs of the
     unramified part, and the determinant-size power by total exponent t,
     float(q_e) ** (-(m - r) * t / 2).  On its support, a weakly decreasing
     head of r nonnegative parts followed by zeros, the value is
     float(_modular_weight(e, q_e, half=True)) * schur_u(head) * size[|head|],
-    e the modular exponent of the head.  The unramified part is computed
-    once here, not once per tuple."""
+    e the modular exponent of the head, and schur_run(top) gives schur_u
+    on the heads of the run of top.  The unramified part is computed once
+    here, not once per tuple."""
     m = rep.rank
     sigma_u = _unramified_part(rep, q_e)
     r = len(sigma_u)

@@ -86,8 +86,8 @@ class TestVerify:
 
         real = periods._torus_sum
 
-        def scaled(rank, head, depth, q, integrand):
-            return real(rank, head, depth, q, lambda f: 1.05 * integrand(f))
+        def scaled(rank, head, depth, q, run):
+            return real(rank, head, depth, q, lambda top: [1.05 * v for v in run(top)])
 
         monkeypatch.setattr(periods, "_torus_sum", scaled)
         code, out, _ = run(capsys, "verify", "theta", "--qf", "3")

@@ -138,6 +138,10 @@ class TestMatchRank1:
             if side == 0 and x is not None:
                 assert matching_invariants(y) == matching_invariants(x)
 
+    def test_rejects_non_regular(self):
+        with pytest.raises(ValueError, match="not regular semisimple"):
+            match_rank1(rank_one_element(1, 1, 0, 1, U), 0, P)
+
     def test_general_rational_target(self):
         y = rank_one_element(1, -1, Fraction(2), Fraction(1, 2), U)  # v = 0
         side, x = match_rank1(y, 0, P)

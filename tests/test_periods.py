@@ -396,16 +396,17 @@ class TestSupportSummation:
     @pytest.mark.parametrize("depth", [1, 4])
     @pytest.mark.parametrize("head", [0, 2, 3])
     def test_torus_sum_passes_exactly_the_support(self, head, depth):
-        """_torus_sum hands its integrand each weakly decreasing head in
-        [0, depth], padded with zeros to the rank, once and in descending
+        """_torus_sum's runs, flattened, cover each weakly decreasing head
+        in [0, depth], padded with zeros to the rank, once and in descending
         lexicographic order: C(depth + head, head) tuples, the support that
         the integrands rely on."""
         rank = 3
         seen = []
 
-        def spy(f):
-            seen.append(f)
-            return 1.0
+        def spy(top):
+            heads = symfunc._run_weights(top, rank)
+            seen.extend(heads)
+            return [1.0] * len(heads)
 
         periods._torus_sum(rank, head, depth, 9, spy)
         want = [
@@ -417,9 +418,9 @@ class TestSupportSummation:
         assert len(seen) == math.comb(depth + head, head)
 
     def test_ramified_lambda_evaluates_only_the_head(self, monkeypatch):
-        """A ramified lambda sum evaluates sigma_n's Schur table once per
-        support tuple, C(d + r, r) times, builds one Schur table per
-        parameter set, sigma_n's in periods and the unramified part's in
+        """A ramified lambda sum takes C(d + r, r) values from the runs of
+        sigma_n's Schur table, one per support tuple, builds one Schur table
+        per parameter set, sigma_n's in periods and the unramified part's in
         whittaker, and three weight tables: the inverse modular weights,
         the half weights shared by both factors and the size powers."""
         built, calls, memos = [], [0], [0]
@@ -429,11 +430,12 @@ class TestSupportSummation:
 
             def build(params, max_part):
                 built.append(tuple(params))
-                schur = make(params, max_part)
+                run = make(params, max_part)
 
-                def counted(parts):
-                    calls[0] += module is periods
-                    return schur(parts)
+                def counted(top):
+                    values = run(top)
+                    calls[0] += len(values) if module is periods else 0
+                    return values
 
                 return counted
 
@@ -463,20 +465,51 @@ class TestSupportSummation:
                     assert set(built) == {tuple(sigma_u.params), tuple(sigma.params)}
                     assert memos[0] == 3
 
+    @pytest.mark.parametrize("depth", [1, 4, 9])
+    def test_head_three_lambda_takes_minors_once_per_run(self, depth, monkeypatch):
+        """A head-3 lambda sum (n = r = 3) has two rank-3 Schur tables,
+        sigma_n's and the unramified part's.  Each takes the minors of its
+        first two columns once per (a, b) run, C(d + 2, 2) times, and takes
+        no value weight by weight: _last_column, which the table calls for
+        each weight of a run it does not evaluate whole, is never called."""
+        minors = []
+        real = symfunc._minors
+
+        def counted(col0, col1):
+            minors.append(1)
+            return real(col0, col1)
+
+        def per_weight(minors, col):
+            raise AssertionError("a run took a value weight by weight")
+
+        monkeypatch.setattr(symfunc, "_minors", counted)
+        monkeypatch.setattr(symfunc, "_last_column", per_weight)
+        rng = random.Random(113)
+        sigma = satake(unit_circle(rng, 3), 25)
+        lambda_truncated(sigma, random_ramified_rep(rng, 4, 3, 1), depth)
+        assert len(minors) == 2 * math.comb(depth + 2, 2)
+
 
 def integrand_of(monkeypatch, period, *args):
-    """The torus rank, support head, weight residue size and integrand that
-    a truncated period hands to _torus_sum."""
+    """The torus rank, support head and weight residue size that a
+    truncated period hands to _torus_sum, and its integrand as a function
+    of one support tuple, taken from the runs it hands over."""
     seen = {}
 
-    def capture(rank, head, depth, q, integrand):
-        seen.update(rank=rank, head=head, q=q, integrand=integrand)
+    def capture(rank, head, depth, q, run):
+        seen.update(rank=rank, head=head, q=q, run=run)
         return TruncResult(0j, 0.0)
 
     with monkeypatch.context() as m:
         m.setattr(periods, "_torus_sum", capture)
         period(*args)
-    return seen["rank"], seen["head"], seen["q"], seen["integrand"]
+    rank, head, run = seen["rank"], seen["head"], seen["run"]
+    values = {}
+    for top in symfunc._run_tops(head, args[-1]):
+        heads, run_values = symfunc._run_weights(top, head), run(top)
+        assert len(run_values) == len(heads), top
+        values.update(zip((lam + (0,) * (rank - head) for lam in heads), run_values))
+    return rank, head, seen["q"], values.__getitem__
 
 
 def assert_same_terms(monkeypatch, period, *args, head=None):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from helpers import (
     bits,
-    outcome,
     per_call_macdonald_sum,
     recursive_weakly_decreasing,
     ssyt_schur,
@@ -21,6 +20,8 @@ from localperiods.symfunc import (
     DivergenceError,
     _det,
     _modulus,
+    _run_tops,
+    _run_weights,
     _schur_table,
     delta_weight,
     macdonald_closed,
@@ -279,32 +280,54 @@ TABLE_ARGS = [
 ]
 
 
-def table_weights(m: int, max_part: int):
-    """The weights of a table's contract, m weakly decreasing parts in
-    [0, max_part], and the constant weights up to max_part + 2, which are
-    powers of the product and read no power column."""
-    yield from weakly_decreasing_tuples(m, 0, max_part)
-    for a in range(max(max_part + 1, 0), max_part + 3):
-        yield (a,) * m
+def table_tops(m: int, max_part: int):
+    """Every top of a table's contract at length m: weakly decreasing
+    heads of every length from 0 to m, so runs with every number of
+    padding zeros, and with a last part at or below the one before it.  A
+    top whose parts are all equal starts its run at a constant weight, a
+    power of the product that reads no power column."""
+    for head in range(m + 1):
+        yield from weakly_decreasing_tuples(head, 0, max_part)
+
+
+def run_outcome(run, top):
+    """bits() of each value of run(top), or the type of the exception it
+    raises."""
+    try:
+        return [bits(value) for value in run(top)]
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+def schur_outcome(top, xs):
+    """run_outcome of schur itself on the weights of the run of top."""
+    return run_outcome(lambda t: [schur(w, xs) for w in _run_weights(t, len(xs))], top)
 
 
 class TestSchurTable:
+    """A table's run of a top equals schur on the run's weights bit for
+    bit, on every top at every pad: the constant weights, a zero argument,
+    coincident arguments and ranks 0 and 4, where the table is schur,
+    included."""
+
     @pytest.mark.parametrize("xs", TABLE_ARGS)
-    @pytest.mark.parametrize("max_part", [-1, 0, 3])
+    @pytest.mark.parametrize("max_part", [-1, 0, 1, 3])
     def test_bit_identical_to_schur(self, xs, max_part):
-        value = _schur_table(xs, max_part)
-        for lam in table_weights(len(xs), max_part):
-            assert outcome(value, lam) == outcome(schur, lam, xs), lam
+        run = _schur_table(xs, max_part)
+        for top in table_tops(len(xs), max_part):
+            assert run_outcome(run, top) == schur_outcome(top, xs), top
 
     @given(
-        st.lists(st.complex_numbers(max_magnitude=3.0), min_size=1, max_size=4),
-        st.integers(0, 5),
+        st.lists(
+            st.one_of(st.just(0j), st.complex_numbers(max_magnitude=3.0)), min_size=1, max_size=4
+        ),
+        st.integers(0, 8),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     def test_bit_identical_on_random_arguments(self, xs, max_part):
-        value = _schur_table(xs, max_part)
-        for lam in table_weights(len(xs), max_part):
-            assert outcome(value, lam) == outcome(schur, lam, xs), lam
+        run = _schur_table(xs, max_part)
+        for top in table_tops(len(xs), max_part):
+            assert run_outcome(run, top) == schur_outcome(top, xs), top
 
     @given(
         st.lists(
@@ -315,21 +338,28 @@ class TestSchurTable:
     )
     @settings(max_examples=120, deadline=None)
     def test_bit_identical_in_any_call_order(self, xs, max_part, data):
-        # the rank-3 table keeps its minors from one call for the next
-        box = data.draw(st.permutations(list(weakly_decreasing_tuples(3, 0, max_part))))
-        value = _schur_table(xs, max_part)
-        for lam in box:
-            assert outcome(value, lam) == outcome(schur, lam, xs), lam
+        # a run holds nothing over from one call to the next
+        tops = data.draw(st.permutations(list(table_tops(3, max_part))))
+        run = _schur_table(xs, max_part)
+        for top in tops:
+            assert run_outcome(run, top) == schur_outcome(top, xs), top
 
     def test_overflowing_powers_go_to_schur(self):
         xs = (1e200, 2e200)
-        value = _schur_table(xs, 3)
-        for lam in weakly_decreasing_tuples(2, 0, 3):
-            assert outcome(value, lam) == outcome(schur, lam, xs), lam
+        run = _schur_table(xs, 3)
+        for top in table_tops(2, 3):
+            assert run_outcome(run, top) == schur_outcome(top, xs), top
 
     def test_nearly_coincident_arguments_take_jacobi_trudi(self):
         xs = (0.5, 0.5 + COINCIDENCE_SPREAD / 2)
-        assert bits(_schur_table(xs, 4)((3, 1))) == bits(schur_jacobi_trudi((3, 1), xs))
+        assert bits(_schur_table(xs, 4)((3, 1))[0]) == bits(schur_jacobi_trudi((3, 1), xs))
+
+    def test_run_weights(self):
+        assert _run_weights((), 2) == [(0, 0)]
+        assert _run_weights((), 0) == [()]
+        assert _run_weights((3, 1), 3) == [(3, 1, 0), (3, 0, 0)]
+        assert _run_weights((2,), 1) == [(2,), (1,), (0,)]
+        assert _run_weights((2, 2, 1), 3) == [(2, 2, 1), (2, 2, 0)]
 
 
 #: distinct arguments at ranks 2 and 3, each with the depth its box of
@@ -346,8 +376,8 @@ DIRECT_ARGS = [
 
 class TestDirectSchurRoute:
     """At 2 and 3 distinct arguments the table evaluates _det's cofactor
-    forms itself, without _det, and keeps the minors of the current first
-    two parts."""
+    forms itself, without _det, and takes the minors of the first two
+    parts once per run."""
 
     @pytest.mark.parametrize("xs, depth", DIRECT_ARGS)
     def test_values_without_det(self, xs, depth, monkeypatch):
@@ -359,13 +389,13 @@ class TestDirectSchurRoute:
             raise AssertionError("_det is off the direct route")
 
         monkeypatch.setattr(symfunc, "_det", no_det)
-        value = _schur_table(xs, depth)
-        assert [bits(value(lam)) for lam in box] == want
+        run = _schur_table(xs, depth)
+        assert [bits(v) for top in _run_tops(len(xs), depth) for v in run(top)] == want
         assert bits(macdonald_sum(xs, depth)) == want_sum
 
     @pytest.mark.parametrize("xs, depth", DIRECT_ARGS)
     def test_minors_once_per_first_two_parts(self, xs, depth, monkeypatch):
-        # the rank-2 table holds nothing and takes no minors
+        # the rank-2 table takes no minors
         calls = []
         real = symfunc._minors
 
@@ -374,22 +404,21 @@ class TestDirectSchurRoute:
             return real(col0, col1)
 
         monkeypatch.setattr(symfunc, "_minors", counted)
-        value = _schur_table(xs, depth)
-        box = list(weakly_decreasing_tuples(len(xs), 0, depth))
-        for lam in box:
-            value(lam)
-        pairs = {lam[:2] for lam in box if lam[0] != lam[-1]}
+        run = _schur_table(xs, depth)
+        for top in _run_tops(len(xs), depth):
+            run(top)
+        pairs = {lam[:2] for lam in weakly_decreasing_tuples(len(xs), 0, depth)}
         assert len(calls) == (len(pairs) if len(xs) == 3 else 0)
 
     @pytest.mark.parametrize("xs, depth", DIRECT_ARGS)
     def test_bits_do_not_depend_on_call_order(self, xs, depth):
-        box = list(weakly_decreasing_tuples(len(xs), 0, depth))
-        want = {lam: bits(schur(lam, xs)) for lam in box}
-        shuffled = box[:]
+        tops = list(_run_tops(len(xs), depth))
+        want = {top: schur_outcome(top, xs) for top in tops}
+        shuffled = tops[:]
         random.Random(17).shuffle(shuffled)
-        for order in (box, box[::-1], shuffled):
-            value = _schur_table(xs, depth)
-            assert [bits(value(lam)) for lam in order] == [want[lam] for lam in order]
+        for order in (tops, tops[::-1], shuffled):
+            run = _schur_table(xs, depth)
+            assert [run_outcome(run, top) for top in order] == [want[top] for top in order]
 
 
 class TestDeltaWeight:

@@ -9,7 +9,13 @@ from helpers import bits, outcome, ssyt_schur
 from localperiods.draws import random_ramified_rep, unit_circle
 from localperiods.periods import _half_weights
 from localperiods.reps import GenericRep, RamCusp, Segment, UnramChar
-from localperiods.symfunc import _schur_table, is_weakly_decreasing, weakly_decreasing_tuples
+from localperiods.symfunc import (
+    _run_tops,
+    _run_weights,
+    _schur_table,
+    is_weakly_decreasing,
+    weakly_decreasing_tuples,
+)
 from localperiods.whittaker import _essential_on_torus, essential_value, spherical_value
 
 
@@ -50,9 +56,18 @@ def modular_exponent(f):
     return sum(x * (2 * i - m - 1) for i, x in enumerate(f, start=1))
 
 
+def run_values(run, head, max_part):
+    """The values of the runs of every top of `head` parts in [0, max_part],
+    by weight, in the order the runs give them."""
+    values = {}
+    for top in _run_tops(head, max_part):
+        values.update(zip(_run_weights(top, head), run(top)))
+    return values
+
+
 class TestTorusEvaluators:
     """The per-sum factors that the torus sums compose, the half-weight
-    table of periods and the Schur tables, against the reference
+    table of periods and the Schur runs, against the reference
     evaluators."""
 
     @pytest.mark.parametrize("q_e", [9, 25, 3])
@@ -64,9 +79,11 @@ class TestTorusEvaluators:
         for m in range(5):
             for params in (unit_circle(rng, m), (0.0,) * m, (0.5,) * m):
                 for max_part in (0, 3):
-                    half, schur = _half_weights(q_e), _schur_table(params, max_part)
+                    half, run = _half_weights(q_e), _schur_table(params, max_part)
+                    schur = run_values(run, m, max_part)
+                    assert list(schur) == list(weakly_decreasing_tuples(m, 0, max_part))
                     for f in weakly_decreasing_tuples(m, 0, max_part):
-                        got = outcome(lambda: half[modular_exponent(f)] * schur(f))
+                        got = outcome(lambda: half[modular_exponent(f)] * schur[f])
                         assert got == outcome(spherical_value, params, f, q_e), f
 
     def test_essential_on_torus_matches_its_spherical_formula(self):
@@ -75,9 +92,10 @@ class TestTorusEvaluators:
             for r in range(m):
                 rep = random_ramified_rep(rng, m, r, cond=1)
                 sigma_u = rep.unramified_part(9)
-                got_r, schur, size = _essential_on_torus(rep, 9, 4)
+                got_r, schur_run, size = _essential_on_torus(rep, 9, 4)
                 half = _half_weights(9)
                 assert got_r == r
+                schur = run_values(schur_run, r, 4)
                 # the parts of a head on the support stay in the table's [0, 4]
                 for f in itertools.product(range(-1, 5), repeat=m - 1):
                     head, tail = f[:r], f[r:]
@@ -86,7 +104,7 @@ class TestTorusEvaluators:
                     else:
                         want = spherical_value(sigma_u.params, head, 9)
                         want *= 9.0 ** (-(m - r) * sum(head) / 2)
-                        got = half[modular_exponent(head)] * schur(head) * size[sum(head)]
+                        got = half[modular_exponent(head)] * schur[head] * size[sum(head)]
                         assert bits(got) == bits(want), f
                     assert outcome(essential_value, rep, f, 9) == outcome(lambda: want), f
 
