@@ -279,12 +279,14 @@ def check_lambda(sigma_n: SatakeSet, rep: GenericRep, depth: int) -> Verificatio
 
 
 def ratio_spread(ratios: list[complex]) -> float:
-    """Max pairwise deviation of a family of ratios, relative to their mean
-    magnitude; used for parameter-independence checks."""
+    """Max deviation of a family of ratios from their mean, relative to the
+    mean's magnitude; used for parameter-independence checks.  It is
+    purely relative: a zero mean has no scale, and its spread is inf, which
+    fails every tolerance."""
     if not ratios:
-        return 0.0
+        raise ValueError("ratio_spread needs at least one ratio")
     mean = sum(ratios) / len(ratios)
     scale = abs(mean)
     if scale == 0:
-        return max(abs(r) for r in ratios)
+        return float("inf")
     return max(abs(r - mean) for r in ratios) / scale

@@ -287,9 +287,11 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> _Run:
     and 3 the runs evaluate the cofactor forms of _det on the columns of
     that power table, so every value is bit-identical to schur's
     bialternant.  A constant weight is a power of the product and reads no
-    column.  Nearly coincident arguments, a vanishing Vandermonde,
-    overflowing powers and ranks 0 and 4 and up make the table schur
-    itself, weight by weight.
+    column.  Nearly coincident arguments, overflowing powers and ranks 0
+    and 4 and up make the table schur itself, weight by weight.  The
+    Vandermonde cannot vanish past _coincident: each of its at most 3
+    factors has modulus at least COINCIDENCE_SPREAD = 1e-12, so |den| >=
+    1e-36, and a NaN argument makes it NaN, not 0.
     """
     xs = tuple(xs)
     m = len(xs)
@@ -310,8 +312,6 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> _Run:
         if _coincident(xs):
             return schur_itself
         den = _vandermonde(xs)
-        if den == 0:
-            return schur_itself
         powers = [[x**k for k in range(max_part + m)] for x in xs]
     except OverflowError:
         return schur_itself
@@ -332,31 +332,20 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> _Run:
     last = len(columns) - 1
     descending = columns[::-1]  # descending[last - c] is columns[c]
 
-    # schur's central factor 1.0 stays below: it can change the sign of a zero
-    def value2(parts: Sequence[int]) -> complex:
-        if parts[0] == parts[-1]:
-            return value(parts)
-        a, b = parts
-        return 1.0 * (_last_column(columns[a + 1], columns[b]) / den)
-
-    def value3(parts: Sequence[int]) -> complex:
-        if parts[0] == parts[-1]:
-            return value(parts)
-        a, b, c = parts
-        return 1.0 * (_last_column(_minors(columns[a + 2], columns[b + 1]), columns[c]) / den)
-
-    # A run varies one power column.  When its top is a whole weight that
-    # is the last column: at rank 2 the first column stays fixed, and at
-    # rank 3 the minors of the first two.  At rank 3 a top (a, b) gives the
-    # weights (a, c, 0), whose last column is x^0 and whose minors move
-    # with c.  The expressions are those of _minors and _last_column, and
-    # only the first weight of these runs can be constant.  The other
-    # padded runs, whose constant weight comes last, go weight by weight.
-    padded = runs_of(value2 if m == 2 else value3)
-
+    # A run varies one power column, and schur's central factor 1.0 stays
+    # below: it can change the sign of a zero.  When its top is a whole
+    # weight that is the last column: at rank 2 the first column stays
+    # fixed, and at rank 3 the minors of the first two.  At rank 3 a top
+    # (a, b) gives the weights (a, c, 0), whose last column is x^0 and whose
+    # minors move with c.  A top (a,) gives (c, 0) or (c, 0, 0) for c = a,
+    # ..., 1, whose first column moves, and then the zero weight, whose
+    # value is the 1.0 that schur returns; so do () and, at rank 3, (0, 0).
+    # The expressions are those of _minors and _last_column.
     def run2(parts: tuple[int, ...]) -> list[complex]:
         if len(parts) < 2:
-            return padded(parts)
+            y, d = columns[0]
+            firsts = descending[last - sum(parts) - 1:last - 1]
+            return [1.0 * ((p * d - y * q) / den) for p, q in firsts] + [1.0]
         a, b = parts
         p, q = columns[a + 1]
         values = [1.0 * ((p * d - y * q) / den) for y, d in descending[last - b:]]
@@ -374,15 +363,15 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> _Run:
             if a == c:
                 values[0] = value(parts)
             return values
-        if len(parts) == 2:
+        c0, c1, c2 = columns[0]
+        if len(parts) == 2 and parts[0]:
             a, b = parts
-            c0, c1, c2 = columns[0]
             moving = map(_minors, repeat(columns[a + 2]), descending[last - b - 1:last])
-            values = [1.0 * ((c0 * m0 - c1 * m1 + c2 * m2) / den) for m0, m1, m2 in moving]
-            if a == 0:  # the one weight (0, 0, 0)
-                values[0] = value(parts)
-            return values
-        return padded(parts)
+            zero = []
+        else:
+            moving = map(_minors, descending[last - sum(parts) - 2:last - 2], repeat(columns[1]))
+            zero = [1.0]
+        return [1.0 * ((c0 * m0 - c1 * m1 + c2 * m2) / den) for m0, m1, m2 in moving] + zero
 
     return run2 if m == 2 else run3
 

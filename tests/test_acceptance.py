@@ -8,7 +8,7 @@ import random
 
 from helpers import satake
 from localperiods.assembly import PairData, i_assembled, i_closed, j_main, j_via_bridge
-from localperiods.cli import (
+from localperiods.suites import (
     RunConfig,
     run_asai_cancel,
     run_c1,

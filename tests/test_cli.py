@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from helpers import beta_spherical_literature
-from localperiods import cli, report
+from localperiods import cli, report, suites
 from localperiods.assembly import PairData, j_via_bridge
 from localperiods.cli import main, parse_complex_list
 from localperiods.lfactors import pair_dual_lfactor
@@ -73,7 +73,7 @@ class TestVerify:
         assert code == 0 and "0 fail" in out
 
     def test_c1_suite_fails_on_unequal_halves(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "c1", lambda n, c, q: (Fraction(1), Fraction(2)))
+        monkeypatch.setattr(suites, "c1", lambda n, c, q: (Fraction(1), Fraction(2)))
         code, out, _ = run(capsys, "verify", "c1")
         assert code == 1
         assert "[FAIL] c1-identity" in out and "rel_err=1.000e+00" in out
@@ -345,11 +345,25 @@ def test_options_the_suite_ignores_exit_2(name, capsys, tmp_path):
 def test_every_suite_lists_its_options():
     """Every option that a command reads is a row of the option table, every
     row is read by some command, and every row is a RunConfig field."""
-    assert set(cli._SUITE_OPTIONS) == set(cli.SUITES)
+    assert set(suites._SUITE_OPTIONS) == set(suites.SUITES)
     commands = ("verify", "compute", "volumes")
     read = set().union(*(reads for cmd in commands for reads in cli._reads(cmd).values()))
     assert read == set(cli._OPTIONS)
-    assert read <= {f.name for f in dataclasses.fields(cli.RunConfig)}
+    assert read <= {f.name for f in dataclasses.fields(suites.RunConfig)}
+
+
+def test_suites_are_defined_once_in_the_suites_module():
+    """Every suite is defined in localperiods.suites, cli defines none, and
+    each name that cli keeps for bench/ is the suites module's own object."""
+    runs = [fn for name, fn in vars(suites).items() if name.startswith("run_")]
+    for fn in [*suites.SUITES.values(), *runs]:
+        assert fn.__module__ == "localperiods.suites", fn
+    assert not [name for name, fn in vars(cli).items()
+                if name.startswith("run_") and fn.__module__ == "localperiods.cli"]
+    pins = ("SUITES", "RunConfig", "run_lambda", "run_macdonald", "macdonald_sum",
+            "macdonald_closed")
+    for name in pins:
+        assert getattr(cli, name) is getattr(suites, name), name
 
 
 #: compute parses every target's options, but a target that ignores one
@@ -477,8 +491,8 @@ def test_config_values_convert_as_flags(name, capsys, tmp_path):
 ])
 def test_options_a_suite_reads_are_accepted(argv, want, capsys, monkeypatch):
     seen = []
-    for name in cli.SUITES:
-        monkeypatch.setitem(cli.SUITES, name, lambda cfg, rng: seen.append(cfg) or [])
+    for name in suites.SUITES:
+        monkeypatch.setitem(suites.SUITES, name, lambda cfg, rng: seen.append(cfg) or [])
     code, _, err = run(capsys, "verify", *argv)
     assert (code, err) == (0, "")
     assert seen and all(getattr(cfg, k) == v for cfg in seen for k, v in want.items())
@@ -661,9 +675,8 @@ def test_run_theta_sums_each_draw_once(monkeypatch):
         return real(sigma, depth)
 
     monkeypatch.setattr(periods, "theta_truncated", counted)
-    monkeypatch.setattr(cli, "theta_truncated", counted, raising=False)
-    cfg = cli.RunConfig(q_f=3, depth=5)
-    reports = cli.run_theta(cfg, random.Random(7))
+    cfg = suites.RunConfig(q_f=3, depth=5)
+    reports = suites.run_theta(cfg, random.Random(7))
     assert calls[0] == 16
     assert len(reports) == 20
 
@@ -680,7 +693,7 @@ def test_readme_command_lines_are_accepted():
     assert len(lines) >= 5
     for line in lines:
         args = cli.build_parser().parse_args(shlex.split(line)[1:])
-        cli.make_config(args).validate()
+        cli.make_config(args)
 
 
 def test_readme_option_tables_match_what_each_choice_reads():

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from localperiods import cli
+from localperiods import cli, suites
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -51,7 +51,7 @@ def test_report_matches_golden_bytes(name, tmp_path, capsys):
 
 
 def test_every_suite_has_a_golden():
-    assert set(cli.SUITES) <= {args[0] for args in REPORTS.values()}
+    assert set(suites.SUITES) <= {args[0] for args in REPORTS.values()}
 
 
 def rewrite(names: list[str]) -> int:

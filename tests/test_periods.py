@@ -285,9 +285,13 @@ class TestTails:
                     call(depth)
 
     def test_ratio_spread_basics(self):
-        assert ratio_spread([]) == 0.0
+        with pytest.raises(ValueError):
+            ratio_spread([])
         assert ratio_spread([1.0, 1.0]) == 0.0
         assert ratio_spread([1.0, 2.0]) > 0.3
+        # purely relative: a zero mean has no scale, so no tolerance passes
+        assert ratio_spread([1.0, -1.0]) == math.inf
+        assert ratio_spread([0.0, 0.0]) == math.inf
 
 
 def full_box_torus_sum(rank, depth, q, integrand):

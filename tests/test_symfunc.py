@@ -354,6 +354,19 @@ class TestSchurTable:
         xs = (0.5, 0.5 + COINCIDENCE_SPREAD / 2)
         assert bits(_schur_table(xs, 4)((3, 1))[0]) == bits(schur_jacobi_trudi((3, 1), xs))
 
+    @pytest.mark.parametrize("xs", [(0.3 + 0.4j, -0.5), (0.3 + 0.4j, -0.5, 0.7j), (0j, 0.5, -0.5j)])
+    def test_every_run_reads_the_power_columns(self, xs, monkeypatch):
+        """At 2 and 3 distinct arguments no run, padded or whole, takes a
+        value weight by weight through schur's determinant."""
+
+        def per_weight(minors, col):
+            raise AssertionError("a run took a value weight by weight")
+
+        monkeypatch.setattr(symfunc, "_last_column", per_weight)
+        run = _schur_table(xs, 4)
+        for top in table_tops(len(xs), 4):
+            assert len(run(top)) == len(_run_weights(top, len(xs)))
+
     def test_run_weights(self):
         assert _run_weights((), 2) == [(0, 0)]
         assert _run_weights((), 0) == [()]
