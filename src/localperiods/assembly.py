@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .lfactors import _square_base_root, asai_lfactor, pair_dual_lfactor, rs_lfactor
 from .numerics import ensure_finite
-from .periods import beta_closed, beta_truncated, lambda_closed, lambda_truncated
+from .periods import beta_truncated, lambda_truncated
 from .reps import GenericRep, SatakeSet
 from .volumes import c1, constant_c_main, l_eta, vol_gl, vol_gl_formula, vol_kprime_c
 
@@ -92,28 +92,24 @@ def i_closed(d: PairData) -> complex:
     return ensure_finite(float(vols) * _l_quotient_pre_cancellation(d))
 
 
-def i_assembled(d: PairData, depth: int | None = None) -> complex:
+def i_assembled(d: PairData, depth: int) -> complex:
     """Component-wise assembly: congruence volume times the squared
     normalization constants times the pairing integral times the conjugated
     base-field periods.
 
     Only the squared moduli of the normalization constants enter (their
-    phases cancel between the pairing and the periods).  With a truncation
-    depth the pairing integral and the ramified-side period are computed
-    as truncated sums; the spherical-side period always uses its closed
-    form, whose normalization constant is part of the same convention.
+    phases cancel between the pairing and the periods).  The pairing
+    integral and the ramified-side period are truncated sums to depth; the
+    spherical-side period uses its closed form, whose normalization
+    constant is part of the same convention.
     """
     sigma_u = d.sigma_u()
     vol_kprime = vol_gl(d.n, d.q_e) * vol_kprime_c(d.n, d.c, d.q_e)
     # |c_n|^-2 and |c_{n+1}|^-2 from the norm-one normalization
     cn_sq_inv = float(vol_gl_formula(d.n - 1, d.q_e)) * pair_dual_lfactor(d.sigma_n).value(1)
     cn1_sq_inv = float(vol_gl(d.n, d.q_e)) * pair_dual_lfactor(sigma_u).value(1)
-    if depth is not None:
-        lam = lambda_truncated(d.sigma_n, d.rep, depth).value
-        beta_big = beta_truncated(d.rep, d.q_f, depth).value
-    else:
-        lam = lambda_closed(d.sigma_n, d.rep)
-        beta_big = beta_closed(d.rep, d.q_f)
+    lam = lambda_truncated(d.sigma_n, d.rep, depth).value
+    beta_big = beta_truncated(d.rep, d.q_f, depth).value
     eps_n = -1 if (d.n - 1) % 2 else 1
     beta_small = float(vol_gl_formula(d.n - 1, d.q_f)) * asai_lfactor(d.sigma_n, eps_n).value(1)
     value = (

@@ -46,13 +46,18 @@ class UsageError(ValueError):
     pass
 
 
+def _tokens(text: str) -> list[str]:
+    """The comma-separated tokens of text, stripped; an empty one is an error."""
+    tokens = [token.strip() for token in text.split(",")]
+    if "" in tokens:
+        raise UsageError(f"empty value in {text!r}")
+    return tokens
+
+
 def parse_complex_list(text: str) -> list[complex]:
     """Comma-separated complex values; accepts 'i' for the imaginary unit."""
     out = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    for token in _tokens(text):
         try:
             out.append(complex(token.replace("i", "j")))
         except ValueError as exc:
@@ -62,7 +67,7 @@ def parse_complex_list(text: str) -> list[complex]:
 
 def exponent_list(text: str) -> list[int]:
     """A comma-separated list of integers, such as the --lambda exponents."""
-    return [int(t) for t in text.split(",") if t.strip()]
+    return [int(token) for token in _tokens(text)]
 
 
 def load_config_file(path: str) -> dict[str, str]:

@@ -358,18 +358,17 @@ def cayley_inv(g: EMat, xi: QuadExt) -> EMat:
     return (g - one * xi) @ (g + one * xi).inv()
 
 
-def norm_one_units(u: int):
+def norm_one_units(u: int) -> list[QuadExt]:
     """The norm-one elements z/conj(z) and conj(z)/z for z = a + b sqrt(u)
     with 1 <= a, b <= 3, 1 first; the Cayley parameters xi that the
-    cayley-lattice-stability checks draw from."""
+    cayley-lattice-stability checks draw from.  u is a non-square, so no
+    such z has norm a^2 - u b^2 = 0."""
     seen = set()
     out = [QuadExt.of(1, u)]
     seen.add((Fraction(1), Fraction(0)))
     for a in range(1, 4):
         for b in range(1, 4):
             z = QuadExt(Fraction(a), Fraction(b), u)
-            if z.norm() == 0:
-                continue
             for cand in (z / z.conj(), z.conj() / z):
                 key = (cand.a, cand.b)
                 if key not in seen:

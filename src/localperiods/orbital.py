@@ -91,11 +91,12 @@ def orb_u2(x: EMat, c: int, p: int) -> int:
 
 
 def _norm_solution(target: Fraction, u: int) -> QuadExt | None:
-    """Search for z with z1^2 - u z2^2 = target in the exact rational model.
+    """A z with z1^2 - u z2^2 = target in the exact rational model, on one of
+    the two pure axes z2 = 0 and z1 = 0, or None.
 
-    Tries the two pure axes, then a small bounded search.  May fail even
-    when a p-adic solution exists; callers treat absence as 'representative
-    not available exactly'.
+    None can come where a p-adic solution exists; callers treat it as
+    'representative not available exactly'.  The targets of the
+    fl_check_rank1 grid are -u times a square, which the second axis solves.
     """
     s = fraction_sqrt(target)
     if s is not None:
@@ -103,13 +104,6 @@ def _norm_solution(target: Fraction, u: int) -> QuadExt | None:
     s = fraction_sqrt(target / Fraction(-u))
     if s is not None:
         return QuadExt(Fraction(0), s, u)
-    for den in (1, 2, 3):
-        for num in range(-8 * den, 8 * den + 1):
-            z1 = Fraction(num, den)
-            rem = (z1 * z1 - target) / u
-            s = fraction_sqrt(rem)
-            if s is not None:
-                return QuadExt(z1, s, u)
     return None
 
 

@@ -15,7 +15,8 @@ its docstring; at nearly coincident arguments, and at 4 or more
 arguments, it hands every weight to schur itself.  schur's
 determinants go through _det: at 2 and 3 rows a cofactor expansion along
 the last column, with the 2x2 minors of the first two columns at 3 rows,
-and a pivoted elimination loop at every other size.  The table evaluates
+and at 1 and at 4 or more rows a pivoted elimination loop, which raises
+OverflowError where a pivot leaves the float range.  The table evaluates
 the same cofactor expressions on its power columns, a run at a time: it
 takes a run of weights that differ in one part only, given by its top
 (_run_weights, _run_tops), and returns their values in one list.  The
@@ -28,8 +29,6 @@ modular exponent, which the torus sums tabulate in a _Memo.
 
 from __future__ import annotations
 
-import cmath
-import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, repeat
 from operator import ge, mul
@@ -47,17 +46,6 @@ class DivergenceError(ValueError):
 
 def is_weakly_decreasing(parts: Sequence[int]) -> bool:
     return all(map(ge, parts, parts[1:]))
-
-
-def _modulus(z: complex) -> float:
-    """abs(z), or inf where the modulus of a finite z lies above the float
-    range and abs() raises OverflowError.  CPython's abs() of a complex
-    with a NaN part also raises when the abs() before it overflowed; its
-    modulus is NaN, as abs() returns at other times."""
-    try:
-        return abs(z)
-    except OverflowError:
-        return math.inf if cmath.isfinite(z) else math.nan
 
 
 def _minors(col0: Sequence[complex], col1: Sequence[complex]) -> tuple[complex, complex, complex]:
@@ -83,29 +71,23 @@ def _last_column(minors: Sequence[complex], col: Sequence[complex]) -> complex:
 
 
 def _det(rows: Sequence[Sequence[complex]]) -> complex:
-    """Determinant: the cofactor forms of _last_column at 2 and 3 rows,
-    Gaussian elimination with partial pivoting at every other size.
+    """Determinant of a matrix of 1 or more rows: the cofactor forms of
+    _last_column at 2 and 3 rows, Gaussian elimination with partial
+    pivoting at 1 and at 4 or more.
 
     _schur_table evaluates the same 2- and 3-row expressions, so the
-    table's values are schur's bit for bit.  In the loop, a pivot search whose
-    abs() overflows is redone with _modulus, which ranks such an entry as
-    infinite; only matrices on which abs() raises take that route.  A
-    finite pivot whose reciprocal comes out 0 takes its multipliers from
-    _scaled_quotient.
+    table's values are schur's bit for bit.  The loop keeps to the float
+    range: a pivot search whose abs() overflows raises OverflowError, and
+    so does a pivot whose reciprocal comes out 0.
     """
     m = len(rows)
-    if m == 0:
-        return 1.0
     if m in (2, 3):
         *firsts, last = zip(*rows)
         return _last_column(firsts[0] if m == 2 else _minors(*firsts), last)
     a = [list(row) for row in rows]
     det: complex = 1.0
     for col in range(m - 1):
-        try:
-            piv = max(range(col, m), key=lambda r: abs(a[r][col]))
-        except OverflowError:
-            piv = max(range(col, m), key=lambda r: _modulus(a[r][col]))
+        piv = max(range(col, m), key=lambda r: abs(a[r][col]))
         if a[piv][col] == 0:
             return 0.0
         if piv != col:
@@ -113,9 +95,10 @@ def _det(rows: Sequence[Sequence[complex]]) -> complex:
             det = -det
         det *= a[col][col]
         inv = 1.0 / a[col][col]
-        huge = inv == 0 and cmath.isfinite(a[col][col])
+        if inv == 0:
+            raise OverflowError("pivot reciprocal underflows to 0")
         for r in range(col + 1, m):
-            f = _scaled_quotient(a[r][col], a[col][col]) if huge else a[r][col] * inv
+            f = a[r][col] * inv
             if f == 0:
                 continue
             for c in range(col, m):
@@ -125,20 +108,6 @@ def _det(rows: Sequence[Sequence[complex]]) -> complex:
     if a[m - 1][m - 1] == 0:
         return 0.0
     return det * a[m - 1][m - 1]
-
-
-def _scaled_quotient(entry: complex, pivot: complex) -> complex:
-    """entry / pivot as _det's sweep takes it, entry * (1.0 / pivot), for a
-    finite pivot whose reciprocal comes out 0: CPython's complex division
-    overflows its scaled denominator near the float limit, so that
-    1.0 / (1.3e308 + 1.3e308j) gives -0j.  Both are first scaled by the
-    power of two that brings the larger part of the pivot into [0.5, 1)."""
-    k = -math.frexp(max(abs(pivot.real), abs(pivot.imag)))[1]
-
-    def scaled(z: complex) -> complex:
-        return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
-
-    return scaled(entry) * (1.0 / scaled(pivot))
 
 
 def complete_homogeneous(max_degree: int, xs: Sequence[complex]) -> list[complex]:
@@ -288,7 +257,9 @@ def _schur_table(xs: Sequence[complex], max_part: int) -> _Run:
     that power table, so every value is bit-identical to schur's
     bialternant.  A constant weight is a power of the product and reads no
     column.  Nearly coincident arguments, overflowing powers and ranks 0
-    and 4 and up make the table schur itself, weight by weight.  The
+    and 4 and up make the table schur itself, weight by weight; at 4 and
+    up schur's determinant is _det's elimination loop, which raises
+    OverflowError on a pivot outside the float range.  The
     Vandermonde cannot vanish past _coincident: each of its at most 3
     factors has modulus at least COINCIDENCE_SPREAD = 1e-12, so |den| >=
     1e-36, and a NaN argument makes it NaN, not 0.

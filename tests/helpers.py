@@ -9,6 +9,7 @@ import math
 import random
 import struct
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
@@ -245,12 +246,18 @@ def rand_kprime_element(rng: random.Random, n: int, c: int, p: int, u: int) -> E
 # reach
 
 
-def src_definitions() -> dict[tuple[str, int, str], str]:
+#: a statement line of a src function: the function's module:qualname and
+#: the line's stripped source text
+LineKey = tuple[str, str]
+
+
+def src_definitions() -> dict[tuple[str, int, str], tuple[str, ast.FunctionDef]]:
     """Every function definition of the localperiods package, methods and
     nested closures included, keyed as its code object is: by the resolved
     file, the first line (a decorator's, if it has any) and the name.  Each
-    is named module:qualname, with the enclosing functions and classes
-    joined by dots, such as periods:lambda_truncated.newform_pairing."""
+    maps to its name and its ast node.  The name is module:qualname, with
+    the enclosing functions and classes joined by dots, such as
+    periods:lambda_truncated.newform_pairing."""
     defs = {}
 
     def walk(node: ast.AST, path: str, prefix: str) -> None:
@@ -258,7 +265,7 @@ def src_definitions() -> dict[tuple[str, int, str], str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 line = min([child.lineno] + [d.lineno for d in child.decorator_list])
                 name = prefix + child.name
-                defs[(path, line, child.name)] = name
+                defs[(path, line, child.name)] = name, child
                 walk(child, path, name + ".")
             elif isinstance(child, ast.ClassDef):
                 walk(child, path, prefix + child.name + ".")
@@ -270,21 +277,77 @@ def src_definitions() -> dict[tuple[str, int, str], str]:
     return defs
 
 
-def called_definitions(run: Callable[[], object]) -> set[str]:
-    """The src_definitions names of the functions that run() calls, at any
-    depth, recorded by a sys.setprofile probe."""
-    codes = set()
+def statement_lines(fn: ast.FunctionDef) -> set[int]:
+    """The first line of each statement in fn's body, nested blocks
+    included; left out are the docstring, the bodies of nested definitions
+    (their own code objects) and the lines on which a raise statement
+    starts."""
+    lines, raises = set(), set()
 
-    def probe(frame, event, arg):
-        if event == "call":
-            codes.add(frame.f_code)
+    def visit(stmts: list[ast.stmt]) -> None:
+        for stmt in stmts:
+            (raises if isinstance(stmt, ast.Raise) else lines).add(stmt.lineno)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            for child in ast.iter_child_nodes(stmt):
+                if isinstance(child, ast.stmt):
+                    visit([child])
+                elif isinstance(child, (ast.excepthandler, ast.match_case)):
+                    visit(child.body)
 
-    previous = sys.getprofile()
-    sys.setprofile(probe)
+    visit(fn.body[1:] if ast.get_docstring(fn, clean=False) is not None else fn.body)
+    return lines - raises
+
+
+def unreached_lines(run: Callable[[], object]) -> tuple[set[LineKey], set[LineKey]]:
+    """The LineKeys of every statement_lines line of the src functions, and
+    of those that run() never executes, recorded by a sys.settrace probe.
+
+    The probe traces the lines of a code object only until each of its
+    statement lines has run once, so a loop costs one line event per line
+    at most until its function is covered.  A key names a line by its text,
+    so two lines of one function with the same text share it: the key is
+    unreached if either is."""
+    targets = {key: (name, statement_lines(node))
+               for key, (name, node) in src_definitions().items()}
+    resolved: dict[str, str] = {}
+    pending: dict[types.CodeType, set[int]] = {}  # the lines not yet run; empty: untraced
+
+    def on_call(frame, event, arg):
+        code = frame.f_code
+        lines = pending.get(code)
+        if lines is None:
+            path = resolved.setdefault(code.co_filename, str(Path(code.co_filename).resolve()))
+            target = targets.get((path, code.co_firstlineno, code.co_name))
+            lines = pending[code] = set(target[1]) if target else set()
+        if not lines:
+            return None
+
+        def on_line(frame, event, arg):
+            if event == "line":
+                lines.discard(frame.f_lineno)
+                if not lines:
+                    frame.f_trace = None
+                    return None
+            return on_line
+
+        return on_line
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
     try:
         run()
     finally:
-        sys.setprofile(previous)
-    resolved = {name: str(Path(name).resolve()) for name in {c.co_filename for c in codes}}
-    keys = {(resolved[c.co_filename], c.co_firstlineno, c.co_name) for c in codes}
-    return {name for key, name in src_definitions().items() if key in keys}
+        sys.settrace(previous)
+    left = {(resolved[code.co_filename], code.co_firstlineno, code.co_name): lines
+            for code, lines in pending.items()}
+    defined, unreached = set(), set()
+    for key, (name, lines) in targets.items():
+        source = Path(key[0]).read_text().splitlines()
+        missed = left.get(key, lines)
+        for line in lines:
+            line_key = (name, source[line - 1].strip())
+            defined.add(line_key)
+            if line in missed:
+                unreached.add(line_key)
+    return defined, unreached

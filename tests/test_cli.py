@@ -11,12 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import beta_spherical_literature
+from helpers import beta_spherical_literature, ssyt_schur
 from localperiods import cli, report, suites
 from localperiods.assembly import PairData, j_via_bridge
 from localperiods.cli import main, parse_complex_list
 from localperiods.lfactors import pair_dual_lfactor
 from localperiods.reps import GenericRep, SatakeSet
+from localperiods.symfunc import delta_weight
 from localperiods.volumes import vol_gl
 
 
@@ -435,6 +436,40 @@ def test_whittaker_bad_lambda_exits_2(capsys):
     assert "argument --lambda: invalid exponent_list value: '1,x'" in err
 
 
+@pytest.mark.parametrize("flag, value, kind", [
+    ("--satake", "1,,2", "parse_complex_list"),
+    ("--satake", ",1", "parse_complex_list"),
+    ("--lambda", "1,,0", "exponent_list"),
+    ("--lambda", "1,0,", "exponent_list"),
+])
+def test_empty_token_in_a_flag_exits_2(flag, value, kind, capsys):
+    argv = ["compute", "whittaker", "--qf", "3", "--lambda", "1,0", "--satake", "1,1"]
+    argv[argv.index(flag) + 1] = value
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert f"argument {flag}: invalid {kind} value: {value!r}" in err
+
+
+@pytest.mark.parametrize("weight, satake", [
+    ((2, 1, 0, 0), (0.5, 0.3, -0.2, 0.7)),  # distinct: the bialternant
+    ((3, 1, 1, 0), (0.6 + 0.8j, 0.6 - 0.8j, -0.5, 0.9)),
+    ((2, 1, 1, 1), (1, 1, 1, 1)),  # coincident: a 4-row Jacobi-Trudi matrix
+    ((3, 2, 1, 1), (0.5, 0.5, 0.5, 2)),
+])
+def test_whittaker_at_rank_4_matches_the_tableau_oracle(weight, satake, capsys):
+    """compute whittaker at rank 4, where _det runs its elimination loop,
+    against the semistandard-tableau sum times the half modular weight."""
+    text = ",".join(str(x).strip("()").replace("j", "i") for x in satake)
+    code, out, err = run(capsys, "compute", "whittaker", "--qf", "3",
+                         "--lambda", ",".join(map(str, weight)), "--satake", text)
+    assert (code, err) == (0, "")
+    got = complex(out.split(" = ")[1].strip().replace("i", "j"))
+    want = float(delta_weight(weight, 9, half=True)) * ssyt_schur(weight, satake)
+    assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
+
+
 @pytest.mark.parametrize("suite", ["fl-rank1", "matrix-identities"])
 def test_bad_field_context_exits_2(suite, capsys):
     code, out, err = run(capsys, "verify", suite, "--u", "1")
@@ -621,6 +656,19 @@ BAD_INPUTS = {
     "i-closed-conductor-0": ({"rep.json": json.dumps(REP0)},
                              [*I_CLOSED, "--segments-file", "{tmp}/rep.json"],
                              "rep.json' has conductor 0"),
+    # an empty token in a list value is an error, not a value dropped
+    "config-satake-empty-token": ({"run.cfg": "satake = 1,,2\n"},
+                                  ["compute", "lfactor", "--asai", "+", "--config",
+                                   "{tmp}/run.cfg"],
+                                  "config key 'satake': empty value in '1,,2'"),
+    "config-satake2-trailing-comma": ({"run.cfg": "satake2 = 0.5,\n"},
+                                      ["compute", "lfactor", "--satake", "1", "--config",
+                                       "{tmp}/run.cfg"],
+                                      "config key 'satake2': empty value in '0.5,'"),
+    "config-lambda-empty-token": ({"run.cfg": "lambda = 1,,0\n"},
+                                  ["compute", "whittaker", "--satake", "1,1", "--config",
+                                   "{tmp}/run.cfg"],
+                                  "config key 'lambda': empty value in '1,,0'"),
 }
 
 

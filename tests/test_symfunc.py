@@ -19,7 +19,6 @@ from localperiods.symfunc import (
     COINCIDENCE_SPREAD,
     DivergenceError,
     _det,
-    _modulus,
     _run_tops,
     _run_weights,
     _schur_table,
@@ -213,12 +212,16 @@ class TestUnrolledDet:
             [[0.0, 0.0], [1.3e308 + 1.3e308j, 0.0]],
             [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.3e308 + 1.3e308j, 1.0]],
             [[1.0, 1.0, 1.0], [1.3e308 + 1.3e308j, 0.0, 1.0], [1.0, 0.0, 0.0]],
-            # the loop at rank 4: 1.0 / pivot underflows to 0, so the first
-            # sweep changes nothing and leaves column 1 zero below the pivot
+            # the loop at rank 4: abs() of the big entry overflows in the
+            # pivot search, which raises
             [[1.0, 0.0, 0.0, 0.0], [1.3e308 + 1.3e308j, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
         ],
     )
     def test_edge_cases(self, rows):
+        if len(rows) == 4:
+            with pytest.raises(OverflowError):
+                _det(rows)
+            return
         assert abs(_det(rows) - complex(*map(float, exact_det(rows)))) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -237,7 +240,8 @@ class TestUnrolledDet:
         if len(rows) < 4:
             assert _det(rows) == 1  # no division at 2 and 3 rows
         else:
-            assert abs(_det(rows) - 1) <= 1e-12
+            with pytest.raises(OverflowError):  # the loop's pivot search
+                _det(rows)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_overflowing_pivot_candidate(self, m):
@@ -247,17 +251,31 @@ class TestUnrolledDet:
         rows = [[1.0 if r == c else 0.0 for c in range(m)] for r in range(m)]
         rows[1][:2] = [big, 0.0]
         rows[0][1] = 0.0
+        if m == 4:
+            with pytest.raises(OverflowError):
+                _det(rows)
+            return
         assert _det(rows) == 0  # a zero column
         rows[0][1] = 1.0
         assert _det(rows) == -big
 
-    def test_modulus(self):
-        big = 1.3e308 + 1.3e308j
-        assert _modulus(big) == math.inf
-        assert _modulus(3 + 4j) == 5.0
-        # CPython's abs() of a NaN complex raises after an overflowing abs()
-        assert _modulus(big) == math.inf
-        assert math.isnan(_modulus(complex(math.nan, 1.0)))
+    def test_pivot_whose_reciprocal_is_zero(self):
+        # abs() of this pivot is finite, but 1.0 / pivot underflows to 0
+        pivot = 1e308 + 1e308j
+        rows = [[pivot, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                [0.0, 0.0, 0.0, 1.0]]
+        assert abs(pivot) < math.inf and 1.0 / pivot == 0
+        with pytest.raises(OverflowError, match="reciprocal"):
+            _det(rows)
+
+    @pytest.mark.parametrize("m", [1, 4, 5])
+    def test_loop_against_exact(self, m):
+        # the loop runs at 1 and at 4 or more rows
+        rng = random.Random(m)
+        rows = [[complex(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(m)]
+                for _ in range(m)]
+        want = complex(*map(float, exact_det(rows)))
+        assert abs(_det(rows) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 #: arguments for _schur_table: generic, with a zero, constant (coincident
