@@ -42,32 +42,34 @@ from .volumes import (
 from .whittaker import essential_value, spherical_value
 
 
-class UsageError(ValueError):
-    pass
+class UsageError(ValueError, argparse.ArgumentTypeError):
+    """Input the program cannot use; as an ArgumentTypeError, a flag's
+    converter that raises it has argparse print its message."""
 
 
-def _tokens(text: str) -> list[str]:
-    """The comma-separated tokens of text, stripped; an empty one is an error."""
+def _values(text: str, convert: Callable[[str], object], kind: str) -> list:
+    """The comma-separated tokens of text, stripped and converted; an empty
+    token, or one that convert rejects, is an error that names it."""
     tokens = [token.strip() for token in text.split(",")]
     if "" in tokens:
         raise UsageError(f"empty value in {text!r}")
-    return tokens
+    out = []
+    for token in tokens:
+        try:
+            out.append(convert(token))
+        except ValueError as exc:
+            raise UsageError(f"cannot parse {kind} value {token!r}") from exc
+    return out
 
 
 def parse_complex_list(text: str) -> list[complex]:
     """Comma-separated complex values; accepts 'i' for the imaginary unit."""
-    out = []
-    for token in _tokens(text):
-        try:
-            out.append(complex(token.replace("i", "j")))
-        except ValueError as exc:
-            raise UsageError(f"cannot parse complex value {token!r}") from exc
-    return out
+    return _values(text, lambda token: complex(token.replace("i", "j")), "complex")
 
 
 def exponent_list(text: str) -> list[int]:
     """A comma-separated list of integers, such as the --lambda exponents."""
-    return [int(token) for token in _tokens(text)]
+    return _values(text, int, "integer")
 
 
 def load_config_file(path: str) -> dict[str, str]:

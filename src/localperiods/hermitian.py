@@ -340,29 +340,26 @@ def in_k_tilde_lie(x: EMat, c: int, p: int, j: EMat) -> bool:
 # Cayley maps
 
 
-def cayley(x: EMat, xi: QuadExt) -> EMat:
-    """xi (1 + x)(1 - x)^(-1); requires det(1 - x) != 0 and a norm-one xi.
-    A singular 1 - x raises ZeroDivisionError from the inversion."""
-    if QuadExt.of(xi, x.u).norm() != 1:
-        raise ValueError("xi must have norm 1")
+def cayley(x: EMat) -> EMat:
+    """(1 + x)(1 - x)^(-1); a singular 1 - x raises ZeroDivisionError from
+    the inversion."""
     one = EMat.identity(x.nrows, x.u)
-    return ((one + x) @ (one - x).inv()) * xi
+    return (one + x) @ (one - x).inv()
 
 
-def cayley_inv(g: EMat, xi: QuadExt) -> EMat:
-    """(g - xi)(g + xi)^(-1), inverse to `cayley` where both are defined.
-    A singular g + xi raises ZeroDivisionError from the inversion."""
-    if QuadExt.of(xi, g.u).norm() != 1:
-        raise ValueError("xi must have norm 1")
+def cayley_inv(g: EMat) -> EMat:
+    """(g - 1)(g + 1)^(-1), inverse to `cayley` where both are defined.  A
+    singular g + 1 raises ZeroDivisionError from the inversion.  For a
+    norm-one xi, the map (g - xi)(g + xi)^(-1) is cayley_inv(g conj(xi))."""
     one = EMat.identity(g.nrows, g.u)
-    return (g - one * xi) @ (g + one * xi).inv()
+    return (g - one) @ (g + one).inv()
 
 
 def norm_one_units(u: int) -> list[QuadExt]:
     """The norm-one elements z/conj(z) and conj(z)/z for z = a + b sqrt(u)
-    with 1 <= a, b <= 3, 1 first; the Cayley parameters xi that the
-    cayley-lattice-stability checks draw from.  u is a non-square, so no
-    such z has norm a^2 - u b^2 = 0."""
+    with 1 <= a, b <= 3, 1 first, for a non-square u: no such z has norm
+    a^2 - u b^2 = 0.  The cayley-lattice-stability checks draw a xi from
+    them and apply cayley_inv to g conj(xi)."""
     seen = set()
     out = [QuadExt.of(1, u)]
     seen.add((Fraction(1), Fraction(0)))

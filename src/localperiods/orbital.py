@@ -91,20 +91,17 @@ def orb_u2(x: EMat, c: int, p: int) -> int:
 
 
 def _norm_solution(target: Fraction, u: int) -> QuadExt | None:
-    """A z with z1^2 - u z2^2 = target in the exact rational model, on one of
-    the two pure axes z2 = 0 and z1 = 0, or None.
+    """A z with z1^2 - u z2^2 = target in the exact rational model, on the
+    pure axis z = s sqrt(u) with s^2 = target / (-u), or None.
 
     None can come where a p-adic solution exists; callers treat it as
     'representative not available exactly'.  The targets of the
-    fl_check_rank1 grid are -u times a square, which the second axis solves.
+    fl_check_rank1 grid are -u times squares, which this axis solves.
     """
-    s = fraction_sqrt(target)
-    if s is not None:
-        return QuadExt(s, Fraction(0), u)
     s = fraction_sqrt(target / Fraction(-u))
-    if s is not None:
-        return QuadExt(Fraction(0), s, u)
-    return None
+    if s is None:
+        return None
+    return QuadExt(Fraction(0), s, u)
 
 
 def match_rank1(y: EMat, c: int, p: int) -> tuple[int, EMat | None]:
@@ -180,7 +177,6 @@ def group_transport_check(p: int, c: int, u: int = -1, seed: int = 0) -> list[Ve
     validate_field_context(p, u)
     rng = random.Random(seed)
     j = herm_form_j(1, c, p, u)
-    one = QuadExt.of(1, u)
     root = QuadExt.sqrt_u(u)
     reports: list[VerificationReport] = []
     attempts = 0
@@ -200,7 +196,7 @@ def group_transport_check(p: int, c: int, u: int = -1, seed: int = 0) -> list[Ve
         )
         if qe_valuation((EMat.identity(2, u) - x).det(), p) != 0:
             continue
-        g = cayley(x, one)
+        g = cayley(x)
         in_lattice = in_k_tilde_lie(x, c, p, j)
         in_group = in_group_u(g, j) and in_bmk_tilde(g, c, p)
         reports.append(

@@ -14,7 +14,8 @@ where head is the unramified-part rank r for integrands with a
 newform-line (essential) factor and the full torus rank for purely
 spherical ones.  Off that support the integrands vanish identically by the
 torus-value support conditions, so a sum at depth d has exactly
-C(d + head, head) terms, and an integrand tests no support itself.
+C(d + head, head) terms, and an integrand tests no support itself.  No
+value is tested for zero either: a zero term adds 0.
 
 Each truncated period builds one run function, its integrand on a run of
 support tuples, from factors built once per sum: one table of half
@@ -74,11 +75,11 @@ def _torus_sum(rank: int, head: int, depth: int, q: int, run: _Run) -> TruncResu
     list of integrand values on the heads top[:-1] + (c,), c = top[-1],
     ..., 0 (at head 0, on the one zero tuple).  The integrand is evaluated
     on these tuples alone and tests no support itself.  The modular
-    exponent is taken once per run and stepped along it.  A zero integrand
-    value is skipped before weighting; 1/delta(f) >= 1 on that support, so
-    no nonzero value weights to zero.  The tail estimate is the outermost
-    shell's (f_1 = depth) total weighted magnitude amplified by a geometric
-    factor, scaled by the same volume.  The terms are added one by one in
+    exponent is taken once per run and stepped along it.  Every value is
+    weighted and added, none is tested for zero: a zero one adds 0 to the
+    total and to the shell.  The tail estimate is the outermost shell's
+    (f_1 = depth) total weighted magnitude amplified by a geometric factor,
+    scaled by the same volume.  The terms are added one by one in
     the order above, never by sum(), whose float compensation since
     Python 3.12 would change the bits."""
     if depth < 1:
@@ -91,8 +92,6 @@ def _torus_sum(rank: int, head: int, depth: int, q: int, run: _Run) -> TruncResu
         # f_1 along the run: at head 1 the part that falls, else fixed
         leads = count(depth, -1) if head == 1 else repeat(top[0] if top else 0)
         for w, e, lead in zip(run(top), _exponents(top, coefficients), leads):
-            if w == 0:
-                continue
             t = w * delta_inv[e]
             total += t
             if lead == depth:
@@ -211,7 +210,7 @@ def lambda_truncated(sigma_n: SatakeSet, rep: GenericRep, depth: int) -> TruncRe
     def newform_pairing(top: tuple[int, ...]) -> list[complex]:
         exponents, totals = _exponents(top, coefficients), count(sum(top), -1)
         return [
-            0.0 if (w1 := half[e] * s) == 0 else w1 * (half[e + (n - r) * t] * s_u * size[t])
+            half[e] * s * (half[e + (n - r) * t] * s_u * size[t])
             for s, s_u, e, t in zip(schur_run(top), schur_u_run(top), exponents, totals)
         ]
 

@@ -58,7 +58,6 @@ class RamCusp:
 
     dim: int
     cond: int
-    label: str = ""
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -131,10 +130,7 @@ class GenericRep:
                     {"type": "unram", "alpha": [seg.base.alpha.real, seg.base.alpha.imag], "k": seg.length}
                 )
             else:
-                entry = {"type": "ram", "dim": seg.base.dim, "cond": seg.base.cond, "k": seg.length}
-                if seg.base.label:
-                    entry["label"] = seg.base.label
-                segs.append(entry)
+                segs.append({"type": "ram", "dim": seg.base.dim, "cond": seg.base.cond, "k": seg.length})
         return {"segments": segs}
 
     @classmethod
@@ -147,9 +143,7 @@ class GenericRep:
                 re, im = entry["alpha"]
                 segments.append(Segment(UnramChar(complex(re, im)), k))
             elif kind == "ram":
-                segments.append(
-                    Segment(RamCusp(int(entry["dim"]), int(entry["cond"]), entry.get("label", "")), k)
-                )
+                segments.append(Segment(RamCusp(int(entry["dim"]), int(entry["cond"])), k))
             else:
                 raise ValueError(f"unknown segment type {kind!r}")
         return cls(tuple(segments))

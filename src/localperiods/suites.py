@@ -280,7 +280,7 @@ def run_matrix_identities(cfg: RunConfig, rng: random.Random) -> list[Verificati
     def cayley_unitarity_equivariance(n: int, c: int) -> bool | None:
         x = random_anti_hermitian(rng, n, c, p, u)
         try:
-            g = cayley(x, QuadExt.of(1, u))
+            g = cayley(x)
         except ZeroDivisionError:
             return None
         ok = in_group_u(g, herm_form_j(n, c, p, u))
@@ -290,7 +290,7 @@ def run_matrix_identities(cfg: RunConfig, rng: random.Random) -> list[Verificati
         except ZeroDivisionError:
             return ok
         # det(1 - h x h^-1) = det(1 - x) != 0, so this Cayley transform exists
-        return ok and cayley(h @ x @ h_inv, QuadExt.of(1, u)) == h @ g @ h_inv
+        return ok and cayley(h @ x @ h_inv) == h @ g @ h_inv
 
     hundred("cayley-unitarity-equivariance", 2, 0, cayley_unitarity_equivariance)
     xis = norm_one_units(u)
@@ -302,14 +302,16 @@ def run_matrix_identities(cfg: RunConfig, rng: random.Random) -> list[Verificati
             x = random_anti_hermitian(rng, n, c, p, u)
             if not x.is_integral(p) or qe_valuation((one - x).det(), p) != 0:
                 return None
-            factors.append(cayley(x, QuadExt.of(1, u)))
+            factors.append(cayley(x))
         g = factors[0] @ factors[1]
         if not in_bmk_tilde(g, c, p):
             return None
-        xi = rng.choice(xis)
-        if qe_valuation((g + one * xi).det(), p) != 0:
+        # (g - xi)(g + xi)^(-1) is cayley_inv(h) for h = g conj(xi), and
+        # det(h + 1) = conj(xi)^(n+1) det(g + xi) has the same valuation
+        h = g * rng.choice(xis).conj()
+        if qe_valuation((h + one).det(), p) != 0:
             return None
-        return in_bmk_tilde(cayley_inv(g, xi), c, p)
+        return in_bmk_tilde(cayley_inv(h), c, p)
 
     hundred("cayley-lattice-stability", 2, 0, cayley_lattice_stability)
     root = QuadExt.sqrt_u(u)

@@ -229,7 +229,7 @@ def rand_unitary(rng: random.Random, n: int, c: int, p: int, u: int) -> EMat:
         x = random_anti_hermitian(rng, n, c, p, u, span=2)
         if (EMat.identity(n + 1, u) - x).det().is_zero():
             continue
-        g = cayley(x, QuadExt.of(1, u))
+        g = cayley(x)
         assert in_group_u(g, j)
         return g
 

@@ -39,6 +39,10 @@ REPORTS = {
     # to integers over a common denominator
     "fl-rank1-seed11.json": ["fl-rank1", "--seed", "11"],
     "matrix-identities-seed11.json": ["matrix-identities", "--seed", "11"],
+    # the exact suites off p = 3, u = -1, written before the Cayley maps lost
+    # their norm-one parameter and rank-one matching its second norm axis
+    "fl-rank1-seed7-p5-u2.json": ["fl-rank1", "--seed", "7", "--p", "5", "--u", "2"],
+    "matrix-identities-seed7-p5-u2.json": ["matrix-identities", "--seed", "7", "--p", "5", "--u", "2"],
 }
 
 

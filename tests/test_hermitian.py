@@ -237,9 +237,24 @@ class TestMembership:
 
 
 class TestCayley:
-    def test_zero_maps_to_xi(self):
-        xi = norm_one_units(U)[1]
-        assert cayley(EMat.zeros(2, 2, U), xi) == EMat.identity(2, U) * xi
+    def test_zero_maps_to_one(self):
+        assert cayley(EMat.zeros(2, 2, U)) == EMat.identity(2, U)
+
+    @pytest.mark.parametrize("u", [-1, 2])
+    def test_inverse_at_a_norm_one_parameter(self, u):
+        """(g - xi)(g + xi)^(-1) is the inverse Cayley image of g conj(xi),
+        for every norm-one xi that cayley-lattice-stability draws from."""
+        rng = random.Random(9)
+        for xi in norm_one_units(u):
+            assert xi.norm() == 1
+            for _ in range(3):
+                n = rng.randint(1, 2)
+                g = random_integral_emat(rng, n + 1, u, span=3)
+                one = EMat.identity(n + 1, u)
+                if (g + one * xi).det().is_zero():
+                    continue
+                want = (g - one * xi) @ (g + one * xi).inv()
+                assert cayley_inv(g * xi.conj()) == want
 
     def test_lands_in_unitary_group(self):
         rng = random.Random(5)
@@ -249,7 +264,7 @@ class TestCayley:
             x = random_anti_hermitian(rng, n, c, P, U)
             if (EMat.identity(n + 1, U) - x).det().is_zero():
                 continue
-            g = cayley(x, qe(1))
+            g = cayley(x)
             assert in_group_u(g, herm_form_j(n, c, P, U))
 
     def test_inverse_round_trip(self):
@@ -259,8 +274,8 @@ class TestCayley:
             x = random_anti_hermitian(rng, n, 1, P, U)
             if (EMat.identity(n + 1, U) - x).det().is_zero():
                 continue
-            g = cayley(x, qe(1))
-            assert cayley_inv(g, qe(1)) == x
+            g = cayley(x)
+            assert cayley_inv(g) == x
 
     def test_equivariance(self):
         rng = random.Random(7)
@@ -272,7 +287,7 @@ class TestCayley:
             conj_x = h @ x @ h.inv()
             if (one - x).det().is_zero() or (one - conj_x).det().is_zero():
                 continue
-            assert cayley(conj_x, qe(1)) == h @ cayley(x, qe(1)) @ h.inv()
+            assert cayley(conj_x) == h @ cayley(x) @ h.inv()
 
     def test_lattice_stability_property(self):
         # congruence-group elements with unit cayley denominator stay in the
@@ -288,13 +303,14 @@ class TestCayley:
             den = (one - x).det()
             if den.is_zero() or qe_valuation(den, P) != 0:
                 continue
-            g = cayley(x, qe(1))
+            g = cayley(x)
             assert in_bmk_tilde(g, c, P)
-            xi = rng.choice(xis)
-            dd = (g + one * xi).det()
+            # (g - xi)(g + xi)^(-1) is the Cayley inverse of h = g conj(xi)
+            h = g * rng.choice(xis).conj()
+            dd = (h + one).det()
             if dd.is_zero() or qe_valuation(dd, P) != 0:
                 continue
-            assert in_bmk_tilde(cayley_inv(g, xi), c, P)
+            assert in_bmk_tilde(cayley_inv(h), c, P)
             done += 1
 
 
@@ -462,7 +478,7 @@ class TestMatching:
             y = h @ x @ h.inv()
             if (one - x).det().is_zero() or (one - y).det().is_zero():
                 continue
-            gx, gy = cayley(x, qe(1)), cayley(y, qe(1))
+            gx, gy = cayley(x), cayley(y)
             if not (is_regular_semisimple(gx) and is_regular_semisimple(gy)):
                 continue
             if not (is_regular_semisimple(x) and is_regular_semisimple(y)):

@@ -1,17 +1,23 @@
-"""Every name that a src/localperiods module imports is used in it.
+"""Every name that a src/localperiods module imports is used in it, and
+every parameter of a function defined there is read in its body.
 
-No linter is a dependency, so this is a stdlib `ast` check of the one rule
-it would enforce here (pyflakes' F401).  An import statement marked
-`# noqa: F401` on any of its lines is exempt, and only the imports in PINS
-may carry that mark: they keep a name in a namespace for a reader outside
-the module, such as a bench/ probe.  A new mark cannot hide an unused
-import.
+No linter is a dependency, so these are stdlib `ast` checks.  The first is
+pyflakes' F401: an import statement marked `# noqa: F401` on any of its
+lines is exempt, and only the imports in PINS may carry that mark: they
+keep a name in a namespace for a reader outside the module, such as a
+bench/ probe.  A new mark cannot hide an unused import.  The second finds
+a choice that no input makes, a parameter whose value nothing reads: it
+exempts a method's self or cls, a name that starts with `_`, and the cfg
+and rng that every function in suites.SUITES takes whether it reads them
+or not.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+from localperiods.suites import SUITES
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "localperiods"
 
@@ -70,3 +76,38 @@ def test_only_the_pins_are_marked():
         if (names := sorted(name for name, _, mark in imports(path.read_text()) if mark))
     }
     assert marked == PINS
+
+
+def unread_parameters(source: str) -> list[tuple[str, str]]:
+    """(function, parameter) for each parameter of a function defined in
+    source, methods and closures included, that its body never reads;
+    self, cls and names that start with `_` are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        read = {name.id for stmt in node.body for name in ast.walk(stmt)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        found += [(node.name, param.arg) for param in params
+                  if param and param.arg not in read | {"self", "cls"}
+                  and not param.arg.startswith("_")]
+    return found
+
+
+def test_unread_parameters_are_found():
+    source = ("class A:\n    def f(self, a, b, _c, *rest):\n        return a\n"
+              "def g(x, **kw):\n    def h(y):\n        return x\n    return h\n")
+    assert unread_parameters(source) == [("g", "kw"), ("f", "b"), ("f", "rest"), ("h", "y")]
+
+
+def test_src_functions_read_every_parameter():
+    suites = {(fn.__name__, param) for fn in SUITES.values() for param in ("cfg", "rng")}
+    found = {
+        path.name: unread
+        for path in sorted(SRC.glob("*.py"))
+        if (unread := [key for key in unread_parameters(path.read_text())
+                       if path.name != "suites.py" or key not in suites])
+    }
+    assert found == {}

@@ -26,8 +26,8 @@ PROBE = "a bench/tracer.py probe target; bench/tests assert that none is missing
 REPR = "debugging and test failure messages"
 REJECTED = ("the rejected-input record of asai_cancellation_check's input check; "
             "the asai-cancel suite draws only valid input")
-AXIS = ("no matched representative on either axis: the fl-rank1 grid's norm targets are "
-        "-u times squares, which the second axis solves")
+AXIS = ("no matched representative on the axis z = s sqrt(u): the fl-rank1 grid's norm "
+        "targets are -u times squares, which it solves")
 
 #: the statement lines that no command reaches, by (function, text), each
 #: with why it stays
@@ -69,12 +69,8 @@ UNREACHED = {
         "a draw with det(1 - x) = 0, which has no Cayley transform; seed 7 draws none",
     ("suites:run_matrix_identities.cayley_lattice_stability", "return None"):
         "a product of Cayley images outside the tilde lattice; seed 7 draws none",
-    ("periods:_torus_sum", "continue"): "a Schur value of exactly 0; no drawn parameters give one",
     ("periods:ratio_spread", 'return float("inf")'): "a family of ratios with mean 0",
     ("report:rel_error", "return 0.0"): "two sides that are both exactly 0",
-    ("reps:GenericRep.to_json", 'entry["label"] = seg.base.label'):
-        "only a segments file labels a segment, and no command writes a representation it "
-        "read; tests/test_reps.py round-trips a label",
     ("symfunc:_schur_table", "return schur_itself"):
         "nearly coincident or overflowing arguments in a torus sum or a Macdonald series",
     ("symfunc:schur", "if parts[0] > 0:"):

@@ -135,7 +135,8 @@ class TestMatchRank1:
             y = rank_one_element(rng.randint(-2, 2), rng.randint(-2, 2), P**v12, P**v21, U)
             side, x = match_rank1(y, c, P)
             assert side == (v12 + v21 - c) % 2
-            if side == 0 and x is not None:
+            if side == 0:
+                assert x is not None
                 assert matching_invariants(y) == matching_invariants(x)
 
     def test_rejects_non_regular(self):
@@ -145,9 +146,8 @@ class TestMatchRank1:
     def test_general_rational_target(self):
         y = rank_one_element(1, -1, Fraction(2), Fraction(1, 2), U)  # v = 0
         side, x = match_rank1(y, 0, P)
-        assert side == 0
-        if x is not None:
-            assert matching_invariants(y) == matching_invariants(x)
+        assert side == 0 and x is not None
+        assert matching_invariants(y) == matching_invariants(x)
 
 
 class TestFlRank1:
@@ -192,6 +192,6 @@ class TestFlRank1:
         den = (EMat.identity(2, U) - x).det()
         assert qe_valuation(den, P) == 0
         assert not in_k_tilde_lie(x, 0, P, j)
-        g = cayley(x, qe(1))
+        g = cayley(x)
         assert in_group_u(g, j)
         assert not in_bmk_tilde(g, 0, P)

@@ -421,6 +421,31 @@ class TestSupportSummation:
         assert seen == want
         assert len(seen) == math.comb(depth + head, head)
 
+    @pytest.mark.parametrize("head", [1, 2, 3])
+    def test_zero_values_change_no_bit(self, head):
+        """A run with exact zeros among its values, signed and complex ones
+        included, sums to the bits of a sum that skips them: the reference
+        summer weights only the nonzero values."""
+        rank, depth, q = 3, 4, 9
+        zeros = (0.0, -0.0, 0j, complex(-0.0, -0.0))
+
+        def value(f):
+            k = sum(v * 7**i for i, v in enumerate(f))
+            return zeros[k % 4] if k % 3 == 0 else complex(math.sin(k), math.cos(k))
+
+        support = {}
+
+        def run(top):
+            heads = symfunc._run_weights(top, rank)
+            support.update((f, value(f)) for f in heads)
+            return [value(f) for f in heads]
+
+        got = periods._torus_sum(rank, head, depth, q, run)
+        assert any(v == 0 for v in support.values())
+        want = full_box_torus_sum(rank, depth, q, lambda f: support.get(f, 0))
+        assert got.value == want.value
+        assert got.tail_estimate == want.tail_estimate
+
     def test_ramified_lambda_evaluates_only_the_head(self, monkeypatch):
         """A ramified lambda sum takes C(d + r, r) values from the runs of
         sigma_n's Schur table, one per support tuple, builds one Schur table

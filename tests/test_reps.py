@@ -139,9 +139,17 @@ class TestConjugateSelfdual:
 
 class TestJsonRoundTrip:
     def test_round_trip(self):
-        rep = GenericRep((unram(0.5 + 0.25j, k=2), ram(2, 3), Segment(RamCusp(1, 1, "x"), 2)))
+        rep = GenericRep((unram(0.5 + 0.25j, k=2), ram(2, 3), Segment(RamCusp(1, 1), 2)))
         blob = json.dumps(rep.to_json())
         assert GenericRep.from_json(json.loads(blob)) == rep
+
+    def test_a_label_is_ignored(self):
+        # segments files once carried a "label" on a ramified segment; it
+        # loads, and like any other unknown key it is not kept
+        data = {"segments": [{"type": "ram", "dim": 1, "cond": 2, "k": 1, "label": "x"}]}
+        rep = GenericRep.from_json(data)
+        assert rep == GenericRep((ram(1, 2),))
+        assert "label" not in rep.to_json()["segments"][0]
 
     def test_documented_shape(self):
         rep = GenericRep((unram(1.0), ram(1, 2)))
