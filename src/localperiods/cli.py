@@ -332,10 +332,14 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         if name not in reads:
             raise UsageError(f"config key {key!r} is not read by {reader}")
         kw = _OPTIONS[name][1]
+        convert = kw.get("type", str)
         try:
-            val = kw.get("type", str)(raw)
-        except ValueError as exc:
+            val = convert(raw)
+        except UsageError as exc:
             raise UsageError(f"config key {key!r}: {exc}") from exc
+        except ValueError as exc:  # worded as argparse words a bad flag value
+            raise UsageError(
+                f"config key {key!r}: invalid {convert.__name__} value: {raw!r}") from exc
         if "choices" in kw and val not in kw["choices"]:
             choices = ", ".join(map(repr, kw["choices"]))
             raise UsageError(f"config key {key!r}: invalid choice: {raw!r} (choose from {choices})")

@@ -215,6 +215,8 @@ class EMat:
         det = sign a_(n-1)(n-1) / prod d_i."""
         if not self.is_square():
             raise ValueError("determinant of a square matrix")
+        if self.nrows == 1:
+            return self.rows[0][0]
         u = self.u
         a, scale = [], 1
         for row in self.rows:
@@ -381,7 +383,9 @@ def norm_one_units(u: int) -> list[QuadExt]:
 def _krylov(a: EMat, v: EMat, k: int) -> EMat:
     """The matrix with columns v, a v, ..., a^(k-1) v for a column v.  A row
     stack w, w a, ... is its transpose _krylov(a^t, w^t, k), with the same
-    determinant."""
+    determinant.  At k = 1 that matrix is v."""
+    if k == 1:
+        return v
     cols = [v]
     for _ in range(k - 1):
         cols.append(a @ cols[-1])

@@ -8,31 +8,33 @@ values over partitions serves as the series side of the closed product
 identity checked by the verification suites.
 
 Torus sums and the Macdonald series evaluate many weights at the same
-distinct arguments, so _schur_table computes the powers, product and
-Vandermonde of the arguments once per sum and returns schur's
-bialternant values bit for bit on the weights of its contract, stated in
-its docstring; at nearly coincident arguments, and at 4 or more
-arguments, it hands every weight to schur itself.  schur's
-determinants go through _det: at 2 and 3 rows a cofactor expansion along
-the last column, with the 2x2 minors of the first two columns at 3 rows,
-and at 1 and at 4 or more rows a pivoted elimination loop, which raises
-OverflowError where a pivot leaves the float range.  The table evaluates
-the same cofactor expressions on its power columns, a run at a time: it
-takes a run of weights that differ in one part only, given by its top
-(_run_weights, _run_tops), and returns their values in one list.  The
-torus sums and macdonald_sum walk their weights in these runs.  Along a
-run of fixed leading parts (a, b) only the last column changes, so the
-rank-3 run takes the minors once and each weight pays the last column's
-three products.  _modular_weight is delta_weight as a function of the
-modular exponent, which the torus sums tabulate in a _Memo.
+distinct arguments, in one order: the support of a sum (_support), the
+weakly decreasing heads of a given number of parts padded with zeros, in
+descending lexicographic order, one block per first part.  Its integer
+modular exponents and sizes (_support_exponents) and the length of its
+first block (_shell_size) are kept next to it, so one module owns the
+order that the Schur values and the weight vectors of a sum share.
+_schur_support walks it, a block at a time (_schur_blocks): at 1 to 3
+distinct arguments it computes the powers, product and Vandermonde of
+the arguments once per sum and evaluates schur's determinant
+expressions on them inline, so its values are schur's bit for bit; at
+nearly coincident arguments, overflowing powers and 4 or more arguments
+it hands every weight to schur itself.  schur's determinants go through
+_det: at 2 and 3 rows a cofactor expansion along the last column
+(_last_column), with the 2x2 minors of the first two columns at 3 rows
+(_minors), and at 1 and at 4 or more rows a pivoted elimination loop,
+which raises OverflowError where a pivot leaves the float range.
+_modular_weight is delta_weight as a function of the modular exponent.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, repeat
-from operator import ge, mul
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import cache
+from itertools import chain, combinations_with_replacement
+from math import comb
+from operator import add, ge, mul
+from typing import Iterable, Iterator, Sequence
 
 from .numerics import RatLike, fraction_sqrt
 
@@ -75,8 +77,8 @@ def _det(rows: Sequence[Sequence[complex]]) -> complex:
     _last_column at 2 and 3 rows, Gaussian elimination with partial
     pivoting at 1 and at 4 or more.
 
-    _schur_table evaluates the same 2- and 3-row expressions, so the
-    table's values are schur's bit for bit.  The loop keeps to the float
+    _schur_blocks evaluates the same 2- and 3-row expressions, so its
+    values are schur's bit for bit.  The loop keeps to the float
     range: a pivot search whose abs() overflows raises OverflowError, and
     so does a pivot whose reciprocal comes out 0.
     """
@@ -213,157 +215,118 @@ def schur(parts: Sequence[int], xs: Sequence[complex]) -> complex:
     return central * schur_bialternant(lam, xs)
 
 
-def _run_weights(top: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
-    """The weights of the run of top at length m, in the order of the run.
-
-    A top is a weakly decreasing tuple of at most m parts, the head of the
-    run's first weight.  The run lowers its last part to 0 and pads with
-    zeros: top[:-1] + (c,) + (0,) * (m - len(top)) for c = top[-1], ...,
-    0.  The run of the empty top is the one zero weight."""
-    zeros = (0,) * (m - len(top))
-    if not top:
-        return [zeros]
-    prefix = top[:-1]
-    return [prefix + (c,) + zeros for c in range(top[-1], -1, -1)]
-
-
-def _run_tops(head: int, depth: int) -> Iterator[tuple[int, ...]]:
-    """The tops of the runs that cover the weakly decreasing heads of
-    `head` parts in [0, depth]: each prefix of head - 1 parts, in the
-    order of weakly_decreasing_tuples, followed by its largest last part,
-    the prefix's last part or depth.  Walked run by run, the heads come in
-    descending lexicographic order.  At head 0 the one top is empty."""
-    if head == 0:
-        return iter([()])
-    return (p + (p[-1] if p else depth,) for p in weakly_decreasing_tuples(head - 1, 0, depth))
+def _support(head: int, m: int, depth: int) -> Iterator[list[tuple[int, ...]]]:
+    """The support of a torus sum in sum order, one block per first part:
+    the weakly decreasing heads of `head` parts in [0, depth], padded with
+    zeros to m parts, in descending lexicographic order, so a block holds
+    the C(a + head - 1, head - 1) weights of first part a = depth, ..., 0.
+    At head 0 the one block is the zero weight."""
+    zeros = (0,) * (m - head)
+    if not head:
+        yield [zeros]
+        return
+    for a in range(depth, -1, -1):
+        yield [(a, *rest, *zeros) for rest in weakly_decreasing_tuples(head - 1, 0, a)]
 
 
-#: the values of a run, from its top
-_Run = Callable[[tuple[int, ...]], list[complex]]
+def _shell_size(head: int, depth: int) -> int:
+    """The number of weights with first part depth on the support of
+    `head` parts in [0, depth]: the first block of _support, and none at
+    head 0, whose one weight is zero."""
+    return comb(depth + head - 1, head - 1) if head else 0
 
 
-def _schur_table(xs: Sequence[complex], max_part: int) -> _Run:
-    """schur(parts, xs) as a function of a run of weights: the run of a
-    top is the list of values on _run_weights(top, len(xs)).
+@cache
+def _support_exponents(head: int, depth: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The modular exponent at rank `head` and the size |f| of each weight
+    of _support(head, head, depth), in its order.  The block of first part
+    a is a followed by each weight of head - 1 parts in [0, a]: the last
+    C(a + head - 1, head - 1) weights of head - 1 parts in [0, depth],
+    whose rank-(head - 1) coefficients are one less than their rank-head
+    ones.  The tuples are shared by every caller, so they are immutable."""
+    if not head:
+        return (0,), (0,)
+    exponents, sizes = _support_exponents(head - 1, depth)
+    tails = tuple(map(add, exponents, sizes))  # the rank-head exponent of (0, *tail)
+    out_e: list[int] = []
+    out_t: list[int] = []
+    for a in range(depth, -1, -1):
+        start = len(sizes) - comb(a + head - 1, head - 1)
+        out_e += map(((1 - head) * a).__add__, tails[start:])
+        out_t += map(a.__add__, sizes[start:])
+    return tuple(out_e), tuple(out_t)
 
-    The weight contract: every weight of a run has len(xs) weakly
-    decreasing parts in [0, max_part].  _torus_sum and macdonald_sum pass
-    no other runs, and the table checks none of this.
 
-    At 1 to 3 distinct arguments the powers x_i^k for k < max_part +
-    len(xs), the Vandermonde and the product of the arguments are computed
-    once here, with the operations schur performs per call.  At ranks 2
-    and 3 the runs evaluate the cofactor forms of _det on the columns of
-    that power table, so every value is bit-identical to schur's
-    bialternant.  A constant weight is a power of the product and reads no
-    column.  Nearly coincident arguments, overflowing powers and ranks 0
-    and 4 and up make the table schur itself, weight by weight; at 4 and
-    up schur's determinant is _det's elimination loop, which raises
-    OverflowError on a pivot outside the float range.  The
+def _schur_support(xs: Sequence[complex], head: int, depth: int) -> Iterator[complex]:
+    """schur(f, xs) for f along _support(head, len(xs), depth), in order,
+    computed a block at a time (_schur_blocks)."""
+    return chain.from_iterable(_schur_blocks(tuple(xs), head, depth))
+
+
+def _schur_blocks(xs: tuple[complex, ...], head: int, depth: int) -> Iterator[list[complex]]:
+    """The blocks of _schur_support: schur's values on each block of
+    _support, bit for bit.
+
+    At 1 to 3 distinct arguments and head 1 or more, the powers x_i^k for
+    k < depth + len(xs), the Vandermonde and the product of the arguments
+    are computed once here, with the operations schur performs per call,
+    and each value evaluates the cofactor forms of _det (_minors and
+    _last_column) on the columns of that power table inline, with schur's
+    central factor 1.0, which can change the sign of a zero.  At 3
+    arguments the minors of the first two columns are taken once per pair
+    of leading parts.  A constant weight is a power of the product and
+    reads no column.  Nearly coincident arguments, overflowing powers,
+    head 0 and ranks 0 and 4 and up take schur itself, weight by weight;
+    at 4 and up schur's determinant is _det's elimination loop, which
+    raises OverflowError on a pivot outside the float range.  The
     Vandermonde cannot vanish past _coincident: each of its at most 3
     factors has modulus at least COINCIDENCE_SPREAD = 1e-12, so |den| >=
     1e-36, and a NaN argument makes it NaN, not 0.
     """
-    xs = tuple(xs)
     m = len(xs)
-
-    def runs_of(value: Callable[[Sequence[int]], complex]) -> _Run:
-        def run(top: tuple[int, ...]) -> list[complex]:
-            return [value(parts) for parts in _run_weights(top, m)]
-
-        return run
-
-    def per_call(parts: Sequence[int]) -> complex:
-        return schur(parts, xs)
-
-    schur_itself = runs_of(per_call)
-    if not 1 <= m <= 3:
-        return schur_itself
     try:
-        if _coincident(xs):
-            return schur_itself
-        den = _vandermonde(xs)
-        powers = [[x**k for k in range(max_part + m)] for x in xs]
+        direct = head > 0 and m <= 3 and not _coincident(xs)
+        if direct:
+            den = _vandermonde(xs)
+            powers = [[x**k for k in range(depth + m)] for x in xs]
     except OverflowError:
-        return schur_itself
+        direct = False
+    if not direct:
+        for block in _support(head, m, depth):
+            yield [schur(f, xs) for f in block]
+        return
     prod = _product(xs)
     has_zero = any(x == 0 for x in xs)
-
-    def value(parts: Sequence[int]) -> complex:
-        """Constant weights."""
-        if parts[0] == 0:
-            return 1.0
-        return 0.0 if has_zero else prod ** parts[0]
-
-    if m == 1:
-        return runs_of(value)
     # A weight (a, b) has the power columns x^(a+1) and x^b, and a weight
-    # (a, b, c) the columns x^(a+2), x^(b+1) and x^c.
+    # (a, b, c) the columns x^(a+2), x^(b+1) and x^c.  The last part falls
+    # from the one before it to 0 when it is in the head, and is 0 otherwise.
     columns = list(zip(*powers))
-    last = len(columns) - 1
-    descending = columns[::-1]  # descending[last - c] is columns[c]
-
-    # A run varies one power column, and schur's central factor 1.0 stays
-    # below: it can change the sign of a zero.  When its top is a whole
-    # weight that is the last column: at rank 2 the first column stays
-    # fixed, and at rank 3 the minors of the first two.  At rank 3 a top
-    # (a, b) gives the weights (a, c, 0), whose last column is x^0 and whose
-    # minors move with c.  A top (a,) gives (c, 0) or (c, 0, 0) for c = a,
-    # ..., 1, whose first column moves, and then the zero weight, whose
-    # value is the 1.0 that schur returns; so do () and, at rank 3, (0, 0).
-    # The expressions are those of _minors and _last_column.
-    def run2(parts: tuple[int, ...]) -> list[complex]:
-        if len(parts) < 2:
-            y, d = columns[0]
-            firsts = descending[last - sum(parts) - 1:last - 1]
-            return [1.0 * ((p * d - y * q) / den) for p, q in firsts] + [1.0]
-        a, b = parts
-        p, q = columns[a + 1]
-        values = [1.0 * ((p * d - y * q) / den) for y, d in descending[last - b:]]
-        if a == b:
-            values[0] = value(parts)
-        return values
-
-    def run3(parts: tuple[int, ...]) -> list[complex]:
-        if len(parts) == 3:
-            a, b, c = parts
-            m0, m1, m2 = _minors(columns[a + 2], columns[b + 1])
-            values = [
-                1.0 * ((c0 * m0 - c1 * m1 + c2 * m2) / den) for c0, c1, c2 in descending[last - c:]
+    descending = columns[::-1]  # descending[-1 - c] is columns[c]
+    lasts = [descending[-1 - b:] if head == m else columns[:1] for b in range(depth + 1)]
+    for a in range(depth, -1, -1):
+        if m == 2:
+            p, q = columns[a + 1]
+            block = [1.0 * ((p * d - y * q) / den) for y, d in lasts[a]]
+        elif m == 3:
+            a0, a1, a2 = columns[a + 2]
+            block = [
+                1.0 * ((c0 * m0 - c1 * m1 + c2 * m2) / den)
+                for b in (range(a, -1, -1) if head > 1 else (0,))
+                for b0, b1, b2 in [columns[b + 1]]
+                for m0, m1, m2 in [(a1 * b2 - b1 * a2, a0 * b2 - b0 * a2, a0 * b1 - b0 * a1)]
+                for c0, c1, c2 in lasts[b]
             ]
-            if a == c:
-                values[0] = value(parts)
-            return values
-        c0, c1, c2 = columns[0]
-        if len(parts) == 2 and parts[0]:
-            a, b = parts
-            moving = map(_minors, repeat(columns[a + 2]), descending[last - b - 1:last])
-            zero = []
         else:
-            moving = map(_minors, descending[last - sum(parts) - 2:last - 2], repeat(columns[1]))
-            zero = [1.0]
-        return [1.0 * ((c0 * m0 - c1 * m1 + c2 * m2) / den) for m0, m1, m2 in moving] + zero
-
-    return run2 if m == 2 else run3
+            block = [1.0]
+        if a == 0 or head == m:  # the first weight is constant: (a, ..., a)
+            block[0] = 1.0 if a == 0 else 0.0 if has_zero else prod**a
+        yield block
 
 
 def _modular_coefficients(m: int) -> range:
     """The coefficients c_i = 2i - m - 1 (i = 1..m) with delta(diag(pi^f))
     = q^e for e = sum_i c_i f_i."""
     return range(1 - m, m, 2)
-
-
-class _Memo(dict[int, float]):
-    """A function of one integer, such as a modular weight of its
-    exponent, read by subscript and computed once per argument."""
-
-    def __init__(self, fn: Callable[[int], float]) -> None:
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key: int) -> float:
-        value = self[key] = self.fn(key)
-        return value
 
 
 def delta_weight(parts: Sequence[int], q: RatLike, half: bool = False) -> Fraction:
@@ -383,14 +346,12 @@ def _modular_weight(e: int, q: RatLike, half: bool = False) -> Fraction:
     q = Fraction(q)
     if q <= 1:
         raise ValueError("q must exceed 1")
-    if not half:
-        return q**e
-    if e % 2 == 0:
-        return q ** (e // 2)
-    root = fraction_sqrt(q)
-    if root is None:
-        raise ValueError(f"q^(1/2) not exact for q={q} with odd exponent {e}")
-    return root**e
+    if half and e % 2:
+        root = fraction_sqrt(q)
+        if root is None:
+            raise ValueError(f"q^(1/2) not exact for q={q} with odd exponent {e}")
+        return root**e
+    return q ** (e // 2 if half else e)
 
 
 def weakly_decreasing_tuples(length: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
@@ -409,18 +370,15 @@ def _check_in_disk(xs: Iterable[complex]) -> tuple[complex, ...]:
 def macdonald_sum(xs: Sequence[complex], depth: int) -> complex:
     """Truncated sum of s_lambda(xs) over all partitions with lambda_1 <= depth.
 
-    The values come from one _schur_table per call, run by run, so they
-    are schur's bit for bit, added in the order of
-    weakly_decreasing_tuples.
+    The values are schur's bit for bit (_schur_blocks), added one by one in
+    the order of weakly_decreasing_tuples.
     """
     xs = _check_in_disk(xs)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    run = _schur_table(xs, depth)
     total: complex = 0.0
-    for top in _run_tops(len(xs), depth):
-        for value in run(top):
-            total += value
+    for value in _schur_support(xs, len(xs), depth):
+        total += value
     return total
 
 

@@ -9,19 +9,19 @@ call.  Values off the stated support are exactly zero.
 A torus sum evaluates one parameter set at thousands of weights, and
 periods._torus_sum passes only weights on the support: a weakly
 decreasing head of nonnegative parts followed by zeros.  So
-_essential_on_torus gives it the per-sum factors of essential_value with
-no support test: the unramified-part rank, the Schur runs of the
-unramified part and the determinant-size powers by total exponent.  The
-half modular weights, shared by every factor of a sum, are the sum's own
-table in periods.
+_essential_on_torus gives it the factor of essential_value that depends
+on the representation, with no support test: the unramified-part rank
+and the Schur values of the unramified part along the support.  The half
+modular weights and the determinant-size powers depend only on the shape
+of the sum, and are weight vectors in periods.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .reps import GenericRep, SatakeSet
-from .symfunc import _Memo, _Run, _schur_table, delta_weight, is_weakly_decreasing, schur
+from .symfunc import _schur_support, delta_weight, is_weakly_decreasing, schur
 
 
 def spherical_value(params: Sequence[complex], exponents: Sequence[int], q_e: int) -> complex:
@@ -57,21 +57,14 @@ def essential_value(rep: GenericRep, exponents: Sequence[int], q_e: int) -> comp
     return spherical_value(sigma_u.params, head, q_e) * float(q_e) ** (-(m - r) * sum(head) / 2)
 
 
-def _essential_on_torus(rep: GenericRep, q_e: int, max_part: int) -> tuple[int, _Run, _Memo]:
-    """The factors of essential_value for one sum over exponents with parts
-    up to max_part: the unramified-part rank r, the Schur runs of the
-    unramified part, and the determinant-size power by total exponent t,
-    float(q_e) ** (-(m - r) * t / 2).  On its support, a weakly decreasing
-    head of r nonnegative parts followed by zeros, the value is
-    float(_modular_weight(e, q_e, half=True)) * schur_u(head) * size[|head|],
-    e the modular exponent of the head, and schur_run(top) gives schur_u
-    on the heads of the run of top.  The unramified part is computed once
-    here, not once per tuple."""
-    m = rep.rank
+def _essential_on_torus(rep: GenericRep, q_e: int, depth: int) -> tuple[int, Iterator[complex]]:
+    """The unramified-part rank r of a ramified representation and the
+    Schur values of its unramified part along the support of r parts in
+    [0, depth], in sum order (symfunc._support): the factor of
+    essential_value that depends on the representation beyond r.  The
+    unramified part is computed once here, not once per tuple."""
     sigma_u = _unramified_part(rep, q_e)
-    r = len(sigma_u)
-    size = _Memo(lambda t: float(q_e) ** (-(m - r) * t / 2))
-    return r, _schur_table(sigma_u.params, max_part), size
+    return len(sigma_u), _schur_support(sigma_u.params, len(sigma_u), depth)
 
 
 def _unramified_part(rep: GenericRep, q_e: int) -> SatakeSet:

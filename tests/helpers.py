@@ -307,7 +307,8 @@ def unreached_lines(run: Callable[[], object]) -> tuple[set[LineKey], set[LineKe
     statement lines has run once, so a loop costs one line event per line
     at most until its function is covered.  A key names a line by its text,
     so two lines of one function with the same text share it: the key is
-    unreached if either is."""
+    unreached if either is.  The package's functools caches are cleared
+    first, so what ran earlier in the process reaches nothing for run()."""
     targets = {key: (name, statement_lines(node))
                for key, (name, node) in src_definitions().items()}
     resolved: dict[str, str] = {}
@@ -333,6 +334,11 @@ def unreached_lines(run: Callable[[], object]) -> tuple[set[LineKey], set[LineKe
 
         return on_line
 
+    for name, module in list(sys.modules.items()):
+        if name.startswith(f"{localperiods.__name__}."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
     previous = sys.gettrace()
     sys.settrace(on_call)
     try:

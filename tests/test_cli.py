@@ -87,8 +87,8 @@ class TestVerify:
 
         real = periods._torus_sum
 
-        def scaled(rank, head, depth, q, run):
-            return real(rank, head, depth, q, lambda top: [1.05 * v for v in run(top)])
+        def scaled(rank, head, depth, q, values):
+            return real(rank, head, depth, q, (1.05 * v for v in values))
 
         monkeypatch.setattr(periods, "_torus_sum", scaled)
         code, out, _ = run(capsys, "verify", "theta", "--qf", "3")
@@ -493,7 +493,13 @@ def test_verify_volumes_reads_no_options(flag, capsys, tmp_path):
 #: or the usage error)
 CONFIG_VALUES = {
     "qf-not-int": (["volumes", "--n", "1", "--c", "1"], "qf = x\n",
-                   "config key 'qf': invalid literal for int() with base 10: 'x'"),
+                   "config key 'qf': invalid int value: 'x'"),
+    # a bad int or float is worded as argparse words the flag's, not as
+    # int() or float() word it
+    "qf-abc": (["volumes", "--n", "1", "--c", "1"], "qf = abc\n",
+               "config key 'qf': invalid int value: 'abc'"),
+    "s-not-float": (["compute", "lfactor", "--satake", "1", "--asai", "+"], "s = x\n",
+                    "config key 's': invalid float value: 'x'"),
     "asai-bad-choice": (["compute", "lfactor", "--satake", "1"], "asai = *\n",
                         "config key 'asai': invalid choice: '*' (choose from '+', '-')"),
     "satake-bad-token": (["compute", "lfactor", "--asai", "+"], "satake = xyz\n",

@@ -26,6 +26,13 @@ REPORTS = {
         f"{suite}-qf5-seed7-depth25.json": [suite, "--qf", "5", "--seed", "7", "--depth", "25"]
         for suite in ("lambda", "beta", "theta", "main-theorem")
     },
+    # a second draw and depth of the torus sums and of the Macdonald series,
+    # written before the sums walked their support as one ordered product
+    **{
+        f"{suite}-qf3-seed11-depth40.json": [suite, "--qf", "3", "--seed", "11", "--depth", "40"]
+        for suite in ("lambda", "beta", "theta")
+    },
+    "macdonald-seed11.json": ["macdonald", "--seed", "11"],
     # these five cover every suite that bench/run.py's series workload runs
     "macdonald-seed7.json": ["macdonald", "--seed", "7"],
     "main-theorem-qf3-seed7.json": ["main-theorem", "--qf", "3", "--seed", "7"],

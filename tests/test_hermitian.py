@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 from fractions import Fraction
@@ -15,6 +16,7 @@ from helpers import (
     rand_s_element,
     rand_unitary,
 )
+from localperiods import hermitian
 from localperiods.draws import random_anti_hermitian, random_integral_emat
 from localperiods.hermitian import (
     EMat,
@@ -374,6 +376,20 @@ class TestRegularSemisimple:
     def test_rank_one_criterion(self):
         x = emat([[qe(1), qe(2)], [qe(3), qe(4)]])
         assert is_regular_semisimple(x)
+
+    def test_two_by_two_takes_two_zero_tests(self, monkeypatch):
+        """At 2 x 2 the Krylov stacks are the off-diagonal entries and their
+        determinants the entries themselves: no product and no
+        elimination runs, and the criterion is that both are nonzero."""
+
+        def refuse(*_args):
+            raise AssertionError("a product or an elimination at 2 x 2")
+
+        monkeypatch.setattr(hermitian, "_bareiss", refuse)
+        monkeypatch.setattr(EMat, "__matmul__", refuse)
+        for b, z in itertools.product((qe(0), qe(2), qe(0, -1), qe(Fraction(1, 3), 1)), repeat=2):
+            x = emat([[qe(1), b], [z, qe(0, 2)]])
+            assert is_regular_semisimple(x) == (not b.is_zero() and not z.is_zero())
 
     def test_against_stabilizer_dimension_oracle(self):
         # trivial infinitesimal stabilizer of the block conjugation action:

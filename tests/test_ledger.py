@@ -26,6 +26,9 @@ PROBE = "a bench/tracer.py probe target; bench/tests assert that none is missing
 REPR = "debugging and test failure messages"
 REJECTED = ("the rejected-input record of asai_cancellation_check's input check; "
             "the asai-cancel suite draws only valid input")
+PER_WEIGHT = ("a Schur walk that hands weights of a nonzero head to schur: nearly coincident "
+              "or 4 or more arguments, which no suite sums; ROADMAP item 9's roots of unity "
+              "would reach it")
 AXIS = ("no matched representative on the axis z = s sqrt(u): the fl-rank1 grid's norm "
         "targets are -u times squares, which it solves")
 
@@ -71,8 +74,14 @@ UNREACHED = {
         "a product of Cayley images outside the tilde lattice; seed 7 draws none",
     ("periods:ratio_spread", 'return float("inf")'): "a family of ratios with mean 0",
     ("report:rel_error", "return 0.0"): "two sides that are both exactly 0",
-    ("symfunc:_schur_table", "return schur_itself"):
-        "nearly coincident or overflowing arguments in a torus sum or a Macdonald series",
+    ("symfunc:_schur_blocks", "direct = False"):
+        "overflowing arguments in a torus sum or a Macdonald series",
+    **{key: PER_WEIGHT for key in (
+        ("symfunc:_support", "for a in range(depth, -1, -1):"),
+        ("symfunc:_support",
+         "yield [(a, *rest, *zeros) for rest in weakly_decreasing_tuples(head - 1, 0, a)]"),
+        ("symfunc:weakly_decreasing_tuples",
+         "return combinations_with_replacement(range(hi, lo - 1, -1), length)"))},
     ("symfunc:schur", "if parts[0] > 0:"):
         "a constant weight at a zero argument: Satake parameters are nonzero",
     ("symfunc:schur", "return 0.0"):

@@ -32,7 +32,7 @@ from localperiods.periods import (
 )
 from localperiods.report import STATUS_PASS
 from localperiods.reps import GenericRep, RamCusp, Segment, UnramChar
-from localperiods.symfunc import delta_weight, weakly_decreasing_tuples
+from localperiods.symfunc import _modular_weight, delta_weight, weakly_decreasing_tuples
 from localperiods.volumes import vol_gl
 from localperiods.whittaker import essential_value, spherical_value
 
@@ -400,19 +400,20 @@ class TestSupportSummation:
     @pytest.mark.parametrize("depth", [1, 4])
     @pytest.mark.parametrize("head", [0, 2, 3])
     def test_torus_sum_passes_exactly_the_support(self, head, depth):
-        """_torus_sum's runs, flattened, cover each weakly decreasing head
-        in [0, depth], padded with zeros to the rank, once and in descending
-        lexicographic order: C(depth + head, head) tuples, the support that
-        the integrands rely on."""
+        """_torus_sum takes its values along the support walk, each weakly
+        decreasing head in [0, depth], padded with zeros to the rank, once
+        and in descending lexicographic order: C(depth + head, head) tuples,
+        the support that the integrands rely on."""
         rank = 3
         seen = []
 
-        def spy(top):
-            heads = symfunc._run_weights(top, rank)
-            seen.extend(heads)
-            return [1.0] * len(heads)
+        def spy():
+            for block in symfunc._support(head, rank, depth):
+                for f in block:
+                    seen.append(f)
+                    yield 1.0
 
-        periods._torus_sum(rank, head, depth, 9, spy)
+        periods._torus_sum(rank, head, depth, 9, spy())
         want = [
             lam + (0,) * (rank - head)
             for lam in itertools.product(range(depth, -1, -1), repeat=head)
@@ -423,7 +424,7 @@ class TestSupportSummation:
 
     @pytest.mark.parametrize("head", [1, 2, 3])
     def test_zero_values_change_no_bit(self, head):
-        """A run with exact zeros among its values, signed and complex ones
+        """A sum with exact zeros among its values, signed and complex ones
         included, sums to the bits of a sum that skips them: the reference
         summer weights only the nonzero values."""
         rank, depth, q = 3, 4, 9
@@ -433,52 +434,35 @@ class TestSupportSummation:
             k = sum(v * 7**i for i, v in enumerate(f))
             return zeros[k % 4] if k % 3 == 0 else complex(math.sin(k), math.cos(k))
 
-        support = {}
-
-        def run(top):
-            heads = symfunc._run_weights(top, rank)
-            support.update((f, value(f)) for f in heads)
-            return [value(f) for f in heads]
-
-        got = periods._torus_sum(rank, head, depth, q, run)
+        support = {f: value(f) for block in symfunc._support(head, rank, depth) for f in block}
+        got = periods._torus_sum(rank, head, depth, q, iter(support.values()))
         assert any(v == 0 for v in support.values())
         want = full_box_torus_sum(rank, depth, q, lambda f: support.get(f, 0))
         assert got.value == want.value
         assert got.tail_estimate == want.tail_estimate
 
     def test_ramified_lambda_evaluates_only_the_head(self, monkeypatch):
-        """A ramified lambda sum takes C(d + r, r) values from the runs of
-        sigma_n's Schur table, one per support tuple, builds one Schur table
-        per parameter set, sigma_n's in periods and the unramified part's in
-        whittaker, and three weight tables: the inverse modular weights,
-        the half weights shared by both factors and the size powers."""
-        built, calls, memos = [], [0], [0]
+        """A ramified lambda sum takes C(d + r, r) values from each of two
+        Schur walks of r head parts, sigma_n's in periods and the unramified
+        part's in whittaker, and builds its weight vectors once per sum
+        shape: a second sum of the same shape builds none."""
+        taken = {}
 
         def counting(module):
-            make = module._schur_table
+            real = module._schur_support
 
-            def build(params, max_part):
-                built.append(tuple(params))
-                run = make(params, max_part)
+            def counted(params, head, depth):
+                key = module.__name__, tuple(params), head
+                taken[key] = 0
+                for value in real(params, head, depth):
+                    taken[key] += 1
+                    yield value
 
-                def counted(top):
-                    values = run(top)
-                    calls[0] += len(values) if module is periods else 0
-                    return values
-
-                return counted
-
-            monkeypatch.setattr(module, "_schur_table", build)
+            monkeypatch.setattr(module, "_schur_support", counted)
 
         counting(periods)
         counting(whittaker)
-        memo_init = symfunc._Memo.__init__
-
-        def counted_init(self, fn):
-            memos[0] += 1
-            memo_init(self, fn)
-
-        monkeypatch.setattr(symfunc._Memo, "__init__", counted_init)
+        builders = (symfunc._support_exponents, periods._weights, periods._size_powers)
         rng = random.Random(89)
         for n in (1, 2, 3):
             sigma = satake(unit_circle(rng, n), 9)
@@ -486,67 +470,111 @@ class TestSupportSummation:
                 rep = random_ramified_rep(rng, n + 1, r, 1)
                 sigma_u = rep.unramified_part(9)
                 for depth in (1, 4, 9):
-                    built.clear()
-                    calls[0] = memos[0] = 0
+                    taken.clear()
                     lambda_truncated(sigma, rep, depth)
-                    assert calls[0] == math.comb(depth + r, r), (n, r, depth)
-                    assert len(built) == 2
-                    assert set(built) == {tuple(sigma_u.params), tuple(sigma.params)}
-                    assert memos[0] == 3
+                    terms = math.comb(depth + r, r)
+                    assert taken == {(periods.__name__, tuple(sigma.params), r): terms,
+                                     (whittaker.__name__, tuple(sigma_u.params), r): terms}
+                    built = [f.cache_info().misses for f in builders]
+                    lambda_truncated(satake(unit_circle(rng, n), 9), rep, depth)
+                    assert [f.cache_info().misses for f in builders] == built
+                    assert len(periods._weights(9, -2, n, r, depth)) == terms
 
     @pytest.mark.parametrize("depth", [1, 4, 9])
     def test_head_three_lambda_takes_minors_once_per_run(self, depth, monkeypatch):
-        """A head-3 lambda sum (n = r = 3) has two rank-3 Schur tables,
+        """A head-3 lambda sum (n = r = 3) has two rank-3 Schur walks,
         sigma_n's and the unramified part's.  Each takes the minors of its
-        first two columns once per (a, b) run, C(d + 2, 2) times, and takes
-        no value weight by weight: _last_column, which the table calls for
-        each weight of a run it does not evaluate whole, is never called."""
-        minors = []
-        real = symfunc._minors
-
-        def counted(col0, col1):
-            minors.append(1)
-            return real(col0, col1)
-
-        def per_weight(minors, col):
-            raise AssertionError("a run took a value weight by weight")
-
-        monkeypatch.setattr(symfunc, "_minors", counted)
-        monkeypatch.setattr(symfunc, "_last_column", per_weight)
+        first two columns once per (a, b) run of last parts, inline, and the
+        last-column expansion inline for each weight: no value calls
+        _minors or _last_column, and the sum is unchanged."""
         rng = random.Random(113)
         sigma = satake(unit_circle(rng, 3), 25)
-        lambda_truncated(sigma, random_ramified_rep(rng, 4, 3, 1), depth)
-        assert len(minors) == 2 * math.comb(depth + 2, 2)
+        rep = random_ramified_rep(rng, 4, 3, 1)
+        want = lambda_truncated(sigma, rep, depth)
+
+        def no_call(*args):
+            raise AssertionError("a value was taken through a call")
+
+        monkeypatch.setattr(symfunc, "_minors", no_call)
+        monkeypatch.setattr(symfunc, "_last_column", no_call)
+        assert lambda_truncated(sigma, rep, depth) == want
+
+
+class TestWeightVectors:
+    """The weight vectors of a sum shape against the exact modular weights
+    of symfunc, at every exponent of the support."""
+
+    @pytest.mark.parametrize("q", [9, 25, 49])
+    def test_equal_the_exact_weights(self, q):
+        for rank in range(5):
+            for head in range(rank + 1):
+                for depth in (1, 2, 5):
+                    support = [f for block in symfunc._support(head, rank, depth) for f in block]
+                    exponents = [sum(c * v for c, v in zip(range(1 - rank, rank, 2), f))
+                                 for f in support]
+                    delta_inv = [bits(float(1 / _modular_weight(e, q))) for e in exponents]
+                    half = [bits(float(_modular_weight(e, q, half=True))) for e in exponents]
+                    assert list(map(bits, periods._weights(q, -2, rank, head, depth))) == delta_inv
+                    assert list(map(bits, periods._weights(q, 1, rank, head, depth))) == half
+
+    def test_deep_exponents(self):
+        # 1/delta at depth 25 reaches q^-150 and q^150
+        for q in (9, 25, 49):
+            exponents = [sum(c * v for c, v in zip((-2, 0, 2), f))
+                         for f in weakly_decreasing_tuples(3, 0, 25)]
+            want = [bits(float(1 / _modular_weight(e, q))) for e in exponents]
+            assert list(map(bits, periods._weights(q, -2, 3, 3, 25))) == want
+
+    def test_odd_exponent_of_a_nonsquare_raises(self):
+        # (1, 0) has the odd modular exponent -1; 1/delta needs no root
+        with pytest.raises(ValueError, match="not exact"):
+            periods._weights(3, 1, 2, 1, 1)
+        with pytest.raises(ValueError):
+            _modular_weight(-1, 3, half=True)
+        assert periods._weights(3, -2, 2, 1, 1) == (3.0, 1.0)
+        # every exponent of a rank-3 weight is even
+        assert periods._weights(3, 1, 3, 3, 2) == tuple(
+            float(delta_weight(f, 3, half=True)) for f in weakly_decreasing_tuples(3, 0, 2))
+
+    def test_shared_vectors_are_immutable(self):
+        # one vector serves every sum of its shape in the process
+        for vector in (periods._weights(9, -2, 3, 2, 4), periods._weights(9, 1, 3, 3, 4),
+                       periods._size_powers(3, 2, 4, 9), periods._signs(1, 2, 4)):
+            assert isinstance(vector, tuple)
+
+    def test_size_powers_and_signs(self):
+        for rank, head, depth in ((1, 0, 3), (2, 1, 4), (3, 2, 5), (3, 3, 5)):
+            sizes = [sum(f) for block in symfunc._support(head, head, depth) for f in block]
+            assert periods._size_powers(rank, head, depth, 25) == tuple(
+                25.0 ** (-(rank + 1 - head) * t / 2) for t in sizes)
+            assert periods._signs(1, head, depth) == tuple((-1) ** t for t in sizes)
+            assert periods._signs(0, head, depth) == (1,) * len(sizes)
 
 
 def integrand_of(monkeypatch, period, *args):
     """The torus rank, support head and weight residue size that a
     truncated period hands to _torus_sum, and its integrand as a function
-    of one support tuple, taken from the runs it hands over."""
+    of one support tuple, taken from the values it hands over."""
     seen = {}
 
-    def capture(rank, head, depth, q, run):
-        seen.update(rank=rank, head=head, q=q, run=run)
+    def capture(rank, head, depth, q, values):
+        seen.update(rank=rank, head=head, q=q, values=list(values))
         return TruncResult(0j, 0.0)
 
     with monkeypatch.context() as m:
         m.setattr(periods, "_torus_sum", capture)
         period(*args)
-    rank, head, run = seen["rank"], seen["head"], seen["run"]
-    values = {}
-    for top in symfunc._run_tops(head, args[-1]):
-        heads, run_values = symfunc._run_weights(top, head), run(top)
-        assert len(run_values) == len(heads), top
-        values.update(zip((lam + (0,) * (rank - head) for lam in heads), run_values))
-    return rank, head, seen["q"], values.__getitem__
+    rank, head = seen["rank"], seen["head"]
+    support = [f for block in symfunc._support(head, rank, args[-1]) for f in block]
+    assert len(seen["values"]) == len(support)
+    return rank, head, seen["q"], dict(zip(support, seen["values"])).__getitem__
 
 
 def assert_same_terms(monkeypatch, period, *args, head=None):
     """A period's integrand against its reference composition on every
     tuple of its support, by bits, and its rank and residue size against
     the reference's; head defaults to the torus rank.  A zero of either
-    sign or type counts as zero, since _torus_sum skips zero values before
-    weighting them."""
+    sign or type counts as zero: it adds 0 to the sum."""
     rank, got_head, q, integrand = integrand_of(monkeypatch, period, *args)
     want_rank, want_q, reference = REFERENCES[period](*args)
     assert (rank, got_head, q) == (want_rank, rank if head is None else head, want_q)

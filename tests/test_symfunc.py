@@ -19,9 +19,11 @@ from localperiods.symfunc import (
     COINCIDENCE_SPREAD,
     DivergenceError,
     _det,
-    _run_tops,
-    _run_weights,
-    _schur_table,
+    _schur_blocks,
+    _schur_support,
+    _shell_size,
+    _support,
+    _support_exponents,
     delta_weight,
     macdonald_closed,
     macdonald_sum,
@@ -278,8 +280,9 @@ class TestUnrolledDet:
         assert abs(_det(rows) - want) <= 1e-12 * max(1.0, abs(want))
 
 
-#: arguments for _schur_table: generic, with a zero, constant (coincident
-#: and therefore Jacobi-Trudi), nearly coincident, and real
+#: arguments for _schur_support: generic, with a zero, constant (coincident
+#: and therefore Jacobi-Trudi), nearly coincident, real and overflowing, at
+#: ranks 0 to 4
 TABLE_ARGS = [
     (),
     (0.4 + 0.3j,),
@@ -298,42 +301,48 @@ TABLE_ARGS = [
 ]
 
 
-def table_tops(m: int, max_part: int):
-    """Every top of a table's contract at length m: weakly decreasing
-    heads of every length from 0 to m, so runs with every number of
-    padding zeros, and with a last part at or below the one before it.  A
-    top whose parts are all equal starts its run at a constant weight, a
-    power of the product that reads no power column."""
-    for head in range(m + 1):
-        yield from weakly_decreasing_tuples(head, 0, max_part)
-
-
-def run_outcome(run, top):
-    """bits() of each value of run(top), or the type of the exception it
-    raises."""
+def walk_outcome(xs, head, depth, walk=_schur_support):
+    """bits() of each value of walk(xs, head, depth), or the type of the
+    exception it raises."""
     try:
-        return [bits(value) for value in run(top)]
+        return [bits(value) for value in walk(xs, head, depth)]
     except (ArithmeticError, ValueError) as exc:
         return type(exc)
 
 
-def schur_outcome(top, xs):
-    """run_outcome of schur itself on the weights of the run of top."""
-    return run_outcome(lambda t: [schur(w, xs) for w in _run_weights(t, len(xs))], top)
+def per_weight(xs, head, depth):
+    """schur itself on every weight of the support, in its order."""
+    return (schur(f, xs) for block in _support(head, len(xs), depth) for f in block)
+
+
+def assert_walks_are_schur(xs, depths, heads=None):
+    """_schur_support equals schur on every support weight at each depth and
+    head (every head from 0 to the rank by default), bit for bit."""
+    for depth in depths:
+        for head in range(len(xs) + 1) if heads is None else heads:
+            want = walk_outcome(xs, head, depth, per_weight)
+            assert walk_outcome(xs, head, depth) == want, (xs, head, depth)
 
 
 class TestSchurTable:
-    """A table's run of a top equals schur on the run's weights bit for
-    bit, on every top at every pad: the constant weights, a zero argument,
-    coincident arguments and ranks 0 and 4, where the table is schur,
-    included."""
+    """The Schur values of a support walk equal schur on its weights bit
+    for bit, at every head from 0 to the rank: the constant weights, a
+    zero argument, coincident and overflowing arguments and ranks 0 and 4,
+    where the walk is schur itself, included."""
 
     @pytest.mark.parametrize("xs", TABLE_ARGS)
     @pytest.mark.parametrize("max_part", [-1, 0, 1, 3])
     def test_bit_identical_to_schur(self, xs, max_part):
-        run = _schur_table(xs, max_part)
-        for top in table_tops(len(xs), max_part):
-            assert run_outcome(run, top) == schur_outcome(top, xs), top
+        assert_walks_are_schur(xs, [max_part])
+
+    @pytest.mark.parametrize("xs", [xs for xs in TABLE_ARGS if 1 <= len(xs) <= 3])
+    def test_bit_identical_at_the_sum_depths(self, xs):
+        # 25 is the torus workload's depth
+        assert_walks_are_schur(xs, [1, 2, 5, 25])
+
+    def test_rank_four_is_schur_at_depth_25(self):
+        # schur itself, weight by weight: the heads below 4 suffice
+        assert_walks_are_schur(TABLE_ARGS[-3], [25], heads=range(4))
 
     @given(
         st.lists(
@@ -343,9 +352,7 @@ class TestSchurTable:
     )
     @settings(max_examples=120, deadline=None)
     def test_bit_identical_on_random_arguments(self, xs, max_part):
-        run = _schur_table(xs, max_part)
-        for top in table_tops(len(xs), max_part):
-            assert run_outcome(run, top) == schur_outcome(top, xs), top
+        assert_walks_are_schur(xs, [max_part])
 
     @given(
         st.lists(
@@ -356,41 +363,70 @@ class TestSchurTable:
     )
     @settings(max_examples=120, deadline=None)
     def test_bit_identical_in_any_call_order(self, xs, max_part, data):
-        # a run holds nothing over from one call to the next
-        tops = data.draw(st.permutations(list(table_tops(3, max_part))))
-        run = _schur_table(xs, max_part)
-        for top in tops:
-            assert run_outcome(run, top) == schur_outcome(top, xs), top
+        # walks at the same arguments share nothing: the walks of every head,
+        # advanced one block at a time in a drawn order, give their values
+        walks = {head: _schur_blocks(tuple(xs), head, max_part) for head in range(4)}
+        got = {head: [] for head in walks}
+        blocks = [head for head in walks for _ in _support(head, 3, max_part)]
+        for head in data.draw(st.permutations(blocks)):
+            got[head].extend(map(bits, next(walks[head])))
+        for head, values in got.items():
+            assert values == walk_outcome(xs, head, max_part, per_weight), head
 
     def test_overflowing_powers_go_to_schur(self):
-        xs = (1e200, 2e200)
-        run = _schur_table(xs, 3)
-        for top in table_tops(2, 3):
-            assert run_outcome(run, top) == schur_outcome(top, xs), top
+        for xs in ((1e200,), (1e200, 2e200), (1e200, 2e200, 3e200)):
+            assert_walks_are_schur(xs, [1, 3])
 
     def test_nearly_coincident_arguments_take_jacobi_trudi(self):
         xs = (0.5, 0.5 + COINCIDENCE_SPREAD / 2)
-        assert bits(_schur_table(xs, 4)((3, 1))[0]) == bits(schur_jacobi_trudi((3, 1), xs))
+        weights = [f for block in _support(2, 2, 4) for f in block]
+        value = list(_schur_support(xs, 2, 4))[weights.index((3, 1))]
+        assert bits(value) == bits(schur_jacobi_trudi((3, 1), xs))
 
     @pytest.mark.parametrize("xs", [(0.3 + 0.4j, -0.5), (0.3 + 0.4j, -0.5, 0.7j), (0j, 0.5, -0.5j)])
     def test_every_run_reads_the_power_columns(self, xs, monkeypatch):
-        """At 2 and 3 distinct arguments no run, padded or whole, takes a
-        value weight by weight through schur's determinant."""
+        """At 2 and 3 distinct arguments no weight of any head takes its
+        value through schur's determinant or a call of its cofactor forms:
+        the walk evaluates them inline, a block per first part."""
 
-        def per_weight(minors, col):
-            raise AssertionError("a run took a value weight by weight")
+        def no_call(*args):
+            raise AssertionError("a value was taken through a call")
 
-        monkeypatch.setattr(symfunc, "_last_column", per_weight)
-        run = _schur_table(xs, 4)
-        for top in table_tops(len(xs), 4):
-            assert len(run(top)) == len(_run_weights(top, len(xs)))
+        for name in ("_det", "_minors", "_last_column"):
+            monkeypatch.setattr(symfunc, name, no_call)
+        for head in range(len(xs) + 1):
+            blocks = list(_schur_blocks(xs, head, 4))
+            assert list(map(len, blocks)) == list(map(len, _support(head, len(xs), 4)))
 
     def test_run_weights(self):
-        assert _run_weights((), 2) == [(0, 0)]
-        assert _run_weights((), 0) == [()]
-        assert _run_weights((3, 1), 3) == [(3, 1, 0), (3, 0, 0)]
-        assert _run_weights((2,), 1) == [(2,), (1,), (0,)]
-        assert _run_weights((2, 2, 1), 3) == [(2, 2, 1), (2, 2, 0)]
+        """The weights of the support, one run per first part: each block
+        in descending lexicographic order and padded with zeros, and all of
+        them together weakly_decreasing_tuples."""
+        assert list(_support(0, 2, 3)) == [[(0, 0)]]
+        assert list(_support(0, 0, 3)) == [[()]]
+        assert list(_support(1, 1, 2)) == [[(2,)], [(1,)], [(0,)]]
+        assert list(_support(2, 3, 2)) == [[(2, 2, 0), (2, 1, 0), (2, 0, 0)],
+                                           [(1, 1, 0), (1, 0, 0)], [(0, 0, 0)]]
+        for head, m, depth in ((1, 3, 4), (2, 2, 5), (3, 4, 3), (3, 3, 6)):
+            flat = [f for block in _support(head, m, depth) for f in block]
+            zeros = (0,) * (m - head)
+            assert flat == [lam + zeros for lam in weakly_decreasing_tuples(head, 0, depth)]
+
+    def test_exponents_and_shell_follow_the_walk(self):
+        """The integer exponents and sizes that periods builds its weight
+        vectors from, and the shell that its tail estimate reads, are those
+        of _support's own weights, in its order; the tuples are immutable,
+        since every sum of their shape shares them."""
+        for head, depth in ((0, 3), (1, 4), (2, 5), (3, 6), (4, 3)):
+            blocks = list(_support(head, head, depth))
+            flat = [f for block in blocks for f in block]
+            exponents, sizes = _support_exponents(head, depth)
+            assert exponents == tuple(
+                sum(c * v for c, v in zip(range(1 - head, head, 2), f)) for f in flat)
+            assert sizes == tuple(map(sum, flat))
+            shell = _shell_size(head, depth)
+            assert shell == (len(blocks[0]) if head else 0)
+            assert [f for f in flat if f and f[0] == depth] == flat[:shell]
 
 
 #: distinct arguments at ranks 2 and 3, each with the depth its box of
@@ -406,9 +442,8 @@ DIRECT_ARGS = [
 
 
 class TestDirectSchurRoute:
-    """At 2 and 3 distinct arguments the table evaluates _det's cofactor
-    forms itself, without _det, and takes the minors of the first two
-    parts once per run."""
+    """At 2 and 3 distinct arguments the walk evaluates _det's cofactor
+    forms itself, without _det or a call per value."""
 
     @pytest.mark.parametrize("xs, depth", DIRECT_ARGS)
     def test_values_without_det(self, xs, depth, monkeypatch):
@@ -420,13 +455,16 @@ class TestDirectSchurRoute:
             raise AssertionError("_det is off the direct route")
 
         monkeypatch.setattr(symfunc, "_det", no_det)
-        run = _schur_table(xs, depth)
-        assert [bits(v) for top in _run_tops(len(xs), depth) for v in run(top)] == want
+        assert [bits(v) for v in _schur_support(xs, len(xs), depth)] == want
         assert bits(macdonald_sum(xs, depth)) == want_sum
 
     @pytest.mark.parametrize("xs, depth", DIRECT_ARGS)
     def test_minors_once_per_first_two_parts(self, xs, depth, monkeypatch):
-        # the rank-2 table takes no minors
+        """The rank-3 walk takes the minors of its first two parts once per
+        pair, inline: _minors, through which schur's determinant takes them
+        for every weight, is never called, and the values are still
+        schur's.  The rank-2 walk has no minors."""
+        want = walk_outcome(xs, len(xs), depth, per_weight)
         calls = []
         real = symfunc._minors
 
@@ -435,21 +473,21 @@ class TestDirectSchurRoute:
             return real(col0, col1)
 
         monkeypatch.setattr(symfunc, "_minors", counted)
-        run = _schur_table(xs, depth)
-        for top in _run_tops(len(xs), depth):
-            run(top)
-        pairs = {lam[:2] for lam in weakly_decreasing_tuples(len(xs), 0, depth)}
-        assert len(calls) == (len(pairs) if len(xs) == 3 else 0)
+        assert walk_outcome(xs, len(xs), depth) == want
+        assert calls == []
 
     @pytest.mark.parametrize("xs, depth", DIRECT_ARGS)
     def test_bits_do_not_depend_on_call_order(self, xs, depth):
-        tops = list(_run_tops(len(xs), depth))
-        want = {top: schur_outcome(top, xs) for top in tops}
-        shuffled = tops[:]
-        random.Random(17).shuffle(shuffled)
-        for order in (tops, tops[::-1], shuffled):
-            run = _schur_table(xs, depth)
-            assert [run_outcome(run, top) for top in order] == [want[top] for top in order]
+        # two walks at the same arguments, advanced alternately, or one
+        # abandoned halfway, leave each other's values unchanged
+        want = walk_outcome(xs, len(xs), depth)
+        first, second = _schur_blocks(xs, len(xs), depth), _schur_blocks(xs, len(xs), depth)
+        next(_schur_blocks(xs, len(xs), depth))
+        got = [[], []]
+        for pair in zip(first, second):
+            for values, block in zip(got, pair):
+                values.extend(map(bits, block))
+        assert got == [want, want]
 
 
 class TestDeltaWeight:

@@ -7,12 +7,11 @@ import itertools
 
 from helpers import bits, outcome, ssyt_schur
 from localperiods.draws import random_ramified_rep, unit_circle
-from localperiods.periods import _half_weights
+from localperiods.periods import _size_powers, _weights
 from localperiods.reps import GenericRep, RamCusp, Segment, UnramChar
 from localperiods.symfunc import (
-    _run_tops,
-    _run_weights,
-    _schur_table,
+    _schur_support,
+    _support,
     is_weakly_decreasing,
     weakly_decreasing_tuples,
 )
@@ -51,40 +50,37 @@ class TestSphericalValue:
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
-def modular_exponent(f):
-    m = len(f)
-    return sum(x * (2 * i - m - 1) for i, x in enumerate(f, start=1))
-
-
-def run_values(run, head, max_part):
-    """The values of the runs of every top of `head` parts in [0, max_part],
-    by weight, in the order the runs give them."""
-    values = {}
-    for top in _run_tops(head, max_part):
-        values.update(zip(_run_weights(top, head), run(top)))
-    return values
+def support_values(values, head, m, max_part):
+    """values along the support of `head` parts padded to m, by weight."""
+    support = [f for block in _support(head, m, max_part) for f in block]
+    values = list(values)
+    assert len(values) == len(support)
+    return dict(zip(support, values))
 
 
 class TestTorusEvaluators:
-    """The per-sum factors that the torus sums compose, the half-weight
-    table of periods and the Schur runs, against the reference
-    evaluators."""
+    """The per-sum factors that the torus sums compose, the weight vectors
+    of periods and the Schur walks, against the reference evaluators."""
 
     @pytest.mark.parametrize("q_e", [9, 25, 3])
     def test_spherical_on_torus_is_bit_identical(self, q_e):
-        # every weight of the Schur table's contract, the weakly decreasing
-        # tuples in [0, max_part]; q_e = 3 has no exact half weight at odd
-        # exponents, so both must raise there
+        # every weight of a full-rank support, the weakly decreasing tuples
+        # in [0, max_part]; q_e = 3 has no exact half weight at odd
+        # exponents, so its vector raises where spherical_value does
         rng = random.Random(5)
         for m in range(5):
             for params in (unit_circle(rng, m), (0.0,) * m, (0.5,) * m):
                 for max_part in (0, 3):
-                    half, run = _half_weights(q_e), _schur_table(params, max_part)
-                    schur = run_values(run, m, max_part)
+                    schur = support_values(_schur_support(params, m, max_part), m, m, max_part)
                     assert list(schur) == list(weakly_decreasing_tuples(m, 0, max_part))
-                    for f in weakly_decreasing_tuples(m, 0, max_part):
-                        got = outcome(lambda: half[modular_exponent(f)] * schur[f])
-                        assert got == outcome(spherical_value, params, f, q_e), f
+                    want = {f: outcome(spherical_value, params, f, q_e) for f in schur}
+                    try:
+                        half = support_values(_weights(q_e, 1, m, m, max_part), m, m, max_part)
+                    except ValueError:
+                        assert ValueError in want.values()
+                        continue
+                    for f in schur:
+                        assert outcome(lambda: half[f] * schur[f]) == want[f], f
 
     def test_essential_on_torus_matches_its_spherical_formula(self):
         rng = random.Random(6)
@@ -92,11 +88,12 @@ class TestTorusEvaluators:
             for r in range(m):
                 rep = random_ramified_rep(rng, m, r, cond=1)
                 sigma_u = rep.unramified_part(9)
-                got_r, schur_run, size = _essential_on_torus(rep, 9, 4)
-                half = _half_weights(9)
+                got_r, schur_u = _essential_on_torus(rep, 9, 4)
                 assert got_r == r
-                schur = run_values(schur_run, r, 4)
-                # the parts of a head on the support stay in the table's [0, 4]
+                schur = support_values(schur_u, r, r, 4)
+                half = support_values(_weights(9, 1, r, r, 4), r, r, 4)
+                size = support_values(_size_powers(m - 1, r, 4, 9), r, r, 4)
+                # the parts of a head on the support stay in the walk's [0, 4]
                 for f in itertools.product(range(-1, 5), repeat=m - 1):
                     head, tail = f[:r], f[r:]
                     if any(tail) or not is_weakly_decreasing(head) or (head and head[-1] < 0):
@@ -104,7 +101,7 @@ class TestTorusEvaluators:
                     else:
                         want = spherical_value(sigma_u.params, head, 9)
                         want *= 9.0 ** (-(m - r) * sum(head) / 2)
-                        got = half[modular_exponent(head)] * schur[head] * size[sum(head)]
+                        got = half[head] * schur[head] * size[head]
                         assert bits(got) == bits(want), f
                     assert outcome(essential_value, rep, f, 9) == outcome(lambda: want), f
 
